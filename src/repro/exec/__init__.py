@@ -1,12 +1,15 @@
 """``repro.exec`` — the parallel study scheduler.
 
-Three stages, three modules:
+Four modules:
 
 * :mod:`.plan`   — enumerate every experiment's ``run_coupled`` points
   into a deduplicated work-plan (content-addressed by the run cache's
   config key);
-* :mod:`.pool`   — execute the plan on a spawn-safe multiprocessing
-  pool with crash retry and quarantine, sharing the on-disk run cache;
+* :mod:`.pool`   — :class:`WorkerPool`, the one spawn worker pool: warm
+  workers, crash retry and quarantine, recycling, per-point
+  single-flight, graceful drain, sharing the on-disk run cache;
+* :mod:`.flight` — :class:`~repro.exec.flight.SingleFlight`, coalescing
+  concurrent identical computations onto one leader;
 * :mod:`.report` — live progress/ETA plus the JSON run report.
 
 :func:`execute_parallel` ties them together.  It never *produces* the
@@ -19,13 +22,13 @@ unconditional sweep, round 2 re-plans against real results and
 captures e.g. the Figure 3 remediation reruns that only happen after a
 real failure.
 
-The execution backend is pluggable.  By default every call builds a
-fresh :class:`WorkerPool` (spawn workers live for one campaign); pass
-``runner=`` anything with a ``run(tasks, progress=None) -> outcomes``
-method to ride a persistent backend instead — the serve daemon's warm
-:class:`repro.serve.pool.WarmPool`, or ``service=`` an address of a
-running ``python -m repro serve`` daemon (sugar for
-:class:`repro.serve.client.ServiceRunner`), so batch campaigns share
+The execution backend is pluggable.  By default every call starts one
+:class:`WorkerPool`, runs all its planning rounds on it and shuts it
+down; pass ``runner=`` anything with a ``run(tasks, progress=None) ->
+outcomes`` method instead — the serve daemon passes its own started
+:class:`WorkerPool`, and ``service=`` an address of a running
+``python -m repro serve`` daemon is sugar for
+:class:`repro.serve.client.ServiceRunner`, so batch campaigns share
 the daemon's resident workers and cross-process cache.
 """
 
@@ -61,8 +64,6 @@ def execute_parallel(
     cache_dir: Optional[str] = None,
     report_path: Optional[str] = None,
     progress_stream: Optional[TextIO] = None,
-    max_attempts: int = 3,
-    max_rounds: int = MAX_ROUNDS,
     runner: Optional[Any] = None,
     service: Optional[str] = None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
@@ -73,7 +74,7 @@ def execute_parallel(
     experiment afterwards (now against a warm cache) to build the
     actual tables.
 
-    ``runner`` swaps the per-call :class:`WorkerPool` for a persistent
+    ``runner`` swaps the per-call :class:`WorkerPool` for a caller-owned
     backend (``run(tasks, progress=None) -> {key: TaskOutcome}``);
     ``service`` is shorthand for a :class:`repro.serve.client.ServiceRunner`
     bound to that daemon address.  ``progress`` receives every task
@@ -81,16 +82,30 @@ def execute_parallel(
     instead of the default stream printer — the daemon uses it to relay
     events to streaming clients.
     """
-    from ..core import runcache
-
     if service is not None and runner is None:
         from ..serve.client import ServiceRunner
 
         runner = ServiceRunner(service)
+    pool = None
+    if runner is None:
+        runner = pool = WorkerPool(jobs=jobs, cache_dir=cache_dir)
+    try:
+        report = _run_rounds(experiments, jobs, runner, progress_stream, progress)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    if report_path:
+        report.write(report_path)
+    return report
+
+
+def _run_rounds(experiments, jobs, runner, progress_stream, progress) -> RunReport:
+    from ..core import forkpoint, runcache
+
     start = time.monotonic()
     workers = getattr(runner, "effective", None) or effective_jobs(jobs)
     report = RunReport(jobs=jobs, effective_jobs=workers)
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         plan = build_plan(experiments)
         tasks = [t for t in plan.tasks if t.key not in report.quarantined_keys]
         if not tasks:
@@ -129,27 +144,15 @@ def execute_parallel(
                 flush=True,
             )
         on_event = progress or ProgressPrinter(len(tasks), progress_stream)
-        if runner is not None:
-            outcomes = runner.run(tasks, progress=on_event)
-            batch_sizes = list(getattr(runner, "batch_sizes", []))
-        else:
-            pool = WorkerPool(
-                jobs=jobs,
-                cache_dir=cache_dir,
-                max_attempts=max_attempts,
-                progress=on_event,
-            )
-            outcomes = pool.run(tasks)
-            batch_sizes = pool.batch_sizes
+        outcomes = runner.run(tasks, progress=on_event)
         for key, outcome in outcomes.items():
             if outcome.result is not None:
                 runcache.CACHE.seed(key, outcome.result)
-        report.absorb(round_no, plan, outcomes, batch_sizes=batch_sizes)
+        report.absorb(round_no, plan, outcomes,
+                      batch_sizes=getattr(runner, "batch_sizes", []))
+        if any(o.status == "cancelled" for o in outcomes.values()):
+            break  # the runner is stopping: re-planning would resubmit
     report.wall_seconds = time.monotonic() - start
     report.runcache = runcache.CACHE.stats()
-    from ..core import forkpoint
-
     report.forkpoint = forkpoint.STATS.stats()
-    if report_path:
-        report.write(report_path)
     return report

@@ -1,25 +1,22 @@
 """Single-flight coalescing for the shared run cache.
 
-:mod:`repro.core.runcache` already gives the serving layer two of the
-three sharing tiers: an in-process memory layer and a cross-process
-disk store whose mkstemp + ``os.replace`` write discipline makes
-entries safe under any number of concurrent writers.  What a *daemon*
-adds is the third tier — time: many clients asking for the same
-configuration at the same moment.  Without coordination each would
-simulate it; with :class:`SingleFlight` the first request becomes the
-**leader** and every concurrent duplicate a **follower** that simply
-waits for the leader's outcome.
+:mod:`repro.core.runcache` gives two of the three sharing tiers: an
+in-process memory layer and a cross-process disk store whose mkstemp +
+``os.replace`` write discipline makes entries safe under any number of
+concurrent writers.  The third tier is time: many callers asking for
+the same configuration at the same moment.  Without coordination each
+would simulate it; with :class:`SingleFlight` the first request becomes
+the **leader** and every concurrent duplicate a **follower** that
+simply waits for the leader's outcome.
 
-The daemon applies it at two granularities:
-
-* whole submissions (two clients submitting ``fig2a`` concurrently
-  share one job), and
-* individual simulation points inside the warm pool (two different
-  figures planning an overlapping point share one worker task).
+:class:`repro.exec.pool.WorkerPool` applies it per simulation point:
+two different figures planning an overlapping point share one worker
+task.  (The serve daemon coalesces whole submissions the same way, on
+its own job registry.)
 
 Counters (``coalesced``, ``inflight_now``, ``resolved``) feed the
-daemon's ``stats`` reply alongside the runcache's hit/miss/store
-counters — together they verify the acceptance claim that duplicate
+pool's ``stats`` — and through it the daemon's — alongside the
+runcache's hit/miss/store counters; together they show that duplicate
 concurrent submissions coalesce onto a single underlying run.
 
 Thread-safe: leaders run on pool or replay threads, followers register

@@ -3,19 +3,13 @@
 The batch tools (``repro study --jobs N``, ``repro chaos``) pay
 interpreter + import start-up per campaign and share nothing across
 invocations.  This package turns the simulator into a *service*: a
-long-running asyncio daemon with a warm spawn-worker pool and a
-single-flight shared run cache, serving many concurrent clients.
+long-running asyncio daemon that keeps one
+:class:`repro.exec.pool.WorkerPool` started (warm spawn workers,
+per-point single-flight) over the shared run cache, serving many
+concurrent clients.
 
 * :mod:`.protocol` — the newline-delimited JSON wire format (framing,
   figure-id normalization, the pickle side-channel for rich payloads);
-* :mod:`.pool`     — :class:`WarmPool`, the persistent worker pool
-  (workers pre-import :mod:`repro`, stay resident across submissions,
-  are health-checked and recycled, and reuse the retry + quarantine
-  discipline of :mod:`repro.exec.pool`);
-* :mod:`.cache`    — :class:`SingleFlight`, coalescing concurrent
-  identical computations onto one leader (the daemon applies it at job
-  and at simulation-point granularity) on top of the cross-process
-  disk store of :mod:`repro.core.runcache`;
 * :mod:`.daemon`   — :class:`ServeDaemon`, the asyncio server (unix
   socket and/or TCP) exposing submit / status / stream / cancel /
   stats / shutdown;
@@ -28,15 +22,11 @@ single-flight shared run cache, serving many concurrent clients.
 talks to one.
 """
 
-from .cache import SingleFlight
 from .client import ServeClient, ServiceRunner
 from .daemon import ServeDaemon
-from .pool import WarmPool
 
 __all__ = [
     "ServeClient",
     "ServeDaemon",
     "ServiceRunner",
-    "SingleFlight",
-    "WarmPool",
 ]

@@ -1,4 +1,4 @@
-"""The serve daemon: an asyncio front-end over the warm pool.
+"""The serve daemon: an asyncio front-end over a started worker pool.
 
 ``python -m repro serve`` starts one :class:`ServeDaemon`.  It listens
 on a unix socket (``0600``) and/or a TCP port, speaks the
@@ -17,11 +17,12 @@ Execution model
 ---------------
 
 The asyncio loop only shuffles bytes and bookkeeping; simulation work
-lands in two places.  Points go straight to the :class:`WarmPool`
-(resident spawn workers).  Figure and chaos jobs run on a dedicated
-single **replay thread**: planning and serial replay mutate process
-globals (the plan-recorder hook, the in-process run cache, the
-registry singletons), so at most one replay may be live at a time —
+lands in two places.  Points go straight to the daemon's
+:class:`~repro.exec.pool.WorkerPool`, started once and kept resident.
+Figure and chaos jobs run on a dedicated single **replay thread**:
+planning and serial replay mutate process globals (the plan-recorder
+hook, the in-process run cache, the registry singletons), so at most
+one replay may be live at a time —
 concurrent figure submissions queue behind each other while their
 simulation points still fan out across the pool.  Every job's
 progress events are mirrored to any number of streaming subscribers.
@@ -59,8 +60,8 @@ from typing import Any, Dict, List, Optional
 
 from ..core import runcache
 from ..exec.plan import PlannedTask
+from ..exec.pool import WorkerPool
 from . import protocol
-from .pool import WarmPool
 
 #: spec keys a point submission must carry (PlannedTask.label needs them)
 _POINT_REQUIRED = ("machine", "workflow", "method", "nsim", "nana", "steps")
@@ -156,11 +157,12 @@ class ServeDaemon:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.drain_seconds = drain_seconds
-        pool_kwargs: Dict[str, Any] = dict(jobs=jobs, cache_dir=cache_dir)
+        pool_kwargs: Dict[str, Any] = dict(
+            jobs=jobs, cache_dir=cache_dir, drain_seconds=drain_seconds
+        )
         if recycle_after is not None:
             pool_kwargs["recycle_after"] = recycle_after
-        self.pool = WarmPool(**pool_kwargs)
+        self.pool = WorkerPool(**pool_kwargs)
         if cache_dir:
             runcache.enable_disk(cache_dir)
         self.jobs: Dict[str, Job] = {}
@@ -245,9 +247,7 @@ class ServeDaemon:
                     job.cancel_requested = True
                     job._finish_on_loop("cancelled", None, "daemon stopping")
                     self.jobs_cancelled += 1
-            await self._loop.run_in_executor(
-                None, self.pool.shutdown, self.drain_seconds
-            )
+            await self._loop.run_in_executor(None, self.pool.shutdown)
             self._replay.shutdown(wait=True, cancel_futures=True)
             if self.socket_path is not None and os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
@@ -551,7 +551,7 @@ class ServeDaemon:
                 }
             report = execute_parallel(
                 selected,
-                jobs=self.pool.requested_jobs,
+                jobs=self.pool.jobs,
                 runner=self.pool,
                 progress=job.emit,
             )

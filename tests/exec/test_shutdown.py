@@ -45,11 +45,11 @@ def main():
         outcomes = pool.run(tasks)
     except PoolInterrupted as exc:
         done = sum(1 for o in exc.outcomes.values() if o.status == "ok")
-        pending = sum(
-            1 for o in exc.outcomes.values() if o.status == "pending"
+        cancelled = sum(
+            1 for o in exc.outcomes.values() if o.status == "cancelled"
         )
         print(f"INTERRUPTED signum={exc.signum} done={done} "
-              f"pending={pending}", flush=True)
+              f"cancelled={cancelled}", flush=True)
         return 0
     print(f"COMPLETED {len(outcomes)}", flush=True)
     return 0
@@ -90,7 +90,7 @@ def test_signal_drains_inflight_then_interrupts(tmp_path, signum):
         part.split("=") for part in marker.split()[1:]
     )
     assert int(fields["done"]) >= 1
-    assert int(fields["pending"]) >= 1
+    assert int(fields["cancelled"]) >= 1
     # graceful means no orphans: the pool's spawn workers died with it
     time.sleep(0.5)
     assert child.poll() is not None

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.serve.cache import SingleFlight
+from repro.exec.flight import SingleFlight
 
 
 class TestSingleFlight:

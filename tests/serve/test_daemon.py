@@ -188,16 +188,21 @@ class TestPointServing:
         assert "died" in final["error"]
 
     def test_cancel_inflight_point(self, served):
+        crashed_before = served.daemon.pool.workers_crashed
         with client(served) as c:
             reply = c.submit_point(point_spec(nsim=10, nana=5, __sleep__=30))
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                if c.status(reply["job"])["state"] == "running":
+                # in flight on a worker, not merely queued behind warm-up
+                if c.status(reply["job"])["state"] == "running" \
+                        and served.daemon.pool.stats()["inflight"]:
                     break
                 time.sleep(0.05)
             c.cancel(reply["job"])
             final = c.wait(reply["job"])
         assert final["state"] == "cancelled"
+        # killing the worker on purpose is a cancel, not a crash
+        assert served.daemon.pool.workers_crashed == crashed_before
 
     def test_malformed_point_is_rejected(self, served):
         with client(served) as c:
@@ -277,3 +282,38 @@ class TestJobEviction:
         daemon.jobs["gone"] = self._job(loop, "gone", finished_ago=1.0)
         daemon._evict_finished()
         assert daemon.stats()["jobs"]["evicted"] == 1
+
+
+class TestStopDuringFigureJob:
+    def test_stop_never_revives_the_pool(self):
+        """The daemon stops while a figure job's round is in flight: the
+        shut-down pool must not spawn workers for a re-planning round,
+        and no worker outlives the daemon."""
+        runcache.clear()  # the figure's points must really simulate
+        sock = os.path.join(tempfile.mkdtemp(prefix="repro-stop-"), "d.sock")
+        daemon = ServeDaemon(socket_path=sock, jobs=2, drain_seconds=0.0)
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        try:
+            assert daemon.ready.wait(60), "daemon never came up"
+            with ServeClient(socket_path=sock, timeout=120.0).connect(
+                retry_seconds=5
+            ) as c:
+                c.submit_figure("2a", full=True)
+            deadline = time.monotonic() + 60
+            while not daemon.pool.stats()["inflight"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert daemon.pool.stats()["inflight"], "figure never started"
+            spawned = daemon.pool.stats()["workers_spawned"]
+            procs = [w.proc for w in daemon.pool._workers]
+        finally:
+            daemon.request_shutdown()
+            thread.join(60)
+            runcache.clear()
+        assert not thread.is_alive(), "daemon did not stop"
+        stats = daemon.pool.stats()
+        assert stats["workers_spawned"] == spawned
+        assert stats["workers_alive"] == 0
+        assert not any(proc.is_alive() for proc in procs)
+        assert daemon.jobs_cancelled == 1

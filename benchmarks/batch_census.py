@@ -3,8 +3,10 @@
 
 Sweeps every (machine, scale, method) cell of the Figure 2 grid at the
 study's small scales and records, per cell, the fidelity the driver
-settled on and — when the batch compilation did not engage — the
-verbatim decline reason from ``batch_fallback``.  The output JSON is
+settled on and its full ``fidelity_log`` — one verbatim
+``"<tier>: <reason>"`` entry per requested tier that did not engage,
+so a batch decline reads from the cell's ``batch:`` entry.  The output
+JSON is
 uploaded as a CI artifact so engagement regressions (a certificate
 that silently stops firing, or a decline string that drifts) are
 visible per run without digging through test output.
@@ -33,13 +35,9 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
     for machine in ("titan", "cori"):
         for nsim, nana in SMALL_SCALES:
             for method in FIG2_METHODS:
-                # batch_actors=True (vs the default auto) so cells whose
-                # clustering never engaged still record the decline
-                # reason instead of a bare None.
                 result = run_coupled(
                     machine, workflow, method, nsim=nsim, nana=nana,
                     steps=steps, fidelity="steady+clustered",
-                    batch_actors=True,
                 )
                 cells.append({
                     "machine": machine,
@@ -48,12 +46,12 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
                     "ok": result.ok,
                     "fidelity": result.fidelity,
                     "engaged": result.fidelity == "clustered+batch",
-                    "batch_fallback": result.batch_fallback,
+                    "fidelity_log": list(result.fidelity_log),
                 })
     engaged = sum(1 for c in cells if c["engaged"])
     reasons = Counter(
-        c["batch_fallback"] for c in cells
-        if not c["engaged"] and c["batch_fallback"]
+        entry for c in cells for entry in c["fidelity_log"]
+        if entry.startswith("batch: ")
     )
     return {
         "workflow": workflow,

@@ -21,8 +21,9 @@ optimizations move.  Modes:
   streams (same-tick cascades, short-horizon uniform, wide-horizon),
   events/sec per structure under the ``engine`` key;
 * ``--batch-ab``   — the batch-actor A/B: configurations whose batch
-  certificates engage, run with the compilation off and on (same
-  numbers, so the delta is pure event-machinery cost), recording
+  certificates engage, run at ``fidelity="exact"`` (the per-rank
+  reference) and at their compiled fidelity (same numbers, so the
+  delta is pure event-machinery cost), recording
   wall-clock, event counts and the speedup per configuration;
 * ``--serve``      — the serving-layer latency benchmark: a cold
   ``python -m repro study fig6`` subprocess (interpreter start +
@@ -439,9 +440,9 @@ _BATCH_AB_CONFIGS = {
 def batch_ab_bench() -> Dict[str, object]:
     """A/B the batch-actor compilation on configurations it certifies.
 
-    Both arms produce float-identical results (asserted), so the
-    wall/event deltas measure exactly what the compilation removes:
-    the per-rank generator chains' event traffic.
+    The per-rank arm is the ``fidelity="exact"`` reference; both arms
+    produce float-identical results (asserted), so the wall/event
+    deltas measure what the compiled run removes.
     """
     from repro.staging.ndarray import Variable
     from repro.workflows import run_coupled
@@ -453,11 +454,12 @@ def batch_ab_bench() -> Dict[str, object]:
             kwargs["variable"] = Variable("v", (8192, 64))
         arms = {}
         outputs = {}
-        for arm, batch in (("per_rank", False), ("batch", True)):
+        for arm, fidelity in (("per_rank", "exact"),
+                              ("batch", kwargs["fidelity"])):
             runcache.clear()
             with EventCounter() as counter:
                 start = time.perf_counter()
-                result = run_coupled(batch_actors=batch, **kwargs)
+                result = run_coupled(**{**kwargs, "fidelity": fidelity})
                 elapsed = time.perf_counter() - start
             arms[arm] = {
                 "seconds": round(elapsed, 3),
@@ -561,7 +563,7 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
 def _results_identical(a, b) -> bool:
     """Field-by-field RunResult equality, NaN-aware, fork-metadata blind.
 
-    ``forked``/``fork_fallback`` are provenance, not physics; ``library``
+    ``forked`` is provenance, not physics; ``library``
     is a live object.  TimeSeries lacks ``__eq__`` and aborted runs
     carry NaN finish times, so both need explicit handling.
     """
@@ -571,7 +573,7 @@ def _results_identical(a, b) -> bool:
     from repro.sim.monitor import TimeSeries
 
     for f in dataclasses.fields(a):
-        if f.name in ("library", "forked", "fork_fallback"):
+        if f.name in ("library", "forked"):
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):

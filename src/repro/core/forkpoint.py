@@ -40,7 +40,7 @@ cell falls back to a cold run, so forking can only ever save time,
 never change bytes.
 
 Decline taxonomy (every reason lands in :data:`STATS` and, for
-steps-prefix requests, in ``RunResult.fork_fallback``): traced runs,
+steps-prefix requests, in ``RunResult.fidelity_log``): traced runs,
 batch-compiled runs (no step loop left to snapshot), steady orbit not
 certified (covers discard-mode SST), compute-only baselines (per-actor
 fast-forward has no shared boundary), steps that end inside the prefix,
@@ -167,7 +167,9 @@ class SimSnapshot:
     nsim: int
     nana: int
     fidelity: str
-    batch_fallback: Optional[str]
+    #: the publishing run's decision record: a restored result carries
+    #: the same log as a cold run of the same point
+    fidelity_log: Tuple[str, ...]
     variable_nbytes: int
     nservers: int
     server_memory_peaks: List[int]
@@ -302,7 +304,7 @@ class SimSnapshot:
         result.get_time = st["get_time"]
         result.bytes_staged = st["bytes_staged"]
         result.fidelity = self.fidelity
-        result.batch_fallback = self.batch_fallback
+        result.fidelity_log = self.fidelity_log
         result.nservers = self.nservers
         result.sim_memory = rebuilt[0]
         result.ana_memory = rebuilt[1]
@@ -394,7 +396,7 @@ def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
         nsim=result.nsim,
         nana=result.nana,
         fidelity=result.fidelity,
-        batch_fallback=result.batch_fallback,
+        fidelity_log=result.fidelity_log,
         variable_nbytes=result.variable_nbytes,
         nservers=result.nservers,
         server_memory_peaks=list(result.server_memory_peaks),

@@ -52,17 +52,20 @@ from typing import Any, Dict, Optional
 #: bump when simulation semantics change so stale disk entries miss
 #: (3 -> 4: event times quantized to the 2^-32 s tick grid for the
 #: steady-state fast-forward; pre-grid cached timings are stale.
-#: 4 -> 5: ``batch_actors`` joined the key inputs and results carry
-#: ``batch_fallback``; pre-batch pickles miss the field.
+#: 4 -> 5: the batch-compilation switch joined the key inputs and
+#: results carry its decline reason; pre-batch pickles miss the field.
 #: 5 -> 6: persistent-memory tier + SST streaming knobs
 #: (``pmem_checkpoint``/``sst_discard``) feed the simulated timings
 #: and results carry ``recovery_seconds``; pre-pmem pickles miss the
 #: field.
 #: 6 -> 7: checkpoint-fork incremental simulation — results carry
-#: ``forked``/``fork_fallback`` and the cache grows prefix entries
+#: fork provenance and the cache grows prefix entries
 #: (steady-boundary snapshots keyed by the point minus steps/fault
-#: plan); pre-fork pickles miss the fields)
-SCHEMA_VERSION = 7
+#: plan); pre-fork pickles miss the fields.
+#: 7 -> 8: one decision record — results and prefix snapshots carry
+#: ``fidelity_log`` in place of the three per-tier reason fields, and
+#: the batch-compilation switch left the key inputs)
+SCHEMA_VERSION = 8
 
 
 def _canonical(value: Any) -> Any:

@@ -243,7 +243,8 @@ class StagingLibrary:
     #: whether the method deploys stand-alone staging server processes
     has_servers = False
     #: whether :meth:`batch_plan` should also be consulted when the
-    #: clustering pass found no proper subgroup split: the driver then
+    #: clustering pass found no proper subgroup split: the fidelity
+    #: resolver (:mod:`repro.workflows.fidelity`) then
     #: offers the trivial full-group plan (every rank its own
     #: representative, groups=1), which is exactly the regime where the
     #: contended-path compilers (shared metadata CPUs, MDS queues,
@@ -307,8 +308,6 @@ class StagingLibrary:
         self.recovery_seconds: float = 0.0
         #: chaos callbacks fired with the running put count
         self._put_watchers: List = []
-        #: why :meth:`batch_plan` last declined (None until it runs)
-        self.batch_decline: Optional[str] = None
 
     # ------------------------------------------------------------ setup
 
@@ -614,12 +613,14 @@ class StagingLibrary:
         library can *compile* the representative chains — replace the
         per-rank generator machinery with one precomputed action
         schedule (see :mod:`repro.staging.batch`) — and prove the result
-        byte-identical.  The default declines: a library without a
-        ``batch_step`` compiler always runs its exact per-rank chains.
-        :attr:`batch_decline` records the reason for the driver.
+        byte-identical; otherwise raises
+        :class:`~repro.staging.batch.BatchDecline` with the reason.  The
+        default declines: a library without a ``batch_step`` compiler
+        always runs its exact per-rank chains.
         """
-        self.batch_decline = f"batch: {self.name} has no batch_step path"
-        return None
+        from .batch import BatchDecline
+
+        raise BatchDecline(f"batch: {self.name} has no batch_step path")
 
     def batch_step(self, bplan, ctx):
         """Compile the whole run into a :class:`~repro.staging.batch.BatchSchedule`.
@@ -631,7 +632,7 @@ class StagingLibrary:
         """
         from .batch import BatchDecline
 
-        raise BatchDecline(f"{self.name} has no batch_step path")
+        raise BatchDecline(f"batch: {self.name} has no batch_step path")
 
     # ----------------------------------------------- steady fast-forward
 

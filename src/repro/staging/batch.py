@@ -42,9 +42,11 @@ from ..sim.engine import _TICK_SCALE
 class BatchDecline(Exception):
     """A batch certificate failed its runtime (post-bootstrap) checks.
 
-    Raised by a library's ``batch_step`` compiler; the driver catches it
-    and spawns the exact per-rank chains instead.  Phase-one compilation
-    mutates nothing, so declining is always safe.
+    Raised by a library's ``batch_plan`` certificate (before the run)
+    or its ``batch_step`` compiler (at runtime, after which the driver
+    spawns the exact per-rank chains instead).  Phase-one compilation
+    mutates nothing, so declining is always safe.  Messages start with
+    ``"batch: "`` and land verbatim in ``RunResult.fidelity_log``.
     """
 
 
@@ -154,8 +156,9 @@ class ShadowChains:
             )
             if not certified:
                 raise BatchDecline(
-                    f"pipe {pipe.name!r}: arrival tick {arrival} does not "
-                    f"strictly follow {last}; claim order would be ambiguous"
+                    f"batch: pipe {pipe.name!r}: arrival tick {arrival} "
+                    f"does not strictly follow {last}; claim order would "
+                    "be ambiguous"
                 )
         self._last_arrival[key] = arrival
         self._last_cohort[key] = cohort
@@ -197,8 +200,9 @@ class SerialCpu:
     def run(self, arrival: int, busy_ticks: int, name: str = "cpu") -> int:
         if self._last_arrival is not None and arrival <= self._last_arrival:
             raise BatchDecline(
-                f"{name}: arrival tick {arrival} does not strictly follow "
-                f"{self._last_arrival}; grant order would be ambiguous"
+                f"batch: {name}: arrival tick {arrival} does not strictly "
+                f"follow {self._last_arrival}; grant order would be "
+                "ambiguous"
             )
         self._last_arrival = arrival
         grant = self.free_tick if self.free_tick > arrival else arrival
@@ -264,8 +268,8 @@ class FifoQueue:
             )
             if not certified:
                 raise BatchDecline(
-                    f"{self.name}: arrival tick {arrival} does not strictly "
-                    f"follow {last}; grant order would be ambiguous"
+                    f"batch: {self.name}: arrival tick {arrival} does not "
+                    f"strictly follow {last}; grant order would be ambiguous"
                 )
         self._last_arrival = arrival
         self._last_cohort = cohort
@@ -306,7 +310,7 @@ def fifo_scan(arrivals, busy_ticks: int, capacity: int, name: str = "queue"):
         return a.copy()
     if np.any(a[1:] < a[:-1]):
         raise BatchDecline(
-            f"{name}: arrival ticks are not sorted; grant order would "
+            f"batch: {name}: arrival ticks are not sorted; grant order would "
             "not be the FIFO request order"
         )
     k = int(capacity)
@@ -377,8 +381,8 @@ def rpc_round_trip(
         tick, _order, kind, i = heapq.heappop(heap)
         if tick == prev_tick and kind != prev_kind:
             raise BatchDecline(
-                f"{name}: forward and reverse crossings collide at tick "
-                f"{tick}; claim order would depend on process history"
+                f"batch: {name}: forward and reverse crossings collide at "
+                f"tick {tick}; claim order would depend on process history"
             )
         prev_tick = tick
         prev_kind = kind

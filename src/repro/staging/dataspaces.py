@@ -334,38 +334,31 @@ class DataSpaces(StagingLibrary):
           chain's writer, reader and server work per step.
         """
         if not isinstance(self.transport, RdmaTransport):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: dataspaces compiles RDMA chains only (socket "
                 "transports carry per-move connection state)"
             )
-            return None
         if self.config.lock_type != 2:
-            self.batch_decline = (
+            raise BatchDecline(
                 f"batch: lock_type={self.config.lock_type} has no "
                 "closed-form gate arithmetic (need the version window, "
                 "type 2)"
             )
-            return None
         if self._gate_window() != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 f"batch: a {self._gate_window()}-version window lets "
                 "phases overlap with no static order"
             )
-            return None
         if self.config.replication_factor >= 2:
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: replication couples neighbouring chains"
             )
-            return None
         if not (plan.sim_reps == plan.ana_reps == plan.server_reps):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: representative group is not 1:1:1 chains"
             )
-            return None
         if self.steps < 1:
-            self.batch_decline = "batch: nothing to compile"
-            return None
-        self.batch_decline = None
+            raise BatchDecline("batch: nothing to compile")
         return BatchPlan(
             library=self.name,
             note=f"{plan.sim_reps} matched chains x {self.steps} steps",

@@ -332,30 +332,25 @@ class Decaf(StagingLibrary):
         move and consume per step.
         """
         if not (plan.sim_reps == plan.ana_reps == plan.server_reps == 1):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: decaf compiles 1:1:1 islands only (wider islands "
                 "interleave redistribution shares on shared NICs)"
             )
-            return None
         topo = self.topology
         if (count_redistribution(0, topo.sim_actors, topo.server_actors)
                 != [(0, 1.0)]
                 or count_redistribution(0, topo.ana_actors, topo.server_actors)
                 != [(0, 1.0)]):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: representative redistribution is not the identity"
             )
-            return None
         if self._gate_window() != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 f"batch: a {self._gate_window()}-version window lets "
                 "phases overlap with no static order"
             )
-            return None
         if self.steps < 1:
-            self.batch_decline = "batch: nothing to compile"
-            return None
-        self.batch_decline = None
+            raise BatchDecline("batch: nothing to compile")
         return BatchPlan(
             library=self.name,
             note=f"1:1:1 dataflow island x {self.steps} steps",

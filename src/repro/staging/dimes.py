@@ -316,45 +316,38 @@ class Dimes(StagingLibrary):
           keep the engine's spawn-order tie-break provable.
         """
         if not isinstance(self.transport, RdmaTransport):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: dimes compiles RDMA chains only (socket "
                 "transports carry per-move connection state)"
             )
-            return None
         if self._gate_window() != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 f"batch: a {self._gate_window()}-version window lets "
                 "phases overlap with no static order"
             )
-            return None
         if plan.groups != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: dimes compiles the full contended group, not "
                 "cluster splits"
             )
-            return None
         if not (uniform_regions(write_regions) and uniform_regions(read_regions)):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: non-uniform decomposition breaks the same-tick "
                 "spawn-order cohorts"
             )
-            return None
         pulled = [0] * len(write_regions)
         for r_region in read_regions:
             for i, w_region in enumerate(write_regions):
                 if w_region.intersect(r_region) is not None:
                     pulled[i] += 1
         if any(count > 1 for count in pulled):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: fan-in reads pull one producer from several "
                 "readers; its NIC pipe's claim order is "
                 "contention-dependent"
             )
-            return None
         if self.steps < 1:
-            self.batch_decline = "batch: nothing to compile"
-            return None
-        self.batch_decline = None
+            raise BatchDecline("batch: nothing to compile")
         return BatchPlan(
             library=self.name,
             note=(

@@ -210,29 +210,24 @@ class Flexpath(StagingLibrary):
           point-to-point partition the certificate proved.
         """
         if not isinstance(self.transport, RdmaTransport):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: flexpath compiles RDMA (NNTI) chains only "
                 "(socket transports carry per-move connection state)"
             )
-            return None
         if not (plan.sim_reps == 1 and plan.ana_reps == 1
                 and plan.groups == 1):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: flexpath notifications fan out through shared "
                 "EVPath sink stones; only a 1:1 point-to-point "
                 "subscription partition has a provable delivery order"
             )
-            return None
         if self._gate_window() != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 f"batch: a {self._gate_window()}-slot publisher queue "
                 "lets versions overlap with no static order"
             )
-            return None
         if self.steps < 1:
-            self.batch_decline = "batch: nothing to compile"
-            return None
-        self.batch_decline = None
+            raise BatchDecline("batch: nothing to compile")
         return BatchPlan(
             library=self.name,
             note=f"1:1 stone pipeline x {self.steps} steps",

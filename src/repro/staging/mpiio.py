@@ -204,26 +204,21 @@ class MpiIo(StagingLibrary):
           same-tick op collisions discovered during the merge.
         """
         if self.config.pmem_checkpoint and self.cluster.pmem is not None:
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: the pmem checkpoint mirror is not compiled"
             )
-            return None
         if not (uniform_regions(write_regions) and uniform_regions(read_regions)):
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: non-uniform decomposition breaks the same-tick "
                 "spawn-order cohorts"
             )
-            return None
         if plan.groups != 1:
-            self.batch_decline = (
+            raise BatchDecline(
                 "batch: mpiio compiles the full contended group, not "
                 "cluster splits"
             )
-            return None
         if self.steps < 1:
-            self.batch_decline = "batch: nothing to compile"
-            return None
-        self.batch_decline = None
+            raise BatchDecline("batch: nothing to compile")
         return BatchPlan(
             library=self.name,
             note=(

@@ -37,6 +37,7 @@ from ..hpc.units import fmt_bytes
 from ..transport import RdmaTransport, TcpTransport
 from . import calibration as cal
 from .base import ClusterPlan, StagingLibrary, SteadyPlan
+from .batch import BatchDecline
 from .decomposition import uniform_regions
 from .ndarray import Region
 from .store import FragmentStore
@@ -285,12 +286,11 @@ class Sst(StagingLibrary):
         chains are order-dependent and no static tick recurrence can
         reproduce them.
         """
-        self.batch_decline = (
+        raise BatchDecline(
             "batch: sst's bounded step queue couples successive versions "
             "across the writer/reader pacing boundary; chains are "
             "order-dependent"
         )
-        return None
 
     # --------------------------------------------------------------- put
 

@@ -13,9 +13,10 @@ the paper's figures do.
 from __future__ import annotations
 
 import gc
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..hpc.cluster import Cluster
 from ..hpc.failures import HpcError
@@ -23,12 +24,13 @@ from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
 from ..sim.engine import EXACT_TICK_LIMIT, _TICK, _TICK_SCALE
 from ..staging import calibration as cal
-from ..staging.base import ClusterPlan, StagingLibrary
+from ..staging.base import StagingLibrary
 from ..staging.batch import BatchContext, BatchDecline
 from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
 from .catalog import WorkflowSpec, get_workflow
+from .fidelity import STEADY_SKIPPED, STEADY_SUPERSEDED, resolve_fidelity
 from .trace import ActivityTrace
 
 #: simulated seconds of application initialization before the staging
@@ -407,14 +409,10 @@ class RunResult:
     #: composed both (requested via ``fidelity`` and engaged only when
     #: the structural/fingerprint checks proved it bit-identical)
     fidelity: str = "exact"
-    #: why a requested reduced fidelity could not (fully) engage — the
-    #: run silently fell back to a stricter mode (None when the request
-    #: engaged as asked, or nothing was requested)
-    fidelity_fallback: Optional[str] = None
-    #: why the batch-actor compilation did not engage on a clustered run
-    #: (None when it engaged — fidelity reads "clustered+batch" — or the
-    #: run never reached the batch gate without asking for it)
-    batch_fallback: Optional[str] = None
+    #: one ``"<tier>: <reason>"`` entry per requested tier that did not
+    #: engage (see :mod:`repro.workflows.fidelity`); empty when the
+    #: request engaged as asked, or nothing was requested
+    fidelity_log: Tuple[str, ...] = ()
     #: inputs echoed into the result so consumers never need the live
     #: ``library`` (which is stripped from pickled/worker-shipped results)
     variable_nbytes: int = 0
@@ -437,15 +435,18 @@ class RunResult:
     #: "chaos-trunk" (os.fork off a clean trunk at the fault trigger) —
     #: see :mod:`repro.core.forkpoint`.  None for cold runs.
     forked: Optional[str] = None
-    #: why this steady-certified run could not publish a reusable
-    #: prefix snapshot (None when one was published, or the run never
-    #: reached the steady gate)
-    fork_fallback: Optional[str] = None
     library: Optional[StagingLibrary] = None
 
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+    @property
+    def batch_fallback(self) -> Optional[str]:
+        """The first ``batch:`` entry of :attr:`fidelity_log`, if any."""
+        return next(
+            (e for e in self.fidelity_log if e.startswith("batch: ")), None
+        )
 
     @property
     def staging_time(self) -> float:
@@ -485,7 +486,6 @@ def run_coupled(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    batch_actors: Optional[bool] = None,
     fork_host=None,
 ) -> RunResult:
     """Run one coupled workflow configuration end to end.
@@ -516,19 +516,18 @@ def run_coupled(
     :meth:`~repro.staging.base.StagingLibrary.steady_plan`).
     ``fidelity="steady+clustered"`` composes both reductions.  Either
     falls back automatically (to clustered or exact) whenever the
-    library declines a certificate or no boundary pair matches;
-    ``RunResult.fidelity_fallback`` records why.
+    library declines a certificate or no boundary pair matches.
 
-    ``batch_actors`` steers the vectorized batch-actor engine (see
-    :mod:`repro.staging.batch`): on an engaged clustered run the
-    library may compile the whole step loop into one precomputed action
-    schedule instead of per-rank generator chains — byte-identical
-    results, far fewer events.  ``None`` (default) tries it wherever
-    clustered engaged and falls back silently; ``False`` disables it;
-    ``True`` additionally records in ``RunResult.batch_fallback`` why
-    it could not engage.  When it engages, ``RunResult.fidelity`` reads
+    Every clustered request also tries the vectorized batch-actor
+    engine (see :mod:`repro.staging.batch`): the library may compile
+    the whole step loop into one precomputed action schedule instead of
+    per-rank generator chains — byte-identical results, far fewer
+    events.  When it engages, ``RunResult.fidelity`` reads
     ``"clustered+batch"`` and it supersedes the steady fast-forward
-    (the whole run is already closed-form).
+    (the whole run is already closed-form).  Which tiers engage is
+    decided by :func:`~repro.workflows.fidelity.resolve_fidelity`;
+    ``RunResult.fidelity_log`` records why every other requested tier
+    did not.
 
     ``fork_host`` (a :class:`repro.core.forkpoint.ChaosForkHost`) runs
     this configuration as a clean *trunk* that ``os.fork()``\\ s a child
@@ -555,22 +554,9 @@ def run_coupled(
             "fork_host runs a clean trunk: fault_plan and trace must be "
             "None (forked children inject their own faults)"
         )
-    machine_spec, spec, point = _resolve_point(
-        machine, workflow, method, nsim, nana, steps, transport,
-        num_servers, shared_nodes, variable, sim_step_seconds,
-        ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery, batch_actors,
-    )
-    var = point["variable"]
-    sim_step = point["sim_step_seconds"]
-    ana_step = point["ana_step_seconds"]
-    topology_overrides = point["topology_overrides"]
-    axis = point["app_axis"]
-
-    cache_key = None
-    if trace is None:
-        inputs = {k: v for k, v in point.items() if k not in ("machine", "workflow")}
-        cache_key = _cache_key(machine_spec=machine_spec, spec=spec, **inputs)
+    # locals() holds exactly the arguments: nothing is assigned above
+    machine_spec, spec, point = _resolve_point(locals())
+    cache_key = None if trace is not None else _cache_key(machine_spec, spec, point)
 
     if _PLAN_RECORDER is not None:
         # Planning pass: record the resolved point (when cacheable) and
@@ -599,7 +585,7 @@ def run_coupled(
                     return restored
                 forkpoint.STATS.decline(snap.decline_reason(steps))
 
-    def _attempt(run_fidelity: str) -> RunResult:
+    def _attempt(run_point: dict) -> RunResult:
         result = RunResult(
             machine=machine_spec.name,
             workflow=spec.name,
@@ -607,7 +593,7 @@ def run_coupled(
             nsim=nsim,
             nana=nana,
             steps=steps,
-            variable_nbytes=var.nbytes,
+            variable_nbytes=point["variable"].nbytes,
         )
         env = Environment()
         cluster = Cluster(env, machine_spec)
@@ -619,16 +605,9 @@ def run_coupled(
             cluster.freeze_rates()
         library = None
         try:
-            library = _build_library(
-                method, cluster, nsim, nana, var, steps, transport,
-                num_servers, shared_nodes, config, topology_overrides, axis,
-            )
-            _execute(
-                env, cluster, library, result, var, spec, sim_step, ana_step,
-                steps, axis, nsim, nana, shared_nodes, topology_overrides,
-                trace, run_fidelity, fault_plan, recovery, batch_actors,
-                fork_host,
-            )
+            library = _build_library(cluster, point)
+            _execute(env, cluster, library, result, spec, run_point, trace,
+                     fork_host)
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
             if fault_plan is not None or (
@@ -656,16 +635,16 @@ def run_coupled(
         gc.disable()
     try:
         try:
-            result = _attempt(fidelity)
+            result = _attempt(point)
         except _SteadyDiverged as exc:
             # Safety net: the confirmed orbit failed replay-time
             # verification.  Rerun the whole configuration (fresh
             # environment, cluster and library) without the fast-forward
             # — a false engagement costs time, never correctness.
-            result = _attempt(
+            result = _attempt(dict(point, fidelity=(
                 "clustered" if fidelity == "steady+clustered" else "exact"
-            )
-            result.fidelity_fallback = f"steady: {exc}"
+            )))
+            result.fidelity_log += (f"steady: {exc}",)
     except BaseException as exc:
         # A forked chaos child shares this stack with its parent: an
         # exception escaping run_coupled inside the child would resume
@@ -694,76 +673,65 @@ def run_coupled(
                 runcache.CACHE.put_prefix(pkey, snap)
                 forkpoint.STATS.snapshots_taken += 1
             else:
-                result.fork_fallback = "prefix: point is not prefix-keyable"
+                result.fidelity_log += ("prefix: point is not prefix-keyable",)
         runcache.CACHE.put(cache_key, result)
     elif snap is not None:
-        result.fork_fallback = "prefix: uncacheable configuration (ad-hoc spec)"
+        result.fidelity_log += (
+            "prefix: uncacheable configuration (ad-hoc spec)",
+        )
     return result
 
 
-def _resolve_point(
-    machine, workflow, method, nsim, nana, steps, transport,
-    num_servers, shared_nodes, variable, sim_step_seconds,
-    ana_step_seconds, topology_overrides, config, app_axis,
-    fidelity, fault_plan, recovery, batch_actors,
-):
-    """Normalize one ``run_coupled`` call to its resolved point.
+_SIGNATURE = inspect.signature(run_coupled)
+_DEFAULTS = {name: p.default for name, p in _SIGNATURE.parameters.items()}
+
+#: ``run_coupled`` arguments that steer how a run executes, never what
+#: it computes: they stay out of the point
+_NOT_INPUTS = ("trace", "fork_host")
+
+
+def _resolve_point(args: dict):
+    """Normalize ``run_coupled`` arguments to ``(machine_spec, spec, point)``.
 
     The point dict carries every input that determines the outcome,
     with machine/workflow reduced to catalog names and workflow-spec
-    defaults applied.  The cache key, the planning recorder and the
-    forkpoint prefix key all derive from it, so the three always agree
-    on what "the same configuration" means.
+    defaults applied.  The cache key, the planning recorder, the
+    forkpoint prefix key and the fidelity resolver all derive from it,
+    so they always agree on what "the same configuration" means.
     """
+    point = {k: args[k] for k in _SIGNATURE.parameters if k not in _NOT_INPUTS}
+    workflow, machine = point["workflow"], point["machine"]
     spec = get_workflow(workflow) if isinstance(workflow, str) else workflow
     machine_spec = get_machine(machine) if isinstance(machine, str) else machine
-    var = variable if variable is not None else spec.variable(nsim)
-    merged_overrides = dict(
+    overrides = dict(
         sim_ranks_per_node=spec.sim_ranks_per_node,
         ana_ranks_per_node=spec.ana_ranks_per_node,
     )
-    merged_overrides.update(topology_overrides or {})
-    sim_step = spec.sim_step_seconds if sim_step_seconds is None else sim_step_seconds
-    ana_step = spec.ana_step_seconds if ana_step_seconds is None else ana_step_seconds
-    axis = spec.app_axis if app_axis is None else app_axis
-    point = dict(
-        machine=machine_spec.name, workflow=spec.name,
-        method=method, nsim=nsim, nana=nana, steps=steps,
-        transport=transport, num_servers=num_servers,
-        shared_nodes=shared_nodes, variable=var,
-        sim_step_seconds=sim_step, ana_step_seconds=ana_step,
-        topology_overrides=merged_overrides, config=config,
-        app_axis=axis, fidelity=fidelity,
-        fault_plan=fault_plan, recovery=recovery,
-        batch_actors=batch_actors,
-    )
+    overrides.update(point["topology_overrides"] or {})
+    if point["variable"] is None:
+        point["variable"] = spec.variable(point["nsim"])
+    for name in ("sim_step_seconds", "ana_step_seconds", "app_axis"):
+        if point[name] is None:
+            point[name] = getattr(spec, name)
+    point.update(machine=machine_spec.name, workflow=spec.name,
+                 topology_overrides=overrides)
     return machine_spec, spec, point
 
 
-def point_key(
-    machine="titan", workflow="lammps", method="dataspaces",
-    nsim=32, nana=16, steps=5, transport=None, num_servers=None,
-    shared_nodes=False, variable=None, sim_step_seconds=None,
-    ana_step_seconds=None, topology_overrides=None, config=None,
-    app_axis=None, fidelity="exact", fault_plan=None, recovery=None,
-    batch_actors=None,
-) -> Optional[str]:
-    """The run-cache key one ``run_coupled`` call would use.
+def point_key(**kwargs) -> Optional[str]:
+    """The run-cache key ``run_coupled(**kwargs)`` would use.
 
     ``None`` when the configuration is uncacheable.  The chaos fork
-    pass uses this to address forked-child results without simulating.
+    pass uses this to address forked-child results without simulating,
+    and the serve daemon to key point jobs.
     """
-    machine_spec, spec, point = _resolve_point(
-        machine, workflow, method, nsim, nana, steps, transport,
-        num_servers, shared_nodes, variable, sim_step_seconds,
-        ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery, batch_actors,
-    )
-    inputs = {k: v for k, v in point.items() if k not in ("machine", "workflow")}
-    return _cache_key(machine_spec=machine_spec, spec=spec, **inputs)
+    unknown = kwargs.keys() - _DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"not run_coupled arguments: {sorted(unknown)}")
+    return _cache_key(*_resolve_point({**_DEFAULTS, **kwargs}))
 
 
-def _cache_key(machine_spec, spec, **inputs) -> Optional[str]:
+def _cache_key(machine_spec, spec, point) -> Optional[str]:
     """The run-cache key, or None when the configuration is uncacheable.
 
     Only catalog machines and workflows can be keyed by name; ad-hoc
@@ -781,41 +749,33 @@ def _cache_key(machine_spec, spec, **inputs) -> Optional[str]:
     except KeyError:
         return None
     try:
-        return runcache.config_key(
-            machine=machine_spec.name, workflow=spec.name, **inputs
-        )
+        return runcache.config_key(**point)
     except TypeError:
         return None
 
 
-def _build_library(
-    method, cluster, nsim, nana, var, steps, transport,
-    num_servers, shared_nodes, config, topology_overrides, axis,
-) -> Optional[StagingLibrary]:
+def _build_library(cluster, point) -> Optional[StagingLibrary]:
+    method = point["method"]
     if method is None:
         return None
     kwargs = {}
     if method.lower().startswith(("dataspaces", "dimes")):
-        kwargs["app_axis"] = axis
+        kwargs["app_axis"] = point["app_axis"]
     return make_library(
-        method, cluster, nsim=nsim, nana=nana, variable=var, steps=steps,
-        transport=transport, num_servers=num_servers,
-        shared_nodes=shared_nodes, config=config,
-        topology_overrides=topology_overrides, **kwargs,
+        method, cluster, nsim=point["nsim"], nana=point["nana"],
+        variable=point["variable"], steps=point["steps"],
+        transport=point["transport"], num_servers=point["num_servers"],
+        shared_nodes=point["shared_nodes"], config=point["config"],
+        topology_overrides=point["topology_overrides"], **kwargs,
     )
 
 
-def _execute(
-    env, cluster, library, result, var, spec, sim_step, ana_step,
-    steps, axis, nsim, nana, shared_nodes, topology_overrides,
-    trace: Optional[ActivityTrace] = None,
-    fidelity: str = "exact",
-    fault_plan=None,
-    recovery=None,
-    batch_actors: Optional[bool] = None,
-    fork_host=None,
-) -> None:
+def _execute(env, cluster, library, result, spec, point,
+             trace: Optional[ActivityTrace], fork_host) -> None:
     machine = cluster.spec
+    nsim, nana, steps = point["nsim"], point["nana"], point["steps"]
+    var, axis = point["variable"], point["app_axis"]
+    fault_plan, recovery = point["fault_plan"], point["recovery"]
 
     def mark(actor: str, activity: str, start: float) -> None:
         if trace is not None:
@@ -838,7 +798,6 @@ def _execute(
     if library is not None:
         topo = library.topology
         sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
-        sim_scale, ana_scale = topo.sim_scale, topo.ana_scale
         placement = library.placement
         result.nservers = topo.nservers
     else:
@@ -847,10 +806,9 @@ def _execute(
         from ..hpc.cluster import Placement
         from ..staging.base import Topology
 
-        topo = Topology(nsim=nsim, nana=nana, **(topology_overrides or {}))
+        topo = Topology(nsim=nsim, nana=nana, **point["topology_overrides"])
         sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
-        sim_scale, ana_scale = topo.sim_scale, topo.ana_scale
-        placement = Placement(cluster, shared_nodes=shared_nodes)
+        placement = Placement(cluster, shared_nodes=point["shared_nodes"])
         placement.place("simulation", sim_actors, ranks_per_node=1)
         placement.place("analytics", ana_actors, ranks_per_node=1)
 
@@ -859,82 +817,18 @@ def _execute(
     bytes_per_sim_proc = var.nbytes / nsim
     bytes_per_ana_proc = var.nbytes / nana
 
-    clustered_req = fidelity in ("clustered", "steady+clustered")
-    steady_req = fidelity in ("steady", "steady+clustered")
-
-    # Clustered fidelity: simulate one representative group when the
-    # library's structural checks prove the chains identical and
-    # disjoint.  Compute-only baselines have no interactions at all, so
-    # one simulation and one analytics actor always suffice.
-    plan: Optional[ClusterPlan] = None
-    if clustered_req and trace is None and fault_plan is None:
-        if library is None:
-            plan = ClusterPlan(sim_reps=1, ana_reps=1, server_reps=0, groups=1)
-        else:
-            plan = library.clustering_plan(write_regions, read_regions)
-            if plan is not None:
-                library.active_writers = plan.sim_reps
-                library.active_readers = plan.ana_reps
-                library.stats_replicas = plan.groups
+    decision = resolve_fidelity(
+        point, library, write_regions, read_regions, traced=trace is not None
+    )
+    result.fidelity_log = decision.log
+    plan, bplan = decision.plan, decision.bplan
+    if plan is not None and library is not None:
+        library.active_writers = plan.sim_reps
+        library.active_readers = plan.ana_reps
+        library.stats_replicas = plan.groups
     sim_count = plan.sim_reps if plan is not None else sim_actors
     ana_count = plan.ana_reps if plan is not None else ana_actors
     result.fidelity = "clustered" if plan is not None else "exact"
-
-    # Batch actors: compile the whole step loop into one precomputed
-    # action schedule when the engaged clustered plan also certifies
-    # batch-compilable (see repro.staging.batch).  Traced runs need
-    # every hop, chaos/recovery mutate the chains mid-run, and without
-    # a clustered plan there is no proven representative to compile.
-    bplan = None
-    if batch_actors is not False:
-        if trace is not None:
-            if batch_actors:
-                result.batch_fallback = "batch: traced run records every hop"
-        elif fault_plan is not None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: fault injection mutates chains mid-run"
-                )
-        elif recovery is not None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: recovery policy arms mid-run behaviour"
-                )
-        elif library is None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: compute-only baseline has no chains to compile"
-                )
-        elif plan is None:
-            if library.batch_full_group and clustered_req:
-                # Contended-path libraries compile even without a proper
-                # subgroup split: when clustering was *requested* but
-                # declined, the trivial full-group plan (groups=1, every
-                # rank a representative) is offered to the certificate
-                # directly.  It stays local to this gate — ``plan``
-                # itself must remain None so a declining run keeps its
-                # honest "exact"/"steady" fidelity label — and an
-                # unrequested clustering never compiles (a plain
-                # "steady"/"exact" request means exactly that).
-                full_group = ClusterPlan(
-                    sim_reps=sim_actors,
-                    ana_reps=ana_actors,
-                    server_reps=topo.server_actors if library.has_servers else 0,
-                    groups=1,
-                )
-                bplan = library.batch_plan(
-                    full_group, write_regions, read_regions
-                )
-                if bplan is None:
-                    result.batch_fallback = library.batch_decline
-            elif batch_actors:
-                result.batch_fallback = (
-                    "batch: clustered fidelity did not engage"
-                )
-        else:
-            bplan = library.batch_plan(plan, write_regions, read_regions)
-            if bplan is None:
-                result.batch_fallback = library.batch_decline
 
     sim_trackers = [
         placement.node_of("simulation", i).process_memory(f"simproc{i}")
@@ -951,62 +845,27 @@ def _execute(
             library.register_client_tracker("ana", j, tracker)
 
     # Steady-state fast-forward: temporal memoization of the step loop.
-    # Traced runs need every interval, chaos breaks periodicity by
-    # construction, and a recovery policy can arm mid-run behaviour
-    # (e.g. DRC credential retries) the fingerprint cannot vouch for.
     steady = None
-    if steady_req:
-        if bplan is not None:
-            # The compiled schedule already replaces every step with
-            # closed-form arithmetic — there is no step loop left to
-            # fast-forward, and nothing cheaper than zero events/step.
-            result.fidelity_fallback = (
-                "steady: superseded by the batch-actor compilation"
-            )
-        elif trace is not None:
-            result.fidelity_fallback = "steady: traced run records every step"
-        elif fault_plan is not None:
-            result.fidelity_fallback = "steady: fault injection breaks periodicity"
-        elif recovery is not None:
-            result.fidelity_fallback = "steady: recovery policy armed"
-        elif library is None:
-            steady = _IndependentSteady(steps=steps)
-        else:
-            splan = library.steady_plan()
-            if splan is None:
-                result.fidelity_fallback = (
-                    "steady: library holds aperiodic hidden state "
-                    "(no certificate)"
-                )
-            elif steps < splan.warmup + 3:
-                result.fidelity_fallback = (
-                    f"steady: {steps} steps leave no room past the "
-                    f"{splan.warmup}-step warm-up"
-                )
-            else:
-                def _steady_series():
-                    tracked = [sim_trackers[0].series, ana_trackers[0].series]
-                    if library.servers:
-                        tracked.append(library.servers[0].memory.series)
-                    return tracked
+    if decision.steady is not None and library is None:
+        steady = _IndependentSteady(steps, decision.steady.warmup)
+    elif decision.steady is not None:
+        def _steady_series():
+            tracked = [sim_trackers[0].series, ana_trackers[0].series]
+            if library.servers:
+                tracked.append(library.servers[0].memory.series)
+            return tracked
 
-                steady = _SteadyController(
-                    env, library, steps, splan.warmup,
-                    n_actors=sim_count + ana_count,
-                    series_fn=_steady_series,
-                    trackers=sim_trackers + ana_trackers,
-                )
-                library._steady_tap = []
-    if steady_req and steady is None:
-        # No orbit will be certified, so no prefix snapshot can be
-        # published either — mirror the reason (traced run, batch
-        # compilation leaving no step loop, library with no
-        # certificate such as discard-mode SST, too few steps).
-        result.fork_fallback = result.fidelity_fallback
+        steady = _SteadyController(
+            env, library, steps, decision.steady.warmup,
+            n_actors=sim_count + ana_count,
+            series_fn=_steady_series,
+            trackers=sim_trackers + ana_trackers,
+        )
+        library._steady_tap = []
 
     # Per-step-invariant compute costs, hoisted out of the actor loops.
-    sim_compute = machine.compute_time(sim_step)
-    ana_compute = machine.compute_time(ana_step)
+    sim_compute = machine.compute_time(point["sim_step_seconds"])
+    ana_compute = machine.compute_time(point["ana_step_seconds"])
 
     finish = {"sim": 0.0, "ana": 0.0}
     boot_done = env.event()
@@ -1115,9 +974,10 @@ def _execute(
     # hands the library a compilation context, and either schedules the
     # compiled actions or — on a runtime decline, before any mutation —
     # spawns the exact per-rank step loops in place.
-    batch_state = {"engaged": False, "fallback": None}
+    batch_engaged = False
 
     def group_actor():
+        nonlocal batch_engaged
         for i in range(sim_count):
             sim_trackers[i].allocate(
                 spec.sim_calc_bytes(bytes_per_sim_proc), "calculation"
@@ -1158,7 +1018,14 @@ def _execute(
         try:
             schedule = library.batch_step(bplan, ctx)
         except BatchDecline as exc:
-            batch_state["fallback"] = str(exc)
+            # The per-rank step loops run in place, without the steady
+            # fast-forward the resolver dropped for this compilation.
+            log = result.fidelity_log
+            if log[-1:] == (STEADY_SUPERSEDED,):
+                log = log[:-1] + (str(exc), STEADY_SKIPPED)
+            else:
+                log += (str(exc),)
+            result.fidelity_log = log
             loops = [
                 env.process(sim_loop(i, sim_trackers[i], persistent[i]))
                 for i in range(sim_count)
@@ -1169,7 +1036,7 @@ def _execute(
             ]
             yield env.all_of(loops)
             return
-        batch_state["engaged"] = True
+        batch_engaged = True
         finish["sim"] = schedule.sim_finish_tick * _TICK
         finish["ana"] = schedule.ana_finish_tick * _TICK
         yield env.schedule_batch(schedule.actions)
@@ -1217,61 +1084,35 @@ def _execute(
     else:
         env.run(until=done)
 
-    if bplan is not None:
-        if batch_state["engaged"]:
-            result.fidelity = "clustered+batch"
-        else:
-            # Runtime decline: the per-rank step loops ran in place.
-            result.batch_fallback = batch_state["fallback"]
-            if result.fidelity_fallback is not None:
-                mirrored = result.fork_fallback == result.fidelity_fallback
-                result.fidelity_fallback = (
-                    "steady: skipped for a batch compilation that then "
-                    "declined at runtime"
-                )
-                if mirrored:
-                    # The prefix-snapshot reason was mirrored from the
-                    # pre-run fidelity fallback; keep them in step.
-                    result.fork_fallback = result.fidelity_fallback
+    if batch_engaged:
+        result.fidelity = "clustered+batch"
 
     steady_end = None
     fork_partial = None
-    if steady is not None:
-        if steady.engaged:
-            # Capture the certified boundary *before* finalize mutates
-            # the library stats and series in place: the snapshot wants
-            # the orbit as simulated, the replayed tail is per-steps.
-            if library is None:
-                result.fork_fallback = (
-                    "prefix: compute-only fast-forward has no boundary state"
-                )
-            else:
-                from ..core import forkpoint
-
-                fork_partial, decline = forkpoint.begin_capture(
-                    env, steady, library
-                )
-                if fork_partial is None:
-                    result.fork_fallback = decline
-            # Replay mutates the library stats and memory series in
-            # place, so it must run before the result assembly below;
-            # on divergence _SteadyDiverged propagates to run_coupled,
-            # which reruns the configuration without the fast-forward.
-            steady_end = steady.finalize(finish, library)
-            result.fidelity = (
-                "steady+clustered" if plan is not None else "steady"
+    if steady is not None and steady.engaged:
+        # Capture the certified boundary *before* finalize mutates the
+        # library stats and series in place: the snapshot wants the
+        # orbit as simulated, the replayed tail is per-steps.
+        if library is None:
+            result.fidelity_log += (
+                "prefix: compute-only fast-forward has no boundary state",
             )
         else:
-            if library is not None:
-                library._steady_tap = None
-            if result.fidelity_fallback is None:
-                result.fidelity_fallback = (
-                    steady.fail or "steady: no boundary pair matched"
-                )
-            result.fork_fallback = (
-                "prefix: steady orbit not certified "
-                f"({result.fidelity_fallback})"
-            )
+            from ..core import forkpoint
+
+            fork_partial, decline = forkpoint.begin_capture(env, steady, library)
+            if fork_partial is None:
+                result.fidelity_log += (decline,)
+        # Replay mutates the library stats and memory series in place,
+        # so it must run before the result assembly below; on
+        # divergence _SteadyDiverged propagates to run_coupled, which
+        # reruns the configuration without the fast-forward.
+        steady_end = steady.finalize(finish, library)
+        result.fidelity = "steady+clustered" if plan is not None else "steady"
+    elif steady is not None:
+        if library is not None:
+            library._steady_tap = None
+        result.fidelity_log += (steady.fail or "steady: no boundary pair matched",)
 
     result.end_to_end = env.now if steady_end is None else steady_end
     result.sim_finish = finish["sim"]

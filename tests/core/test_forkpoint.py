@@ -9,7 +9,7 @@ Four properties back the fork machinery:
   ``os.fork``-ed fault variant reproduce the cold run's RunResult
   float for float (forking never changes bytes, only wall-clock);
 * **honest declines** — whenever the protocol cannot guarantee
-  identity it says why, in ``fork_fallback`` or the campaign's
+  identity it says why, in ``fidelity_log`` or the campaign's
   decline map, and the run falls back cold;
 * **prefix addressing** — prefix entries are keyed by the spec minus
   (steps, fault plan, recovery) and never collide with full-run
@@ -56,7 +56,7 @@ def assert_float_identical(a, b):
     import dataclasses
 
     for f in dataclasses.fields(a):
-        if f.name in ("library", "forked", "fork_fallback"):
+        if f.name in ("library", "forked"):
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):
@@ -139,29 +139,48 @@ class TestPrefixRestore:
         short = run_coupled(steps=snap.cutoff + 1, **STEADY)
         assert short.forked is None
 
-    def test_uncertified_orbit_mirrored_in_fork_fallback(self):
+    def test_restored_log_equals_cold_log(self):
+        # cori/flexpath steady+clustered engages steady but logs the
+        # clustered and batch declines: a restored result must carry
+        # exactly the log a cold run of the same steps records
+        kwargs = dict(machine="cori", method="flexpath", nsim=32, nana=16,
+                      fidelity="steady+clustered")
+        cold = fresh_run(steps=16, **kwargs)
+        runcache.clear()
+        run_coupled(steps=8, **kwargs)
+        restored = run_coupled(steps=16, **kwargs)
+        assert (restored.forked or "").startswith("prefix:")
+        assert cold.fidelity_log
+        assert restored.fidelity_log == cold.fidelity_log
+
+    def test_uncertified_orbit_recorded_in_fidelity_log(self):
         # titan/dimes never certifies steady at this scale: no snapshot
-        # publishes, and the fallback mirrors the library's own decline
+        # publishes, and the library's own steady decline explains it
         runcache.clear()
         kwargs = dict(machine="titan", method="dimes", nsim=32, nana=16,
                       fidelity="steady")
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None
-        assert result.fork_fallback == result.fidelity_fallback
-        assert result.fork_fallback.startswith("steady:")
+        assert_steady_entry_only(result)
 
-    def test_uncertified_boundary_attributed_in_fork_fallback(self):
+    def test_uncertified_boundary_attributed_in_fidelity_log(self):
         # titan/dataspaces attempts certification but no boundary pair
-        # matches: the prefix consult must say so, honestly attributed
+        # matches: the steady entry says so, and no prefix entry repeats it
         runcache.clear()
         kwargs = dict(machine="titan", method="dataspaces", nsim=32,
                       nana=16, fidelity="steady")
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None
-        assert result.fork_fallback.startswith("prefix:")
-        assert "not certified" in result.fork_fallback
+        assert_steady_entry_only(result)
+        assert "no boundary pair matched" in result.fidelity_log[0]
+
+
+def assert_steady_entry_only(result):
+    """One steady decline explains the missing prefix snapshot."""
+    assert len(result.fidelity_log) == 1, result.fidelity_log
+    assert result.fidelity_log[0].startswith("steady: ")
 
 
 def _spec(**overrides):
@@ -172,10 +191,9 @@ def _spec(**overrides):
         shared_nodes=False, variable=None, sim_step_seconds=None,
         ana_step_seconds=None, topology_overrides=None, config=None,
         app_axis=None, fidelity="steady", fault_plan=None, recovery=None,
-        batch_actors=None,
     )
     kw.update(overrides)
-    _machine_spec, _spec_obj, point = driver._resolve_point(**kw)
+    _machine_spec, _spec_obj, point = driver._resolve_point(kw)
     return point
 
 

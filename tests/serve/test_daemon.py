@@ -171,6 +171,19 @@ class TestPointServing:
         assert (second["result"]["summary"]["end_to_end"]
                 == first["result"]["summary"]["end_to_end"])
 
+    def test_point_spellings_share_the_driver_key(self, served):
+        # an omitted default and its explicit spelling are one point:
+        # the second submission is answered from the daemon's own cache
+        spec = point_spec(nsim=12, nana=6)
+        with client(served) as c:
+            first = c.wait(c.submit_point(spec)["job"])
+            second = c.wait(
+                c.submit_point(dict(spec, fidelity="exact"))["job"]
+            )
+        assert first["state"] == second["state"] == "done"
+        assert second["result"]["cache_hit"] is True
+        assert second["result"]["attempts"] == 0
+
     def test_worker_crash_is_retried_transparently(self, served):
         crashed_before = served.daemon.pool.workers_crashed
         with client(served) as c:

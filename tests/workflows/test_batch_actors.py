@@ -7,19 +7,19 @@ a clustered run is computed, never *what* it computes:
   number (times, stats, memory timelines, server peaks) must equal the
   per-rank clustered run float for float;
 * **honest refusal** — every configuration the compilers cannot prove
-  byte-identical must decline with a recorded reason, including at
-  runtime (a mid-compile ``BatchDecline`` falls back to the exact
-  per-rank chains in place);
+  byte-identical must decline with a ``batch:`` entry in
+  ``RunResult.fidelity_log``, including at runtime (a mid-compile
+  ``BatchDecline`` falls back to the exact per-rank chains in place);
 * **it is actually cheaper** — an engaged run must simulate far fewer
   events than the generator chains it replaces.
 """
 
+import re
+
 import pytest
 
-from repro.core import runcache
 from repro.staging.batch import BatchDecline
 from repro.staging.ndarray import Variable
-from repro.workflows import run_coupled
 
 from .test_perf_modes import MATCHED, assert_identical, fresh_run
 
@@ -35,7 +35,7 @@ FIG2_CELL = dict(
 
 #: every library x machine cell of the Figure 2 sweeps: either the
 #: contended-path compilation engages (None) or the run records this
-#: specific, stable decline prefix in ``batch_fallback``
+#: specific, stable ``batch:`` decline prefix in ``fidelity_log``
 FIG2_ATTRIBUTION = {
     ("titan", "mpiio"): None,
     ("titan", "dimes"): None,
@@ -58,10 +58,14 @@ FIG2_ATTRIBUTION = {
 }
 
 
+#: fields that name how a result was computed, not what it computed
+HOW = ("fidelity", "fidelity_log")
+
+
 def batch_pair(**kwargs):
-    """The same configuration with the compilation off and on."""
-    off = fresh_run(batch_actors=False, **kwargs)
-    on = fresh_run(batch_actors=True, **kwargs)
+    """The exact per-rank reference and the requested (compiled) run."""
+    off = fresh_run(**{**kwargs, "fidelity": "exact"})
+    on = fresh_run(**kwargs)
     return off, on
 
 
@@ -69,22 +73,22 @@ class TestBatchEquivalence:
     def test_dataspaces_matched_rdma_engages(self):
         kwargs = {**MATCHED, "transport": "ugni"}
         off, on = batch_pair(machine="titan", fidelity="clustered", **kwargs)
-        assert off.fidelity == "clustered"
+        assert off.fidelity == "exact"
         assert on.fidelity == "clustered+batch"
         assert on.batch_fallback is None
-        assert_identical(off, on, ignore=("fidelity",))
+        assert_identical(off, on, ignore=HOW)
 
     def test_decaf_islands_engage_on_cori(self):
         off, on = batch_pair(
             machine="cori", fidelity="clustered", **DECAF_ISLANDS
         )
-        assert off.fidelity == "clustered"
+        assert off.fidelity == "exact"
         assert on.fidelity == "clustered+batch"
         assert on.batch_fallback is None
-        assert_identical(off, on, ignore=("fidelity",))
+        assert_identical(off, on, ignore=HOW)
 
     def test_engaged_by_default_when_clustered(self):
-        # batch_actors=None (the default) tries the compilation too.
+        # every clustered request tries the compilation
         result = fresh_run(
             machine="titan", fidelity="clustered",
             **{**MATCHED, "transport": "ugni"},
@@ -98,7 +102,7 @@ class TestBatchEquivalence:
         off, on = batch_pair(machine="titan", method="dimes", **FIG2_CELL)
         assert on.fidelity == "clustered+batch"
         assert on.batch_fallback is None
-        assert_identical(off, on, ignore=("fidelity",))
+        assert_identical(off, on, ignore=HOW)
 
     @pytest.mark.parametrize("machine", ["titan", "cori"])
     def test_mpiio_lustre_merge_engages(self, machine):
@@ -107,7 +111,7 @@ class TestBatchEquivalence:
         off, on = batch_pair(machine=machine, method="mpiio", **FIG2_CELL)
         assert on.fidelity == "clustered+batch"
         assert on.batch_fallback is None
-        assert_identical(off, on, ignore=("fidelity",))
+        assert_identical(off, on, ignore=HOW)
 
     def test_flexpath_point_to_point_engages(self):
         # A 1:1 subscription graph is a static partition: one source
@@ -118,30 +122,36 @@ class TestBatchEquivalence:
         )
         assert on.fidelity == "clustered+batch"
         assert on.batch_fallback is None
-        assert_identical(off, on, ignore=("fidelity",))
+        assert_identical(off, on, ignore=HOW)
 
-    def test_engaged_run_simulates_fewer_events(self):
+    def test_engaged_run_simulates_fewer_events(self, monkeypatch):
+        # Against the per-rank clustered chains (the compilation refused
+        # up front), not the exact run: clustering alone already cuts
+        # MATCHED's events by its group count.
         from repro.sim.engine import Environment
+        from repro.staging.dataspaces import DataSpaces
 
-        counts = []
+        counts = {}
         orig = Environment.step
 
         def counting(env):
-            counts[-1] += 1
+            counts[arm] += 1
             orig(env)
 
-        Environment.step = counting
-        try:
-            for batch in (False, True):
-                counts.append(0)
-                fresh_run(
-                    machine="titan", fidelity="clustered",
-                    batch_actors=batch, **{**MATCHED, "transport": "ugni"},
-                )
-        finally:
-            Environment.step = orig
-        per_rank_events, batch_events = counts
-        assert batch_events < per_rank_events / 10
+        def refusing(self, plan, write_regions, read_regions):
+            raise BatchDecline("batch: refused for the per-rank arm")
+
+        kwargs = dict(
+            machine="titan", fidelity="clustered",
+            **{**MATCHED, "transport": "ugni"},
+        )
+        monkeypatch.setattr(Environment, "step", counting)
+        arm, counts["batch"] = "batch", 0
+        assert fresh_run(**kwargs).fidelity == "clustered+batch"
+        monkeypatch.setattr(DataSpaces, "batch_plan", refusing)
+        arm, counts["per_rank"] = "per_rank", 0
+        assert fresh_run(**kwargs).fidelity == "clustered"
+        assert counts["batch"] < counts["per_rank"] / 10
 
 
 class TestQueueModels:
@@ -210,7 +220,7 @@ class TestQueueModels:
 
         from repro.staging.batch import fifo_scan
 
-        with pytest.raises(BatchDecline):
+        with pytest.raises(BatchDecline, match="^batch: "):
             fifo_scan(np.asarray([5, 3], dtype=np.int64), 2, 1)
 
     def test_fifo_queue_declines_uncertified_tie(self):
@@ -218,7 +228,7 @@ class TestQueueModels:
 
         queue = FifoQueue(2, name="test")
         queue.serve(4, 3, cohort="a")
-        with pytest.raises(BatchDecline):
+        with pytest.raises(BatchDecline, match="^batch: "):
             queue.serve(4, 3, cohort="b")
 
 
@@ -230,28 +240,29 @@ class TestBatchRefusals:
         assert on.fidelity == "clustered"
         assert on.batch_fallback is not None
         assert "batch" in on.batch_fallback
-        assert_identical(off, on)
+        assert_identical(off, on, ignore=HOW)
 
     def test_decaf_wide_islands_decline(self):
         # nsim=512/nana=256 clusters into 2:1:1 islands — two producers
         # interleave on the dflow NIC, which the compiler refuses.
         result = fresh_run(
             machine="cori", method="decaf", nsim=512, nana=256,
-            fidelity="clustered", batch_actors=True,
+            fidelity="clustered",
         )
         assert result.fidelity == "clustered"
         assert result.batch_fallback is not None
         assert "1:1:1" in result.batch_fallback
 
     def test_without_clustering_nothing_compiles(self):
+        # an exact request asks for no tier, so nothing compiles and
+        # nothing is logged as declined
         result = fresh_run(
-            machine="titan", fidelity="exact", batch_actors=True,
+            machine="titan", fidelity="exact",
             **{**MATCHED, "transport": "ugni"},
         )
         assert result.fidelity == "exact"
-        assert result.batch_fallback == (
-            "batch: clustered fidelity did not engage"
-        )
+        assert result.fidelity_log == ()
+        assert result.batch_fallback is None
 
     @pytest.mark.parametrize("method,expect", [
         ("dimes", "batch: dimes compiles the full contended group"),
@@ -278,8 +289,8 @@ class TestBatchRefusals:
         )
         regions = application_decomposition(var, 8, 0)
         plan = ClusterPlan(sim_reps=1, ana_reps=1, server_reps=1, groups=8)
-        assert library.batch_plan(plan, regions, regions) is None
-        assert library.batch_decline.startswith(expect)
+        with pytest.raises(BatchDecline, match="^" + re.escape(expect)):
+            library.batch_plan(plan, regions, regions)
 
     @pytest.mark.parametrize(
         "machine,method", sorted(FIG2_ATTRIBUTION),
@@ -289,11 +300,10 @@ class TestBatchRefusals:
         self, machine, method,
     ):
         # Every Figure 2 cell either compiles to ``clustered+batch`` or
-        # records a specific, stable refusal in ``batch_fallback`` — no
+        # records a specific, stable refusal in ``fidelity_log`` — no
         # cell may silently change attribution.
         expect = FIG2_ATTRIBUTION[(machine, method)]
-        result = fresh_run(machine=machine, method=method,
-                           batch_actors=True, **FIG2_CELL)
+        result = fresh_run(machine=machine, method=method, **FIG2_CELL)
         if expect is None:
             assert result.fidelity == "clustered+batch"
             assert result.batch_fallback is None
@@ -308,41 +318,45 @@ class TestBatchRefusals:
         from repro.staging.dataspaces import DataSpaces
 
         kwargs = {**MATCHED, "transport": "ugni"}
-        off = fresh_run(
-            machine="titan", fidelity="clustered",
-            batch_actors=False, **kwargs,
-        )
+        off = fresh_run(machine="titan", fidelity="exact", **kwargs)
 
         def declining(self, bplan, ctx):
             raise BatchDecline("batch: synthetic runtime decline")
 
         monkeypatch.setattr(DataSpaces, "batch_step", declining)
-        on = fresh_run(
-            machine="titan", fidelity="clustered",
-            batch_actors=True, **kwargs,
-        )
+        on = fresh_run(machine="titan", fidelity="clustered", **kwargs)
         assert on.fidelity == "clustered"
         assert on.batch_fallback == "batch: synthetic runtime decline"
-        assert_identical(off, on)
+        assert_identical(off, on, ignore=HOW)
+
+    def test_runtime_decline_under_steady_logs_the_skipped_orbit(
+        self, monkeypatch,
+    ):
+        # The resolver dropped steady for the compilation; when that
+        # compilation then declines, the log says steady was skipped.
+        from repro.staging.dataspaces import DataSpaces
+
+        def declining(self, bplan, ctx):
+            raise BatchDecline("batch: synthetic runtime decline")
+
+        monkeypatch.setattr(DataSpaces, "batch_step", declining)
+        result = fresh_run(
+            machine="titan", fidelity="steady+clustered", steps=12,
+            **{**MATCHED, "transport": "ugni"},
+        )
+        assert result.fidelity == "clustered"
+        assert result.fidelity_log == (
+            "batch: synthetic runtime decline",
+            "steady: skipped for a batch compilation that then "
+            "declined at runtime",
+        )
 
     def test_batch_supersedes_steady(self):
         kwargs = {**MATCHED, "transport": "ugni"}
         result = fresh_run(
-            machine="titan", fidelity="steady+clustered",
-            batch_actors=True, steps=12, **kwargs,
+            machine="titan", fidelity="steady+clustered", steps=12, **kwargs,
         )
         assert result.fidelity == "clustered+batch"
-        assert result.fidelity_fallback == (
-            "steady: superseded by the batch-actor compilation"
+        assert result.fidelity_log == (
+            "steady: superseded by the batch-actor compilation",
         )
-
-    def test_batch_choice_is_part_of_the_cache_key(self):
-        kwargs = dict(
-            machine="titan", fidelity="clustered",
-            **{**MATCHED, "transport": "ugni"},
-        )
-        runcache.clear()
-        on = run_coupled(batch_actors=True, **kwargs)
-        off = run_coupled(batch_actors=False, **kwargs)
-        assert on.fidelity == "clustered+batch"
-        assert off.fidelity == "clustered"

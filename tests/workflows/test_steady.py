@@ -3,8 +3,8 @@
 The temporal memoization must be invisible in the numbers: whenever the
 driver fast-forwards a periodic tail it has to reproduce the exact
 run's :class:`RunResult` float for float, and whenever it cannot prove
-periodicity it has to fall back to the stricter mode and say why in
-``RunResult.fidelity_fallback``.
+periodicity it has to fall back to the stricter mode and say why with
+a ``steady:`` entry in ``RunResult.fidelity_log``.
 """
 
 import pytest
@@ -17,6 +17,13 @@ from repro.workflows.trace import ActivityTrace
 from .test_perf_modes import assert_identical, fresh_run
 
 METHODS = ["mpiio", "dataspaces", "dimes", "flexpath", "decaf"]
+
+
+def steady_entry(result):
+    """The run's ``steady:`` decline, or None when steady engaged."""
+    entries = [e for e in result.fidelity_log if e.startswith("steady: ")]
+    assert len(entries) <= 1, result.fidelity_log
+    return entries[0] if entries else None
 
 
 # --------------------------------------------------- exact reproduction
@@ -34,7 +41,7 @@ class TestSteadyEquivalence:
         assert steady.fidelity in ("steady", "exact")
         if steady.fidelity == "exact":
             # declined: the reason must be on record
-            assert steady.fidelity_fallback.startswith("steady:")
+            assert steady_entry(steady).startswith("steady:")
         assert_identical(exact, steady, ignore=("fidelity",))
 
     @pytest.mark.parametrize("machine", ["titan", "cori"])
@@ -60,7 +67,7 @@ class TestSteadyEquivalence:
         exact = fresh_run(fidelity="exact", **kwargs)
         steady = fresh_run(fidelity="steady", **kwargs)
         assert steady.fidelity == "steady"
-        assert steady.fidelity_fallback is None
+        assert steady_entry(steady) is None
         assert_identical(exact, steady, ignore=("fidelity",))
 
     def test_engaged_run_simulates_fewer_events(self):
@@ -94,7 +101,7 @@ class TestSteadyEquivalence:
         exact = fresh_run(fidelity="exact", **kwargs)
         steady = fresh_run(fidelity="steady", **kwargs)
         assert steady.fidelity == "steady"
-        assert steady.fidelity_fallback is None
+        assert steady_entry(steady) is None
         assert_identical(exact, steady, ignore=("fidelity",))
 
 
@@ -108,15 +115,13 @@ class TestSteadyFallbackReasons:
         result = fresh_run(fidelity="steady", trace=ActivityTrace(),
                            **self.KW)
         assert result.fidelity == "exact"
-        assert result.fidelity_fallback == (
-            "steady: traced run records every step"
-        )
+        assert steady_entry(result) == "steady: traced run records every step"
 
     def test_faulted_run_falls_back(self):
         plan = FaultPlan(events=(FaultEvent("ost_slow", at=1.0),))
         result = fresh_run(fidelity="steady", fault_plan=plan, **self.KW)
         assert result.fidelity == "exact"
-        assert result.fidelity_fallback == (
+        assert steady_entry(result) == (
             "steady: fault injection breaks periodicity"
         )
 
@@ -127,12 +132,12 @@ class TestSteadyFallbackReasons:
             **self.KW,
         )
         assert result.fidelity == "exact"
-        assert result.fidelity_fallback == "steady: recovery policy armed"
+        assert steady_entry(result) == "steady: recovery policy armed"
 
     def test_too_few_steps_falls_back(self):
         result = fresh_run(fidelity="steady", steps=2, **self.KW)
         assert result.fidelity == "exact"
-        assert "steps leave no room" in result.fidelity_fallback
+        assert "steps leave no room" in steady_entry(result)
 
     def test_fallback_is_cached_like_any_run(self):
         runcache.clear()
@@ -141,6 +146,6 @@ class TestSteadyFallbackReasons:
         hits_before = runcache.CACHE.hits
         again = run_coupled(fidelity="steady", fault_plan=plan, **self.KW)
         assert runcache.CACHE.hits == hits_before + 1
-        assert again.fidelity_fallback == (
+        assert steady_entry(again) == (
             "steady: fault injection breaks periodicity"
         )

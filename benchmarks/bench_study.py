@@ -20,11 +20,6 @@ optimizations move.  Modes:
   calendar queue against PR 4's binary heap on synthetic event
   streams (same-tick cascades, short-horizon uniform, wide-horizon),
   events/sec per structure under the ``engine`` key;
-* ``--batch-ab``   — the batch-actor A/B: configurations whose batch
-  certificates engage, run at ``fidelity="exact"`` (the per-rank
-  reference) and at their compiled fidelity (same numbers, so the
-  delta is pure event-machinery cost), recording
-  wall-clock, event counts and the speedup per configuration;
 * ``--serve``      — the serving-layer latency benchmark: a cold
   ``python -m repro study fig6`` subprocess (interpreter start +
   import + serial simulation) against a resident daemon's first
@@ -63,6 +58,8 @@ microbenchmark.  Schema 8 records the ``exec.pool.effective_jobs``
 clamp per ``jobs_sweep`` level (skipping levels the clamp makes
 redundant instead of timing pure worker-spawn overhead) and adds the
 contended-path compilers (dimes, mpiio, flexpath) to ``batch_ab``.
+Schema 9 drops the ``batch_ab`` section with the batch-compilation
+tier it measured.
 
 The run cache is cleared before every experiment so timings measure
 simulation, not memoization.  Results merge into the output JSON, so
@@ -403,92 +400,6 @@ def engine_bench(n_ops: int = 200_000, seed: int = 1234,
     return results
 
 
-# ----------------------------------------------------- batch actor A/B
-
-#: configurations whose batch certificates engage (see
-#: tests/workflows/test_batch_actors.py) at a step count long enough
-#: for the per-step event machinery to dominate the boot phase
-_BATCH_AB_CONFIGS = {
-    "dataspaces_matched_titan": dict(
-        machine="titan", method="dataspaces", workflow="synthetic",
-        nsim=8, nana=8, num_servers=8, transport="ugni", app_axis=0,
-        topology_overrides=dict(sim_ranks_per_node=1, ana_ranks_per_node=1),
-        steps=1000, fidelity="clustered",
-    ),
-    "decaf_islands_cori": dict(
-        machine="cori", method="decaf", nsim=512, nana=512,
-        steps=1000, fidelity="clustered",
-    ),
-    # The contended-path compilers (this PR): shared metadata CPU,
-    # Lustre MDS queue + OST cursors, and the 1:1 stone pipeline all
-    # collapse into max-plus queue scans over the full group.
-    "dimes_metadata_titan": dict(
-        machine="titan", method="dimes", workflow="lammps",
-        nsim=32, nana=16, steps=1000, fidelity="clustered",
-    ),
-    "mpiio_lustre_cori": dict(
-        machine="cori", method="mpiio", workflow="lammps",
-        nsim=32, nana=16, steps=1000, fidelity="clustered",
-    ),
-    "flexpath_pipeline_titan": dict(
-        machine="titan", method="flexpath", workflow="lammps",
-        nsim=4, nana=4, steps=1000, fidelity="clustered",
-    ),
-}
-
-
-def batch_ab_bench() -> Dict[str, object]:
-    """A/B the batch-actor compilation on configurations it certifies.
-
-    The per-rank arm is the ``fidelity="exact"`` reference; both arms
-    produce float-identical results (asserted), so the wall/event
-    deltas measure what the compiled run removes.
-    """
-    from repro.staging.ndarray import Variable
-    from repro.workflows import run_coupled
-
-    results: Dict[str, object] = {}
-    for ident, config in _BATCH_AB_CONFIGS.items():
-        kwargs = dict(config)
-        if kwargs.get("workflow") == "synthetic":
-            kwargs["variable"] = Variable("v", (8192, 64))
-        arms = {}
-        outputs = {}
-        for arm, fidelity in (("per_rank", "exact"),
-                              ("batch", kwargs["fidelity"])):
-            runcache.clear()
-            with EventCounter() as counter:
-                start = time.perf_counter()
-                result = run_coupled(**{**kwargs, "fidelity": fidelity})
-                elapsed = time.perf_counter() - start
-            arms[arm] = {
-                "seconds": round(elapsed, 3),
-                "events": counter.count,
-                "fidelity": result.fidelity,
-            }
-            outputs[arm] = (
-                result.end_to_end, result.put_time, result.get_time,
-                result.bytes_staged,
-            )
-        assert outputs["per_rank"] == outputs["batch"], ident
-        assert arms["batch"]["fidelity"] == "clustered+batch", ident
-        arms["identical"] = True
-        arms["event_reduction"] = round(
-            arms["per_rank"]["events"] / max(1, arms["batch"]["events"]), 1
-        )
-        arms["speedup"] = round(
-            arms["per_rank"]["seconds"] / arms["batch"]["seconds"], 2
-        ) if arms["batch"]["seconds"] > 0 else float("inf")
-        results[ident] = arms
-        print(f"batch-ab/{ident:26s} per-rank "
-              f"{arms['per_rank']['seconds']:6.2f} s "
-              f"{arms['per_rank']['events']:>10,} ev   batch "
-              f"{arms['batch']['seconds']:6.2f} s "
-              f"{arms['batch']['events']:>8,} ev   "
-              f"({arms['event_reduction']}x fewer events)")
-    return results
-
-
 # ---------------------------------------------------- serving latency
 
 def serve_bench(figure: str = "fig6") -> Dict[str, object]:
@@ -776,15 +687,12 @@ def fork_ab_bench(seed: int = 7, repeats: int = 3) -> Dict[str, object]:
 GATE_TOLERANCE = 0.25
 GATED_FIGURES = ("fig2a_full", "fig2b_full", "fig_sst", "fig_pmem")
 
-#: absolute coupled-throughput floor for fig2a_full (ev/s).  Raised
-#: when the contended-path compilers landed (188-222k ev/s observed
-#: across runs): DIMES and MPI-IO now compile their shared
-#: metadata-CPU / Lustre-MDS queues on the Figure 2 cells whose order
-#: is provable, so the figure's wall is dominated by the remaining
-#: *honest* per-rank declines (DataSpaces fan-in, FlexPath fan-out
-#: notification graphs, the titan MPI-IO mixed exact/steady tick
-#: collisions) — the floor gates the per-event cost of that exact
-#: machinery, not the compilation win (see ``batch_ab`` for that).
+#: absolute coupled-throughput floor for fig2a_full (ev/s).  The
+#: figure's contended N-to-1 cells (DataSpaces fan-in, FlexPath fan-out
+#: notification graphs, shared metadata and MDS queues) run the exact
+#: per-rank event machinery or its steady fast-forward, so the floor
+#: gates the per-event cost of that machinery (188-222k ev/s observed
+#: across runs when it was set).
 COUPLED_EPS_FLOOR = 185_000
 
 
@@ -900,8 +808,7 @@ def _merge_existing(path: str, report: Dict) -> Dict:
             existing = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return report
-    for key in ("figures", "jobs_sweep", "chaos", "engine", "batch_ab",
-                "serve", "fork"):
+    for key in ("figures", "jobs_sweep", "chaos", "engine", "serve", "fork"):
         if key in existing and key not in report:
             report[key] = existing[key]
     return report
@@ -921,9 +828,6 @@ def main(argv=None) -> int:
     group.add_argument("--engine", action="store_true",
                        help="the event-core microbenchmark: calendar "
                             "queue vs binary heap on synthetic streams")
-    group.add_argument("--batch-ab", action="store_true",
-                       help="A/B the batch-actor compilation (off vs on) "
-                            "on configurations its certificates engage")
     group.add_argument("--serve", action="store_true",
                        help="serving-layer latency: cold CLI study vs "
                             "first and warm submissions to a resident "
@@ -951,7 +855,7 @@ def main(argv=None) -> int:
     if args.profile:
         return profile_figure(args.profile, args.output)
 
-    report: Dict[str, object] = {"schema": 8, "cpus": os.cpu_count()}
+    report: Dict[str, object] = {"schema": 9, "cpus": os.cpu_count()}
     if args.jobs_sweep:
         report["mode"] = "jobs-sweep"
         report["jobs_sweep"] = jobs_sweep()
@@ -965,11 +869,6 @@ def main(argv=None) -> int:
         report["mode"] = "engine"
         start = time.perf_counter()
         report["engine"] = engine_bench()
-        total = time.perf_counter() - start
-    elif args.batch_ab:
-        report["mode"] = "batch-ab"
-        start = time.perf_counter()
-        report["batch_ab"] = batch_ab_bench()
         total = time.perf_counter() - start
     elif args.serve:
         report["mode"] = "serve"

@@ -1,22 +1,22 @@
 #!/usr/bin/env python
-"""Batch-engagement census: which Figure 2 cells compile, which decline.
+"""Fidelity census: which tier each Figure 2 cell ran, and why not others.
 
 Sweeps every (machine, scale, method) cell of the Figure 2 grid at the
-study's small scales and records, per cell, the fidelity the driver
-settled on and its full ``fidelity_log`` — one verbatim
-``"<tier>: <reason>"`` entry per requested tier that did not engage,
-so a batch decline reads from the cell's ``batch:`` entry.  The output
-JSON is
-uploaded as a CI artifact so engagement regressions (a certificate
-that silently stops firing, or a decline string that drifts) are
-visible per run without digging through test output.
+study's small scales with ``fidelity="steady+clustered"`` and records,
+per cell, the fidelity label the driver settled on and its full
+``fidelity_log`` — one verbatim ``"<tier>: <reason>"`` entry per
+requested tier that did not engage.  The summary counts cells per
+label and per log entry.  The output JSON is uploaded as a CI artifact
+so tier regressions (a certificate that silently stops firing, or a
+decline string that drifts) are visible per run without digging
+through test output.
 
-The census is *descriptive*, not a gate: the per-cell expectations
-that must hold are pinned in ``tests/workflows/test_batch_actors.py``.
+The census is *descriptive*, not a gate: the per-cell labels that must
+hold are pinned in ``tests/workflows/test_fidelity.py``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/batch_census.py [-o batch_census.json]
+    PYTHONPATH=src python benchmarks/fidelity_census.py [-o fidelity_census.json]
 """
 
 from __future__ import annotations
@@ -45,36 +45,32 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
                     "method": method,
                     "ok": result.ok,
                     "fidelity": result.fidelity,
-                    "engaged": result.fidelity == "clustered+batch",
                     "fidelity_log": list(result.fidelity_log),
                 })
-    engaged = sum(1 for c in cells if c["engaged"])
-    reasons = Counter(
-        entry for c in cells for entry in c["fidelity_log"]
-        if entry.startswith("batch: ")
-    )
+    labels = Counter(c["fidelity"] for c in cells)
+    entries = Counter(entry for c in cells for entry in c["fidelity_log"])
     return {
         "workflow": workflow,
         "steps": steps,
         "cells": cells,
-        "engaged": engaged,
-        "declined": len(cells) - engaged,
-        "decline_reasons": dict(reasons.most_common()),
+        "labels": dict(labels.most_common()),
+        "log_entries": dict(entries.most_common()),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-o", "--output", default="batch_census.json")
+    parser.add_argument("-o", "--output", default="fidelity_census.json")
     args = parser.parse_args(argv)
     report = census()
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{report['engaged']} engaged / {report['declined']} declined "
-          f"-> {args.output}")
-    for reason, count in report["decline_reasons"].items():
-        print(f"  {count:3d}x {reason}")
+    print(f"{len(report['cells'])} cells -> {args.output}")
+    for label, count in report["labels"].items():
+        print(f"  {count:3d}x {label}")
+    for entry, count in report["log_entries"].items():
+        print(f"  {count:3d}x {entry}")
     return 0
 
 

@@ -11,10 +11,9 @@ effect of the run on its :class:`~repro.workflows.driver.RunResult` is
 closed-form: the boundary pair's record streams tile, the memory-series
 windows translate by exact tick multiples, and per-actor finish times
 are one integer shift each.  :func:`begin_capture`/:func:`finish_capture`
-serialize exactly that — the calendar queue's pending events as
-relative ticks, the per-library staging state via
-:meth:`~repro.staging.base.StagingLibrary.snapshot`, the tracker/stats/
-series tails and the boundary windows — into a :class:`SimSnapshot`,
+serialize exactly that — the staging statistics, the put/get record
+windows, the memory-series tails and the per-actor boundary ticks —
+into a :class:`SimSnapshot`,
 content-addressed in the run cache as a *prefix entry* keyed by the
 point spec minus ``(steps, fault_plan, recovery)``.  Any later run
 sharing the prefix calls :meth:`SimSnapshot.resume` and replays only
@@ -41,11 +40,10 @@ never change bytes.
 
 Decline taxonomy (every reason lands in :data:`STATS` and, for
 steps-prefix requests, in ``RunResult.fidelity_log``): traced runs,
-batch-compiled runs (no step loop left to snapshot), steady orbit not
-certified (covers discard-mode SST), compute-only baselines (per-actor
-fast-forward has no shared boundary), steps that end inside the prefix,
-fast-forward horizons past the exact-arithmetic window, and the chaos
-protocol declines above.
+steady orbit not certified (covers discard-mode SST), compute-only
+baselines (per-actor fast-forward has no shared boundary), steps that
+end inside the prefix, fast-forward horizons past the exact-arithmetic
+window, and the chaos protocol declines above.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.engine import EXACT_TICK_LIMIT, _TICK, _TICK_SCALE
@@ -192,11 +190,6 @@ class SimSnapshot:
     series: List[Dict[str, Any]]
     #: actor name -> last phase-end tick at the cutoff boundary
     actors: Dict[str, int]
-    # -- staging/engine state record ------------------------------------
-    #: :meth:`StagingLibrary.snapshot` of the captured library
-    library_state: Dict[str, Any] = field(default_factory=dict)
-    #: pending calendar-queue events as ticks relative to the boundary
-    pending_events: Tuple = ()
 
     def serves(self, steps: int) -> bool:
         return self.decline_reason(steps) is None
@@ -318,7 +311,7 @@ class SimSnapshot:
         return result
 
 
-def begin_capture(env, steady, library) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+def begin_capture(steady, library) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     """Phase A: capture the pre-finalize boundary state of an engaged run.
 
     Called immediately before ``steady.finalize`` replays the skipped
@@ -377,8 +370,6 @@ def begin_capture(env, steady, library) -> Tuple[Optional[Dict[str, Any]], Optio
         get_full=streams["get"][0], get_part=streams["get"][1],
         series=series_data,
         actors={a: plist[cutoff][-1] for a, plist in steady.phases.items()},
-        pending_events=env.steady_snapshot(),
-        library_state=library.snapshot(),
     )
     return partial, None
 

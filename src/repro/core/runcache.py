@@ -64,8 +64,11 @@ from typing import Any, Dict, Optional
 #: plan); pre-fork pickles miss the fields.
 #: 7 -> 8: one decision record — results and prefix snapshots carry
 #: ``fidelity_log`` in place of the three per-tier reason fields, and
-#: the batch-compilation switch left the key inputs)
-SCHEMA_VERSION = 8
+#: the batch-compilation switch left the key inputs.
+#: 8 -> 9: the batch-compilation tier is gone — the same keys now
+#: carry steady labels and logs where they held the batch label, and
+#: prefix snapshots drop the staging/event state records)
+SCHEMA_VERSION = 9
 
 
 def _canonical(value: Any) -> Any:

@@ -119,27 +119,6 @@ class BandwidthPipe:
         """Pure serialization time for ``nbytes`` (no queueing)."""
         return nbytes / self.rate
 
-    def claim_frozen(self, nbytes: float, now_tick: int) -> int:
-        """Arithmetically claim the frozen FIFO slot; the completion tick.
-
-        The event-free core of the frozen :meth:`transmit` path, exposed
-        so batch-actor compilers can run a whole chain of transfers as
-        integer arithmetic: same stats additions, same
-        ``max(chain end, arrival) + quantized duration`` completion
-        tick, no events.  Callers must present arrivals in the order
-        the per-rank run's claims would occur (FIFO claim order is call
-        order); ``now_tick`` is the arrival tick of this transfer.
-        """
-        duration = nbytes / self.rate
-        self.bytes_moved += nbytes
-        self.busy_time += duration
-        start = self._chain_end_tick
-        if start < now_tick:
-            start = now_tick
-        end = start + round(duration * _TICK_SCALE)
-        self._chain_end_tick = end
-        return end
-
     def transmit(self, nbytes: float, tail_ticks: int = 0) -> Generator:
         """Process: occupy the pipe for ``nbytes`` worth of time.
 
@@ -161,7 +140,14 @@ class BandwidthPipe:
             raise ValueError(f"negative transfer size {nbytes}")
         env = self.env
         if self._rate_frozen:
-            end = self.claim_frozen(nbytes, env._now_tick)
+            duration = nbytes / self.rate
+            self.bytes_moved += nbytes
+            self.busy_time += duration
+            start = self._chain_end_tick
+            if start < env._now_tick:
+                start = env._now_tick
+            end = start + round(duration * _TICK_SCALE)
+            self._chain_end_tick = end
             yield env.timeout_at_tick(end + tail_ticks)
             return
         with self._res.request() as req:

@@ -76,21 +76,7 @@ class Resource:
     events in insertion order, so processes resume (and call
     ``request()``) in the order their wake-up events were scheduled,
     which for symmetric actor cohorts is spawn order.
-
-    The batch compiler's queue models cite this guarantee (see
-    ``FIFO_GRANT_ORDER`` and :class:`~repro.staging.batch.FifoQueue`):
-    when every arrival tick is statically known and same-tick arrivals
-    are certified to be issued in spawn order, the grant schedule is a
-    pure function of the arrival ticks and can be replayed by a
-    max-plus scan instead of the request/queue protocol.
     """
-
-    #: Certificate hook for compile-time queue models: grants follow
-    #: request-call order, with same-tick calls served in call order
-    #: (calendar-queue FIFO tie-break).  Subclasses that break this
-    #: (e.g. priority preemption) must set it False so batch
-    #: certificates decline.
-    FIFO_GRANT_ORDER = True
 
     def __init__(self, env: "Environment", capacity: int = 1) -> None:  # noqa: F821
         if capacity <= 0:

@@ -18,7 +18,6 @@ points the paper reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Generator, List, Optional, Tuple
@@ -31,9 +30,8 @@ from ..hpc.node import Node
 from ..sim import Environment
 from ..transport import Endpoint, Transport, make_transport
 from . import calibration as cal
-from ..sim import Event
 from .ndarray import Region, Variable
-from .store import Fragment, FragmentStore, VersionGate
+from .store import FragmentStore, VersionGate
 
 
 @dataclass(frozen=True)
@@ -121,27 +119,19 @@ class ClusterPlan:
     copies of it.  Simulating only the representative group and
     replicating each statistics record ``groups`` times (in place, so
     the floating-point additions happen in the exact run's order)
-    reproduces the exact run's numbers.
-
-    ``server_tiling`` says how per-server memory peaks extend to the
-    full server list: ``"group"`` repeats the ``server_reps`` peaks
-    ``groups`` times (each group's servers behave alike), ``"leader"``
-    repeats the *second* rep server for every non-first server (the
-    first put's global eviction makes server 0 the only one that ever
-    holds two versions at once).
+    reproduces the exact run's numbers; per-server memory peaks extend
+    to the full server list by repeating the ``server_reps`` peaks
+    ``groups`` times.
     """
 
     sim_reps: int
     ana_reps: int
     server_reps: int
     groups: int
-    server_tiling: str = "group"
 
     def __post_init__(self) -> None:
         if min(self.sim_reps, self.ana_reps) < 1 or self.server_reps < 0:
             raise ValueError(f"invalid representative counts in {self}")
-        if self.server_tiling not in ("group", "leader"):
-            raise ValueError(f"invalid server_tiling {self.server_tiling!r}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,6 @@ class ServerState:
         )
         self.store = FragmentStore()
         self._staged_allocs: Dict[Tuple[str, int], list] = {}
-        self._rdma_handles: Dict[Tuple[str, int], list] = {}
 
 
 class StagingLibrary:
@@ -242,16 +231,6 @@ class StagingLibrary:
     name = "abstract"
     #: whether the method deploys stand-alone staging server processes
     has_servers = False
-    #: whether :meth:`batch_plan` should also be consulted when the
-    #: clustering pass found no proper subgroup split: the fidelity
-    #: resolver (:mod:`repro.workflows.fidelity`) then
-    #: offers the trivial full-group plan (every rank its own
-    #: representative, groups=1), which is exactly the regime where the
-    #: contended-path compilers (shared metadata CPUs, MDS queues,
-    #: point-to-point stones) can still prove a deterministic grant
-    #: order.  Stays False for libraries whose compiler needs a real
-    #: cluster split.
-    batch_full_group = False
 
     def __init__(
         self,
@@ -411,179 +390,6 @@ class StagingLibrary:
         recovery policy.
         """
 
-    # -------------------------------------------------- checkpoint-fork
-
-    def snapshot(self) -> dict:
-        """Picklable record of this library's staging state.
-
-        Captured into forkpoint prefix entries (see
-        :mod:`repro.core.forkpoint`) at the certified steady boundary.
-        The record covers everything the boundary fingerprint and the
-        result assembly read: statistics, the record tap, the version
-        gate, per-server memory occupancy/series and fragment census,
-        chaos counters, plus library-specific state via
-        :meth:`_snapshot_extras`.  Allocation handles are reduced to
-        their sizes, so snapshotting a restored instance reproduces the
-        same record.
-        """
-        gate = self.gate
-        gate_state = None
-        if gate is not None:
-            gate_state = dict(
-                window=gate.window,
-                num_writers=gate.num_writers,
-                num_readers=gate.num_readers,
-                publish_count=dict(gate._publish_count),
-                reader_count=dict(gate._reader_count),
-                consumed=gate._consumed,
-                released=gate._released,
-                published={v: e.triggered for v, e in gate._published.items()},
-                window_events=sorted(gate._window_events),
-            )
-        return dict(
-            name=self.name,
-            stats=dict(
-                bytes_staged=self.stats.bytes_staged,
-                bytes_retrieved=self.stats.bytes_retrieved,
-                put_time=self.stats.put_time,
-                get_time=self.stats.get_time,
-                puts=self.stats.puts,
-                gets=self.stats.gets,
-            ),
-            stats_replicas=self.stats_replicas,
-            steady_tap=(
-                list(self._steady_tap) if self._steady_tap is not None else None
-            ),
-            dead_ranks=sorted(self.dead_ranks),
-            versions_lost=self.versions_lost,
-            recovery_events=self.recovery_events,
-            recovery_seconds=self.recovery_seconds,
-            gate=gate_state,
-            servers=[self._snapshot_server(s) for s in self.servers],
-            extras=self._snapshot_extras(),
-        )
-
-    @staticmethod
-    def _snapshot_store(store: FragmentStore) -> dict:
-        """A fragment census: (var, version) -> [(region, nbytes)]."""
-        return {
-            key: [(f.region, f.nbytes) for f in frags]
-            for key, frags in store._frags.items()
-        }
-
-    @staticmethod
-    def _restore_store(store: FragmentStore, census: dict) -> None:
-        store._frags = {
-            key: [Fragment(region, nbytes, None) for region, nbytes in frags]
-            for key, frags in census.items()
-        }
-
-    @staticmethod
-    def _alloc_sizes(allocs: dict) -> dict:
-        """Allocation-handle dicts reduced to byte sizes (picklable)."""
-        return {
-            key: (
-                [getattr(a, "nbytes", a) for a in value]
-                if isinstance(value, list)
-                else getattr(value, "nbytes", value)
-            )
-            for key, value in allocs.items()
-        }
-
-    def _snapshot_server(self, server: ServerState) -> dict:
-        mem = server.memory
-        return dict(
-            total=mem.total,
-            peak=mem.peak,
-            by_category=dict(mem.by_category),
-            series_times=list(mem.series._times),
-            series_values=list(mem.series._values),
-            store=self._snapshot_store(server.store),
-            staged_allocs=self._alloc_sizes(server._staged_allocs),
-        )
-
-    def restore(self, state: dict) -> None:
-        """Overwrite this instance's staging state from :meth:`snapshot`.
-
-        The library must be built for the same configuration and
-        bootstrapped (servers exist).  A restored instance answers
-        inspection — :meth:`steady_state` fingerprints, stats, store
-        census — exactly as the captured one did; it does **not**
-        support continuing the simulation: live generator frames and
-        transport queues are process state, which is exactly why fault
-        variants ``os.fork`` the trunk instead.  Server memory is set
-        wholesale; parent (node) trackers are deliberately left alone.
-        """
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"snapshot of {state.get('name')!r} cannot restore "
-                f"a {self.name!r} library"
-            )
-        self.stats = StagingStats(**state["stats"])
-        self.stats_replicas = state["stats_replicas"]
-        tap = state.get("steady_tap")
-        self._steady_tap = list(tap) if tap is not None else None
-        self.dead_ranks = {tuple(d) for d in state["dead_ranks"]}
-        self.versions_lost = state["versions_lost"]
-        self.recovery_events = state["recovery_events"]
-        self.recovery_seconds = state["recovery_seconds"]
-        gs = state.get("gate")
-        if gs is None:
-            self.gate = None
-        else:
-            gate = VersionGate(
-                self.env,
-                num_writers=max(1, gs["num_writers"]),
-                num_readers=max(1, gs["num_readers"]),
-                window=gs["window"],
-            )
-            # writer_left/reader_left legally drive live counts to zero
-            # or below; the constructor only validates fresh gates, so
-            # overwrite after construction.
-            gate.num_writers = gs["num_writers"]
-            gate.num_readers = gs["num_readers"]
-            gate._publish_count = dict(gs["publish_count"])
-            gate._reader_count = dict(gs["reader_count"])
-            gate._consumed = gs["consumed"]
-            gate._released = gs["released"]
-            for version, fired in sorted(gs["published"].items()):
-                event = Event(self.env)
-                if fired:
-                    # Mark triggered without scheduling: nothing waits
-                    # on a restored event, it only answers .triggered.
-                    event._ok = True
-                    event._value = None
-                gate._published[version] = event
-            for version in gs["window_events"]:
-                gate._window_events[version] = Event(self.env)
-            self.gate = gate
-        snaps = state["servers"]
-        if len(snaps) != len(self.servers):
-            raise ValueError(
-                f"snapshot holds {len(snaps)} servers, "
-                f"library has {len(self.servers)}"
-            )
-        for server, sdata in zip(self.servers, snaps):
-            mem = server.memory
-            mem.total = sdata["total"]
-            mem.peak = sdata["peak"]
-            mem.by_category = dict(sdata["by_category"])
-            mem.series._times = list(sdata["series_times"])
-            mem.series._values = list(sdata["series_values"])
-            self._restore_store(server.store, sdata["store"])
-            server._staged_allocs = {
-                key: list(sizes)
-                for key, sizes in sdata["staged_allocs"].items()
-            }
-        self._restore_extras(state.get("extras") or {})
-
-    def _snapshot_extras(self) -> dict:
-        """Subclass hook: library-specific picklable state."""
-        return {}
-
-    def _restore_extras(self, extras: dict) -> None:
-        """Subclass hook: restore what :meth:`_snapshot_extras` captured."""
-
     # ------------------------------------------------------- clustering
 
     def clustering_plan(
@@ -598,41 +404,6 @@ class StagingLibrary:
         analysis, no clustering.
         """
         return None
-
-    # ---------------------------------------------------- batch actors
-
-    def batch_plan(
-        self,
-        plan: ClusterPlan,
-        write_regions: List[Region],
-        read_regions: List[Region],
-    ):
-        """Certify the engaged clustered ``plan`` for batch compilation.
-
-        Returns a :class:`~repro.staging.batch.BatchPlan` only when the
-        library can *compile* the representative chains — replace the
-        per-rank generator machinery with one precomputed action
-        schedule (see :mod:`repro.staging.batch`) — and prove the result
-        byte-identical; otherwise raises
-        :class:`~repro.staging.batch.BatchDecline` with the reason.  The
-        default declines: a library without a ``batch_step`` compiler
-        always runs its exact per-rank chains.
-        """
-        from .batch import BatchDecline
-
-        raise BatchDecline(f"batch: {self.name} has no batch_step path")
-
-    def batch_step(self, bplan, ctx):
-        """Compile the whole run into a :class:`~repro.staging.batch.BatchSchedule`.
-
-        Runs at bootstrap-complete time (runtime state exists), so the
-        checks that need live state happen here; raising
-        :class:`~repro.staging.batch.BatchDecline` before any mutation
-        makes the driver fall back to the per-rank chains in place.
-        """
-        from .batch import BatchDecline
-
-        raise BatchDecline(f"batch: {self.name} has no batch_step path")
 
     # ----------------------------------------------- steady fast-forward
 

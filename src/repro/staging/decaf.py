@@ -35,17 +35,8 @@ import numpy as np
 
 from ..hpc.failures import OutOfMemory, SchedulerPolicyViolation
 from ..hpc.units import fmt_bytes
-from ..sim.engine import _TICK
 from . import calibration as cal
 from .base import ClusterPlan, StagingConfig, StagingLibrary, SteadyPlan
-from .batch import (
-    ActionBuilder,
-    BatchDecline,
-    BatchPlan,
-    BatchSchedule,
-    ShadowChains,
-    link_path,
-)
 from .decomposition import uniform_regions
 from .ndarray import Region
 from .store import FragmentStore
@@ -188,23 +179,6 @@ class Decaf(StagingLibrary):
         number of analytics processors used"."""
         return max(1, nana)
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        return dict(
-            global_store=self._snapshot_store(self.global_store),
-            staged_allocs=self._alloc_sizes(self._staged_allocs),
-            terminated_version=self._terminated_version,
-        )
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._staged_allocs = {
-            key: list(sizes)
-            for key, sizes in extras.get("staged_allocs", {}).items()
-        }
-        self._terminated_version = extras.get("terminated_version")
-
     # ---------------------------------------------------------- lifecycle
 
     def bootstrap(self) -> Generator:
@@ -318,226 +292,6 @@ class Decaf(StagingLibrary):
                     ) != self._chain_hops(srv_nodes[dst], ana_nodes[r]):
                         return None
         return ClusterPlan(sim_reps=a, ana_reps=b, server_reps=s, groups=g)
-
-    # ----------------------------------------------------- batch actors
-
-    def batch_plan(self, plan, write_regions, read_regions):
-        """Certify the clustered islands for whole-run compilation.
-
-        Only the fully decoupled 1:1:1 island compiles: one producer,
-        one dflow rank and one consumer whose ``count`` redistribution
-        is the literal identity, so each step is a single producer →
-        dflow → consumer chain with no share interleaving on shared
-        NICs.  The single-version window then totally orders transform,
-        move and consume per step.
-        """
-        if not (plan.sim_reps == plan.ana_reps == plan.server_reps == 1):
-            raise BatchDecline(
-                "batch: decaf compiles 1:1:1 islands only (wider islands "
-                "interleave redistribution shares on shared NICs)"
-            )
-        topo = self.topology
-        if (count_redistribution(0, topo.sim_actors, topo.server_actors)
-                != [(0, 1.0)]
-                or count_redistribution(0, topo.ana_actors, topo.server_actors)
-                != [(0, 1.0)]):
-            raise BatchDecline(
-                "batch: representative redistribution is not the identity"
-            )
-        if self._gate_window() != 1:
-            raise BatchDecline(
-                f"batch: a {self._gate_window()}-version window lets "
-                "phases overlap with no static order"
-            )
-        if self.steps < 1:
-            raise BatchDecline("batch: nothing to compile")
-        return BatchPlan(
-            library=self.name,
-            note=f"1:1:1 dataflow island x {self.steps} steps",
-        )
-
-    def batch_step(self, bplan, ctx):
-        """Compile the representative dataflow island into actions.
-
-        Same two-phase structure as the DataSpaces compiler: phase one
-        replays :meth:`put`/:meth:`get`'s tick recurrence on shadow
-        pipes (zero mutation, declines are safe), phase two claims the
-        frozen pipes, accounts the transport and emits the actions —
-        including the mid-chain rich-transform allocation
-        (:meth:`_stage_rich`) that lands at the move-completion tick,
-        one transform pause before the publish effects.
-        """
-        env = self.env
-        var = self.variable
-        topo = self.topology
-        transport = self.transport
-        steps = ctx.steps
-
-        # ---- runtime certificate checks (still mutation-free) ----
-        if ctx.sim_count != 1 or ctx.ana_count != 1 or not self.servers:
-            raise BatchDecline("batch: island is not 1:1:1 at runtime")
-        gate = self.gate
-        if gate is None or gate.window != 1:
-            raise BatchDecline("batch: gate window changed at runtime")
-        if gate.num_writers != 1 or gate.num_readers != 1:
-            raise BatchDecline("batch: gate group counts drifted")
-        if (self.recovery is not None or self.dead_ranks
-                or self._put_watchers
-                or self._terminated_version is not None):
-            raise BatchDecline("batch: chaos state armed")
-        if self._steady_tap is not None:
-            raise BatchDecline("batch: steady tap armed")
-        if ctx.persistent_buffers[0] is None:
-            raise BatchDecline("batch: producer buffer is not resident")
-
-        w_region = ctx.write_regions[0]
-        r_region = ctx.read_regions[0]
-        w_shares = count_redistribution(0, topo.sim_actors, topo.server_actors)
-        r_shares = count_redistribution(0, topo.ana_actors, topo.server_actors)
-        if w_shares != [(0, 1.0)] or r_shares != [(0, 1.0)]:
-            raise BatchDecline("batch: redistribution is not the identity")
-        server = self.servers[0]
-        sim_node = self.sim_endpoint(0).node
-        ana_node = self.ana_endpoint(0).node
-        srv_node = server.node
-        if sim_node is srv_node or srv_node is ana_node:
-            raise BatchDecline("batch: island endpoints share a node")
-        put_pipes, put_lat = link_path(
-            self.cluster, sim_node, srv_node, transport.overhead_factor
-        )
-        get_pipes, get_lat = link_path(
-            self.cluster, srv_node, ana_node, transport.overhead_factor
-        )
-        for pipe in put_pipes + get_pipes:
-            if not pipe._rate_frozen:
-                raise BatchDecline(
-                    f"batch: pipe {pipe.name!r} is not rate-frozen"
-                )
-
-        S = cal._TICK_SCALE
-        op_ticks = round(transport.op_latency * S)
-        total_w = var.region_bytes(w_region)
-        total_r = var.region_bytes(r_region)
-        # Verbatim put/get float expressions for the identity share.
-        transform_ticks = round(
-            total_w / self.topology.sim_scale / cal.DECAF_TRANSFORM_BW
-            * cal._TICK_SCALE
-        )
-        w_nbytes = total_w * w_shares[0][1]
-        r_nbytes = total_r * r_shares[0][1]
-        wire_w = self._wire_bytes(w_nbytes)
-        wire_r = self._wire_bytes(r_nbytes)
-        eff_w = wire_w * transport.overhead_factor
-        eff_r = wire_r * transport.overhead_factor
-        real_bytes = w_nbytes / self.topology.server_scale
-        rich_ticks = round(real_bytes / cal.DECAF_TRANSFORM_BW * S)
-
-        # ---- phase one: the tick recurrence over shadow pipes ----
-        shadow = ShadowChains()
-        boot = ctx.boot_tick
-        w_cursor = boot + ctx.sim_compute_ticks
-        r_cursor = boot
-        w_start = np.empty(steps, dtype=np.int64)   # put spawn ticks
-        move_end = np.empty(steps, dtype=np.int64)  # rich alloc instants
-        w_end = np.empty(steps, dtype=np.int64)     # publish instants
-        r_start = np.empty(steps, dtype=np.int64)   # get spawn ticks
-        r_end = np.empty(steps, dtype=np.int64)     # consume instants
-
-        for s in range(steps):
-            t0 = w_cursor
-            w_start[s] = t0
-            t = t0 + transform_ticks        # flatten into Bredala form
-            if s > 0 and int(r_end[s - 1]) > t:
-                t = int(r_end[s - 1])       # writer_acquire, window 1
-            t += op_ticks                   # MPI match/setup
-            t += put_lat                    # wire latency
-            for pipe in put_pipes:
-                t = shadow.claim(pipe, eff_w, t)
-            move_end[s] = t                 # rich transform alloc lands here
-            t += rich_ticks                 # server-side 7x transform
-            w_end[s] = t
-            w_cursor = t + ctx.sim_compute_ticks
-
-            g0 = r_cursor
-            r_start[s] = g0
-            t = g0
-            p = int(w_end[s])               # reader_wait on the version
-            if p > t:
-                t = p
-            t += op_ticks
-            t += get_lat
-            for pipe in get_pipes:
-                t = shadow.claim(pipe, eff_r, t)
-            r_end[s] = t
-            r_cursor = t + ctx.ana_compute_ticks
-
-        # ---- phase two: apply claims, counters and actions ----
-        shadow.apply()
-        for s in range(steps):
-            transport._account(wire_w)
-            transport._account(wire_r)
-
-        gstore = self.global_store
-
-        def rich_action(s):
-            def fx():
-                self._stage_rich(0, s, w_nbytes)
-            return fx
-
-        def put_effects(s, start_tick):
-            start_f = start_tick * _TICK
-
-            def fx():
-                gstore.put(var, s, w_region, None)
-                self._evict_old(s)
-                gate.publish(s)
-                self._record_put(total_w, env.now - start_f)
-            return fx
-
-        def get_effects(s, start_tick):
-            start_f = start_tick * _TICK
-
-            def fx():
-                gstore.assemble(var, s, r_region)
-                gate.reader_done(s)
-                self._record_get(total_r, env.now - start_f)
-            return fx
-
-        def alloc_action(tracker, nbytes, cell):
-            def fx():
-                cell[0] = tracker.allocate(nbytes, "staging-lib")
-            return fx
-
-        def free_action(tracker, cell):
-            def fx():
-                tracker.free(cell[0])
-                cell[0] = None
-            return fx
-
-        # The producer's flattened copy is resident (no per-step
-        # alloc/free); the consumer buffer cycles per step, freed after
-        # the consume effects exactly as the per-rank cascade orders it.
-        actions = ActionBuilder()
-        ana_tracker = ctx.ana_trackers[0]
-        ana_cell = [None]
-        for s in range(steps):
-            actions.add(int(move_end[s]), rich_action(s))
-            actions.add(int(w_end[s]), put_effects(s, int(w_start[s])))
-            actions.add(int(r_start[s]), alloc_action(
-                ana_tracker, ctx.ana_buffer_bytes, ana_cell,
-            ))
-            actions.add(int(r_end[s]), get_effects(s, int(r_start[s])))
-            actions.add(int(r_end[s]), free_action(ana_tracker, ana_cell))
-
-        sim_finish = int(w_end[steps - 1])
-        ana_finish = int(r_end[steps - 1]) + ctx.ana_compute_ticks
-        # A final no-op pins env.now to the run's true end-to-end tick.
-        actions.add(max(sim_finish, ana_finish), lambda: None)
-        return BatchSchedule(
-            actions=actions.build(),
-            sim_finish_tick=sim_finish,
-            ana_finish_tick=ana_finish,
-        )
 
     # ------------------------------------------------------ chaos hooks
 

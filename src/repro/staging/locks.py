@@ -134,30 +134,6 @@ class LockService:
             for name, lk in self._locks.items()
         ))
 
-    def snapshot(self) -> dict:
-        """Picklable record: acquire count + per-lock occupancy.
-
-        Waiter queues hold live events and are not captured; at a
-        certified steady boundary every lock's queue is empty (the
-        fingerprint includes queue lengths, so a non-empty queue would
-        have had to repeat — and captured boundaries sit between steps,
-        where nothing holds an RPC lock).
-        """
-        return dict(
-            acquires=self.acquires,
-            locks={
-                name: (lock._readers, lock._writer)
-                for name, lock in self._locks.items()
-            },
-        )
-
-    def restore_state(self, state: dict) -> None:
-        self.acquires = state["acquires"]
-        for name, (readers, writer) in state["locks"].items():
-            lock = self._lock(name)
-            lock._readers = readers
-            lock._writer = writer
-
     def lock_on_write(self, name: str, version: int) -> Generator:
         """Process: what ds_lock_on_write does under each lock_type."""
         self.acquires += 1

@@ -37,7 +37,6 @@ from ..hpc.units import fmt_bytes
 from ..transport import RdmaTransport, TcpTransport
 from . import calibration as cal
 from .base import ClusterPlan, StagingLibrary, SteadyPlan
-from .batch import BatchDecline
 from .decomposition import uniform_regions
 from .ndarray import Region
 from .store import FragmentStore
@@ -184,37 +183,6 @@ class Sst(StagingLibrary):
             state += self.cluster.pmem.steady_state()
         return state
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        extras = dict(
-            global_store=self._snapshot_store(self.global_store),
-            published={v: list(p) for v, p in self._published.items()},
-            queue_allocs=self._alloc_sizes(self._queue_allocs),
-            reading=dict(self._reading),
-            steps_discarded=self.steps_discarded,
-            discarded=sorted(self._discarded),
-            lost_versions=sorted(self._lost_versions),
-            restart_pending=self._restart_pending,
-        )
-        if self.config.pmem_checkpoint and self.cluster.pmem is not None:
-            extras["pmem"] = self.cluster.pmem.snapshot()
-        return extras
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._published = {
-            v: list(p) for v, p in extras.get("published", {}).items()
-        }
-        self._queue_allocs = dict(extras.get("queue_allocs", {}))
-        self._reading = dict(extras.get("reading", {}))
-        self.steps_discarded = extras.get("steps_discarded", 0)
-        self._discarded = set(extras.get("discarded", ()))
-        self._lost_versions = set(extras.get("lost_versions", ()))
-        self._restart_pending = extras.get("restart_pending", False)
-        if extras.get("pmem") is not None and self.cluster.pmem is not None:
-            self.cluster.pmem.restore_state(extras["pmem"])
-
     # ------------------------------------------------------- clustering
 
     def clustering_plan(
@@ -274,23 +242,6 @@ class Sst(StagingLibrary):
                 if self._chain_hops(sim_nodes[j * k + p], ana_nodes[j]) != base[p]:
                     return None
         return ClusterPlan(sim_reps=k, ana_reps=1, server_reps=0, groups=m)
-
-    # ----------------------------------------------------- batch actors
-
-    def batch_plan(self, plan, write_regions, read_regions):
-        """SST never batch-compiles.
-
-        The bounded step queue couples successive versions across the
-        writer/reader pacing boundary: whether a put blocks (and for
-        how long) depends on when the reader released the slot, so the
-        chains are order-dependent and no static tick recurrence can
-        reproduce them.
-        """
-        raise BatchDecline(
-            "batch: sst's bounded step queue couples successive versions "
-            "across the writer/reader pacing boundary; chains are "
-            "order-dependent"
-        )
 
     # --------------------------------------------------------------- put
 

@@ -22,15 +22,14 @@ from ..hpc.cluster import Cluster
 from ..hpc.failures import HpcError
 from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
-from ..sim.engine import EXACT_TICK_LIMIT, _TICK, _TICK_SCALE
+from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..staging import calibration as cal
 from ..staging.base import StagingLibrary
-from ..staging.batch import BatchContext, BatchDecline
 from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
 from .catalog import WorkflowSpec, get_workflow
-from .fidelity import STEADY_SKIPPED, STEADY_SUPERSEDED, resolve_fidelity
+from .fidelity import resolve_fidelity
 from .trace import ActivityTrace
 
 #: simulated seconds of application initialization before the staging
@@ -443,10 +442,12 @@ class RunResult:
 
     @property
     def batch_fallback(self) -> Optional[str]:
-        """The first ``batch:`` entry of :attr:`fidelity_log`, if any."""
-        return next(
-            (e for e in self.fidelity_log if e.startswith("batch: ")), None
-        )
+        """Always None: no batch tier is left to decline.
+
+        Kept only because ``benchmarks/e2e/tracing.py`` still reads it;
+        remove it together with that read.
+        """
+        return None
 
     @property
     def staging_time(self) -> float:
@@ -516,16 +517,9 @@ def run_coupled(
     :meth:`~repro.staging.base.StagingLibrary.steady_plan`).
     ``fidelity="steady+clustered"`` composes both reductions.  Either
     falls back automatically (to clustered or exact) whenever the
-    library declines a certificate or no boundary pair matches.
-
-    Every clustered request also tries the vectorized batch-actor
-    engine (see :mod:`repro.staging.batch`): the library may compile
-    the whole step loop into one precomputed action schedule instead of
-    per-rank generator chains — byte-identical results, far fewer
-    events.  When it engages, ``RunResult.fidelity`` reads
-    ``"clustered+batch"`` and it supersedes the steady fast-forward
-    (the whole run is already closed-form).  Which tiers engage is
-    decided by :func:`~repro.workflows.fidelity.resolve_fidelity`;
+    library declines a certificate or no boundary pair matches.  Which
+    tiers engage is decided by
+    :func:`~repro.workflows.fidelity.resolve_fidelity`;
     ``RunResult.fidelity_log`` records why every other requested tier
     did not.
 
@@ -821,7 +815,7 @@ def _execute(env, cluster, library, result, spec, point,
         point, library, write_regions, read_regions, traced=trace is not None
     )
     result.fidelity_log = decision.log
-    plan, bplan = decision.plan, decision.bplan
+    plan = decision.plan
     if plan is not None and library is not None:
         library.active_writers = plan.sim_reps
         library.active_readers = plan.ana_reps
@@ -891,12 +885,6 @@ def _execute(env, cluster, library, result, spec, point,
                     library.client_buffer_mult * bytes_per_sim_proc,
                     "staging-lib",
                 )
-        yield from sim_loop(i, tracker, persistent_buffer)
-
-    def sim_loop(i: int, tracker, persistent_buffer):
-        # The step-loop body, shared by the per-rank actors above and
-        # the group actor's runtime-decline fallback below.
-        name = f"sim{i}"
         for step in range(steps):
             if steady is not None and steady.stop(name, step):
                 return  # remaining steps are replayed by translation
@@ -934,10 +922,6 @@ def _execute(env, cluster, library, result, spec, point,
         mark(name, "init", t0)
         if library is not None:
             tracker.allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-        yield from ana_loop(j, tracker)
-
-    def ana_loop(j: int, tracker):
-        name = f"ana{j}"
         for step in range(steps):
             if steady is not None and steady.stop(name, step):
                 return  # remaining steps are replayed by translation
@@ -967,86 +951,9 @@ def _execute(env, cluster, library, result, spec, point,
                 steady.record(name, step, phases)
         finish["ana"] = max(finish["ana"], env.now)
 
-    # Batch dispatch: one group actor stands in for every per-rank
-    # generator.  It replays the per-rank boot-time allocations in the
-    # same per-tracker order (each client actor owns its node under the
-    # certified plans, so cross-tracker interleaving is unobservable),
-    # hands the library a compilation context, and either schedules the
-    # compiled actions or — on a runtime decline, before any mutation —
-    # spawns the exact per-rank step loops in place.
-    batch_engaged = False
-
-    def group_actor():
-        nonlocal batch_engaged
-        for i in range(sim_count):
-            sim_trackers[i].allocate(
-                spec.sim_calc_bytes(bytes_per_sim_proc), "calculation"
-            )
-        for j in range(ana_count):
-            ana_trackers[j].allocate(
-                spec.ana_calc_bytes(bytes_per_ana_proc), "calculation"
-            )
-        yield boot_done
-        persistent = []
-        for i in range(sim_count):
-            tracker = sim_trackers[i]
-            tracker.allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-            buffer = None
-            if library.client_buffer_persistent:
-                buffer = tracker.allocate(
-                    library.client_buffer_mult * bytes_per_sim_proc,
-                    "staging-lib",
-                )
-            persistent.append(buffer)
-        for j in range(ana_count):
-            ana_trackers[j].allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-        ctx = BatchContext(
-            sim_count=sim_count,
-            ana_count=ana_count,
-            steps=steps,
-            boot_tick=env._now_tick,
-            sim_compute_ticks=round(sim_compute * _TICK_SCALE),
-            ana_compute_ticks=round(ana_compute * _TICK_SCALE),
-            write_regions=write_regions,
-            read_regions=read_regions,
-            sim_trackers=sim_trackers,
-            ana_trackers=ana_trackers,
-            persistent_buffers=persistent,
-            sim_buffer_bytes=library.client_buffer_mult * bytes_per_sim_proc,
-            ana_buffer_bytes=library.client_buffer_mult * bytes_per_ana_proc,
-        )
-        try:
-            schedule = library.batch_step(bplan, ctx)
-        except BatchDecline as exc:
-            # The per-rank step loops run in place, without the steady
-            # fast-forward the resolver dropped for this compilation.
-            log = result.fidelity_log
-            if log[-1:] == (STEADY_SUPERSEDED,):
-                log = log[:-1] + (str(exc), STEADY_SKIPPED)
-            else:
-                log += (str(exc),)
-            result.fidelity_log = log
-            loops = [
-                env.process(sim_loop(i, sim_trackers[i], persistent[i]))
-                for i in range(sim_count)
-            ]
-            loops += [
-                env.process(ana_loop(j, ana_trackers[j]))
-                for j in range(ana_count)
-            ]
-            yield env.all_of(loops)
-            return
-        batch_engaged = True
-        finish["sim"] = schedule.sim_finish_tick * _TICK
-        finish["ana"] = schedule.ana_finish_tick * _TICK
-        yield env.schedule_batch(schedule.actions)
-
     procs = [env.process(booter(env))]
-    if bplan is not None:
-        procs.append(env.process(group_actor()))
-    else:
-        procs += [env.process(sim_actor(i)) for i in range(sim_count)]
-        procs += [env.process(ana_actor(j)) for j in range(ana_count)]
+    procs += [env.process(sim_actor(i)) for i in range(sim_count)]
+    procs += [env.process(ana_actor(j)) for j in range(ana_count)]
 
     def main(env):
         yield env.all_of(procs)
@@ -1084,9 +991,6 @@ def _execute(env, cluster, library, result, spec, point,
     else:
         env.run(until=done)
 
-    if batch_engaged:
-        result.fidelity = "clustered+batch"
-
     steady_end = None
     fork_partial = None
     if steady is not None and steady.engaged:
@@ -1100,7 +1004,7 @@ def _execute(env, cluster, library, result, spec, point,
         else:
             from ..core import forkpoint
 
-            fork_partial, decline = forkpoint.begin_capture(env, steady, library)
+            fork_partial, decline = forkpoint.begin_capture(steady, library)
             if fork_partial is None:
                 result.fidelity_log += (decline,)
         # Replay mutates the library stats and memory series in place,
@@ -1125,12 +1029,9 @@ def _execute(env, cluster, library, result, spec, point,
         result.bytes_staged = library.stats.bytes_staged
         peaks = library.server_memory_peaks()
         if plan is not None and plan.groups > 1 and plan.server_reps:
-            # Only the representative servers saw staged data; extend
-            # their peaks to the full list per the plan's tiling.
-            if plan.server_tiling == "leader":
-                peaks = peaks[:1] + peaks[1:2] * (len(peaks) - 1)
-            else:
-                peaks = peaks[: plan.server_reps] * plan.groups
+            # Only the representative servers saw staged data; each
+            # group's servers behave alike.
+            peaks = peaks[: plan.server_reps] * plan.groups
         result.server_memory_peaks = peaks
         if library.servers:
             result.server_memory = library.servers[0].memory.series

@@ -12,8 +12,6 @@ The record is a tuple of ``"<tier>: <reason>"`` strings, one entry per
 requested tier that did not engage, in tier order:
 
 * ``clustered`` — requested by ``"clustered"``/``"steady+clustered"``;
-* ``batch`` — the whole-run compilation, requested whenever clustered
-  is (see :mod:`repro.staging.batch`);
 * ``steady`` — the periodic-orbit fast-forward, requested by
   ``"steady"``/``"steady+clustered"``;
 * ``prefix`` — publishing a reusable steady-boundary snapshot (see
@@ -21,9 +19,9 @@ requested tier that did not engage, in tier order:
   missing snapshot, so ``prefix`` only gets an entry when steady
   engaged and the snapshot still could not be published.
 
-The driver appends the declines only a run can discover (a runtime
-``BatchDecline``, an orbit that never matched or diverged, a boundary
-capture refusal) and stores the result in ``RunResult.fidelity_log``.
+The driver appends the declines only a run can discover (an orbit that
+never matched or diverged, a boundary capture refusal) and stores the
+result in ``RunResult.fidelity_log``.
 """
 
 from __future__ import annotations
@@ -32,17 +30,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..staging.base import ClusterPlan, SteadyPlan
-from ..staging.batch import BatchDecline, BatchPlan
 
 CLUSTERED = ("clustered", "steady+clustered")
 STEADY = ("steady", "steady+clustered")
-
-#: the steady entry of a run whose batch compilation engaged
-STEADY_SUPERSEDED = "steady: superseded by the batch-actor compilation"
-#: what that entry becomes when ``batch_step`` then declines at runtime
-STEADY_SKIPPED = (
-    "steady: skipped for a batch compilation that then declined at runtime"
-)
 
 
 @dataclass(frozen=True)
@@ -51,8 +41,6 @@ class FidelityDecision:
 
     #: representative-group plan (None: every actor runs)
     plan: Optional[ClusterPlan] = None
-    #: whole-run compilation certificate (None: per-rank chains run)
-    bplan: Optional[BatchPlan] = None
     #: steady fast-forward certificate (None: no orbit is sought)
     steady: Optional[SteadyPlan] = None
     #: ``"<tier>: <reason>"`` for every requested tier that declined
@@ -61,17 +49,17 @@ class FidelityDecision:
 
 def resolve_fidelity(point, library, write_regions, read_regions,
                      traced: bool) -> FidelityDecision:
-    """Decide the clustered, batch and steady tiers of one run.
+    """Decide the clustered and steady tiers of one run.
 
     ``point`` is the resolved ``run_coupled`` point (the dict behind the
     cache key); ``library`` is the built staging library, or None for a
     compute-only baseline.  Pure: the library's certificates are
     consulted but nothing is mutated.
 
-    Traced runs need every actor, hop and step; fault injection breaks
-    symmetry, rewires chains mid-run and breaks periodicity; a recovery
-    policy can arm mid-run behaviour (e.g. DRC credential retries) that
-    neither a compiled schedule nor the orbit fingerprint vouches for.
+    Traced runs need every actor and step; fault injection breaks
+    symmetry and periodicity; a recovery policy can arm mid-run
+    behaviour (e.g. DRC credential retries) the orbit fingerprint does
+    not vouch for.
     """
     fidelity = point["fidelity"]
     fault_plan = point["fault_plan"]
@@ -95,45 +83,9 @@ def resolve_fidelity(point, library, write_regions, read_regions,
                     "provably identical groups"
                 )
 
-    bplan = None
-    if fidelity in CLUSTERED:
-        if traced:
-            log.append("batch: traced run records every hop")
-        elif fault_plan is not None:
-            log.append("batch: fault injection mutates chains mid-run")
-        elif recovery is not None:
-            log.append("batch: recovery policy arms mid-run behaviour")
-        elif library is None:
-            log.append("batch: compute-only baseline has no chains to compile")
-        elif plan is None and not library.batch_full_group:
-            log.append("batch: clustered fidelity did not engage")
-        else:
-            if plan is None:
-                # Contended-path libraries compile the trivial full-group
-                # plan (every rank a representative) when the requested
-                # clustering declined; ``plan`` itself stays None so the
-                # run keeps its honest fidelity label.
-                topo = library.topology
-                target = ClusterPlan(
-                    sim_reps=topo.sim_actors,
-                    ana_reps=topo.ana_actors,
-                    server_reps=topo.server_actors if library.has_servers else 0,
-                    groups=1,
-                )
-            else:
-                target = plan
-            try:
-                bplan = library.batch_plan(target, write_regions, read_regions)
-            except BatchDecline as exc:
-                log.append(str(exc))
-
     steady = None
     if fidelity in STEADY:
-        if bplan is not None:
-            # The compiled schedule replaces every step with closed-form
-            # arithmetic: no step loop is left to fast-forward.
-            log.append(STEADY_SUPERSEDED)
-        elif traced:
+        if traced:
             log.append("steady: traced run records every step")
         elif fault_plan is not None:
             log.append("steady: fault injection breaks periodicity")
@@ -156,5 +108,4 @@ def resolve_fidelity(point, library, write_regions, read_regions,
                 )
                 steady = None
 
-    return FidelityDecision(plan=plan, bplan=bplan, steady=steady,
-                            log=tuple(log))
+    return FidelityDecision(plan=plan, steady=steady, log=tuple(log))

@@ -1,10 +1,7 @@
 """Checkpoint-fork snapshots (:mod:`repro.core.forkpoint`).
 
-Four properties back the fork machinery:
+Three properties back the fork machinery:
 
-* **round-trip** — ``snapshot()``/``restore()`` on every staging
-  library is lossless: a restored instance re-snapshots to the same
-  record;
 * **byte-identity** — a prefix-restored steps variant and an
   ``os.fork``-ed fault variant reproduce the cold run's RunResult
   float for float (forking never changes bytes, only wall-clock);
@@ -18,27 +15,12 @@ Four properties back the fork machinery:
 
 import math
 
-import pytest
-
-from repro.chaos.campaign import CELL, WATCHDOG, _ext_config
+from repro.chaos.campaign import CELL, WATCHDOG
 from repro.chaos.faults import FaultEvent, FaultPlan
 from repro.core import forkpoint, runcache
 from repro.core.forkpoint import PREFIX_EXCLUDES
 from repro.sim.monitor import TimeSeries
 from repro.workflows import driver, run_coupled
-
-MACHINES = ("titan", "cori")
-
-#: the six snapshot-capable staging methods and a config that builds
-#: each (SST and pmem-tier MPI-IO only exist behind a StagingConfig)
-LIBRARY_CONFIGS = {
-    "dataspaces": None,
-    "dimes": None,
-    "flexpath": None,
-    "decaf": None,
-    "mpiio": _ext_config("mpiio", True),  # pmem slabs ride the extras
-    "sst": _ext_config("sst", False),
-}
 
 #: a config whose steady certificate engages (cori certifies every
 #: library at this scale), so prefix snapshots actually publish
@@ -69,39 +51,6 @@ def assert_float_identical(a, b):
                 f.name, x, y)
         else:
             assert x == y, (f.name, x, y)
-
-
-# ---------------------------------------------------- library round-trips
-
-
-class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("machine", MACHINES)
-    @pytest.mark.parametrize("method", sorted(LIBRARY_CONFIGS))
-    def test_snapshot_restore_resnapshot(self, machine, method):
-        result = fresh_run(machine=machine, method=method,
-                           config=LIBRARY_CONFIGS[method], **CELL)
-        library = result.library
-        assert library is not None
-        first = library.snapshot()
-        library.restore(first)
-        assert library.snapshot() == first
-
-    def test_snapshot_is_picklable(self):
-        import pickle
-
-        result = fresh_run(machine="titan", method="mpiio",
-                           config=LIBRARY_CONFIGS["mpiio"], **CELL)
-        snap = result.library.snapshot()
-        assert snap["extras"]["pmem"] is not None  # the slab census rode
-        clone = pickle.loads(pickle.dumps(snap))
-        result.library.restore(clone)
-        assert result.library.snapshot() == snap
-
-    def test_wrong_library_refuses(self):
-        result = fresh_run(machine="titan", method="dataspaces", **CELL)
-        other = fresh_run(machine="titan", method="decaf", **CELL)
-        with pytest.raises(ValueError, match="cannot restore"):
-            other.library.restore(result.library.snapshot())
 
 
 # ------------------------------------------------ prefix-restored variants
@@ -141,7 +90,7 @@ class TestPrefixRestore:
 
     def test_restored_log_equals_cold_log(self):
         # cori/flexpath steady+clustered engages steady but logs the
-        # clustered and batch declines: a restored result must carry
+        # clustered decline: a restored result must carry
         # exactly the log a cold run of the same steps records
         kwargs = dict(machine="cori", method="flexpath", nsim=32, nana=16,
                       fidelity="steady+clustered")

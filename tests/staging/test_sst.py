@@ -223,12 +223,6 @@ class TestFidelityCertificates:
         plain = _coupled("cori", "clustered")
         assert plain.fidelity == "clustered"
 
-    def test_batch_always_declines_with_a_recorded_reason(self):
-        result = _coupled("cori", "clustered")
-        assert result.ok
-        assert result.fidelity == "clustered"  # engaged, but not batch
-        assert "bounded step queue" in result.batch_fallback
-
     def test_short_runs_record_the_warmup_decline(self):
         """steps=5 under queue_size=4 leaves no room past the warm-up."""
         result = _coupled(

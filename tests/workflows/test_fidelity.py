@@ -1,17 +1,20 @@
 """The fidelity resolver against exact simulation, on drawn configurations.
 
 Every reduction a ``steady+clustered`` request can engage (clustered,
-batch, steady) must reproduce ``fidelity="exact"`` float for float, and
-every requested tier that did not engage must say why with exactly one
+steady) must reproduce ``fidelity="exact"`` float for float, and every
+requested tier that did not engage must say why with exactly one
 ``"<tier>: <reason>"`` entry in ``RunResult.fidelity_log``.  Hypothesis
-draws the configurations instead of the hand-picked Figure 2 cells.
+draws the configurations; the hand-picked Figure 2 cells pin which
+tiers engage, so a certificate that silently stops firing fails here.
 """
 
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.figures import FIG2_METHODS
 from repro.sim.monitor import TimeSeries
 
 from .test_perf_modes import fresh_run
@@ -19,7 +22,16 @@ from .test_perf_modes import fresh_run
 #: fields that record how a result was computed, not what it computed
 HOW = ("fidelity", "fidelity_log", "forked", "library")
 
-TIERS = ("clustered", "batch", "steady", "prefix")
+TIERS = ("clustered", "steady", "prefix")
+
+#: the tier every Figure 2 LAMMPS (32,16) ``steady+clustered`` cell
+#: engages; the cells missing here run exact
+FIG2_LABELS = {
+    ("titan", "mpiio"): "steady",
+    ("cori", "mpiio"): "steady",
+    ("cori", "flexpath"): "steady",
+    ("cori", "decaf"): "steady+clustered",
+}
 
 
 def assert_same_physics(a, b):
@@ -61,10 +73,21 @@ def test_steady_clustered_matches_exact_or_logs_why(
     log = reduced.fidelity_log
     assert all(entry.split(": ", 1)[0] in TIERS for entry in log), log
     label = set(reduced.fidelity.split("+"))
-    for tier in ("clustered", "batch", "steady"):
+    for tier in ("clustered", "steady"):
         entries = [e for e in log if e.startswith(f"{tier}: ")]
         assert len(entries) <= 1, (tier, log)
         assert tier in label or len(entries) == 1, (tier, reduced.fidelity, log)
     prefix = [e for e in log if e.startswith("prefix: ")]
     assert len(prefix) <= 1, log
     assert not prefix or "steady" in label, log
+
+
+@pytest.mark.parametrize("machine", ["titan", "cori"])
+@pytest.mark.parametrize("method", FIG2_METHODS)
+def test_fig2_cell_fidelity_labels(machine, method):
+    result = fresh_run(machine=machine, method=method, workflow="lammps",
+                       nsim=32, nana=16, steps=5,
+                       fidelity="steady+clustered")
+    assert result.fidelity == FIG2_LABELS.get((machine, method), "exact"), (
+        result.fidelity_log
+    )

@@ -7,14 +7,13 @@ Two properties back the performance work of this repo:
   what makes the run cache and the golden files sound);
 * **clustered == exact** — when ``fidelity="clustered"`` engages, the
   representative-group run must reproduce the exact run bit for bit,
-  and it must *refuse* to engage whenever a structural coupling (DRC,
-  non-uniform hops, mismatched layouts...) would break that.
+  and it must *refuse* to engage whenever a structural coupling
+  (non-uniform hops, shared services...) would break that.
 """
 
 import pytest
 
 from repro.core import runcache
-from repro.staging.ndarray import Variable
 from repro.workflows import run_coupled
 
 SCALAR_FIELDS = (
@@ -64,14 +63,6 @@ class TestDeterminism:
 
 # ------------------------------------------------ clustered equivalence
 
-MATCHED = dict(
-    method="dataspaces", workflow="synthetic", nsim=8, nana=8,
-    num_servers=8, transport="tcp", variable=Variable("v", (8192, 64)),
-    app_axis=0,
-    topology_overrides=dict(sim_ranks_per_node=1, ana_ranks_per_node=1),
-)
-
-
 class TestClusteredEquivalence:
     @pytest.mark.parametrize("machine", ["titan", "cori"])
     @pytest.mark.parametrize(
@@ -82,10 +73,8 @@ class TestClusteredEquivalence:
             # Decaf islands: uniform one-hop distances on Cori's
             # dragonfly; Titan's torus hops vary with placement offset
             (dict(method="decaf", nsim=512, nana=256), {"titan": False, "cori": True}),
-            # matched-layout DataSpaces over sockets: isolated chains
-            (MATCHED, {"titan": True, "cori": True}),
         ],
-        ids=["compute-only", "decaf", "dataspaces-matched"],
+        ids=["compute-only", "decaf"],
     )
     def test_bitwise_equal_and_engagement(self, machine, kwargs, engages):
         exact = fresh_run(machine=machine, fidelity="exact", **kwargs)
@@ -94,20 +83,6 @@ class TestClusteredEquivalence:
         assert clustered.fidelity == expected
         assert exact.fidelity == "exact"
         assert_identical(exact, clustered, ignore=("fidelity",))
-
-    def test_drc_blocks_clustering_on_cori(self):
-        # uGNI on Cori goes through the single DRC credential service,
-        # which staggers the chains: the mode must refuse.
-        result = fresh_run(machine="cori", fidelity="clustered",
-                           **{**MATCHED, "transport": "ugni"})
-        assert result.fidelity == "exact"
-
-    def test_mismatched_layout_blocks_clustering(self):
-        # LAMMPS decomposes axis 1 while the partition splits axis 2:
-        # every writer touches every server (the Finding-3 herd).
-        result = fresh_run(machine="cori", fidelity="clustered",
-                           method="dataspaces", nsim=512, nana=256)
-        assert result.fidelity == "exact"
 
     def test_clustered_runs_fewer_actors(self):
         # The point of the mode: representative chains, same numbers.

@@ -51,13 +51,8 @@ class TestSteadyEquivalence:
                       steps=8)
         exact = fresh_run(fidelity="exact", **kwargs)
         composed = fresh_run(fidelity="steady+clustered", **kwargs)
-        # "clustered+batch": a requested clustering that declined can
-        # still compile as the full contended group (batch supersedes
-        # the steady fast-forward) — bit-identity is asserted below
-        # either way.
         assert composed.fidelity in (
-            "steady+clustered", "steady", "clustered", "clustered+batch",
-            "exact"
+            "steady+clustered", "steady", "clustered", "exact"
         )
         assert_identical(exact, composed, ignore=("fidelity",))
 

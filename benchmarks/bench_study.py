@@ -474,9 +474,9 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
 def _results_identical(a, b) -> bool:
     """Field-by-field RunResult equality, NaN-aware, fork-metadata blind.
 
-    ``forked`` is provenance, not physics; ``library``
-    is a live object.  TimeSeries lacks ``__eq__`` and aborted runs
-    carry NaN finish times, so both need explicit handling.
+    ``forked`` is provenance, not physics.  TimeSeries lacks ``__eq__``
+    and aborted runs carry NaN finish times, so both need explicit
+    handling.
     """
     import dataclasses
     import math
@@ -484,7 +484,7 @@ def _results_identical(a, b) -> bool:
     from repro.sim.monitor import TimeSeries
 
     for f in dataclasses.fields(a):
-        if f.name in ("library", "forked"):
+        if f.name == "forked":
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):

@@ -40,8 +40,6 @@ def _verify_finding2() -> bool:
     result = run_coupled("titan", "laplace", "decaf", nsim=64, nana=32, steps=2)
     if not result.ok:
         return False
-    # Use the echoed inputs, not result.library: cached/worker-shipped
-    # results travel without the live library object.
     raw_per_server = result.variable_nbytes / result.nservers
     peak = max(result.server_memory_peaks)
     return peak > 5 * raw_per_server

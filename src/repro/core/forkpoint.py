@@ -31,7 +31,7 @@ event loop for free.  The child arms the real
 :class:`~repro.chaos.faults.FaultInjector` machinery in the positions
 the cold run would have used (fault times are already integer ticks, so
 quantized injection after the fork is exact; put-watchers re-arm before
-the triggering put) and ships its stripped ``RunResult`` back over a
+the triggering put) and ships its ``RunResult`` back over a
 temp file.  Anything the protocol cannot reproduce byte-for-byte
 declines honestly — multi-event plans, faults at t=0 (no shared
 prefix), put triggers that overshoot inside one event step — and the
@@ -48,7 +48,6 @@ window, and the chaos protocol declines above.
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 import sys
@@ -610,17 +609,14 @@ class ChaosForkHost:
     def finalize_run(self, result) -> None:
         """run_coupled hook, after the attempt and before the cache put.
 
-        In a child: ship the stripped result to the parent and exit —
-        the child must never reach the parent's cache or return to the
-        campaign loop.  In the parent (trunk): drop the inert watcher
-        so the trunk result carries no fork-host residue.
+        In a child: ship the result to the parent and exit — the child
+        must never reach the parent's cache or return to the campaign
+        loop.  In the parent (trunk): drop the inert watcher so the
+        trunk result carries no fork-host residue.
         """
         if self.in_child:
-            stripped = copy.copy(result)
-            stripped.library = None
-            stripped.__dict__.pop("_forkpoint_snapshot", None)
             with open(self._child_path, "wb") as fh:
-                pickle.dump(stripped, fh)
+                pickle.dump(result, fh)
             os._exit(0)
         if self._watched_library is not None:
             self._watched_library._put_watchers.clear()

@@ -27,9 +27,7 @@ Layers:
 * **in-process** — always on; maps key -> the RunResult object.
   Callers treat results as read-only, so sharing is safe.
 * **on disk** — opt-in via :func:`enable_disk` (the ``--cache DIR``
-  flag of ``python -m repro study``); results are pickled without the
-  ``library`` field (a live library holds generators and simulation
-  state that neither pickle nor belong in a cache).
+  flag of ``python -m repro study``); results are pickled as stored.
 
 The disk layer is safe to share between concurrent processes (the
 ``--jobs N`` worker pool does): every write lands in a unique temp
@@ -41,7 +39,6 @@ recomputed) rather than an error.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import os
@@ -144,8 +141,6 @@ class RunCache:
         self._memory[key] = result
         self.stores += 1
         if self.disk_dir is not None:
-            stripped = copy.copy(result)
-            stripped.library = None
             try:
                 os.makedirs(self.disk_dir, exist_ok=True)
                 # A unique temp file per writer + atomic replace keeps
@@ -156,7 +151,7 @@ class RunCache:
                 )
                 try:
                     with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(stripped, fh)
+                        pickle.dump(result, fh)
                     os.replace(tmp, self._path(key))
                 except BaseException:
                     os.unlink(tmp)

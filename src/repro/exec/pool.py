@@ -5,7 +5,8 @@ from scratch, so the machine/workflow registries (whose singleton
 identity gates the run cache) are rebuilt per worker, and no simulator
 state leaks between the parent and its children.  Tasks travel as
 canonical ``run_coupled`` kwargs (machines and workflows by name);
-results come back as library-stripped :class:`RunResult` objects.
+results come back as the :class:`RunResult` objects the workers'
+``run_coupled`` returned and cached.
 
 * :meth:`WorkerPool.start` spawns every worker; each pre-imports the
   whole simulator before it signals ready, so the interpreter + import
@@ -177,10 +178,6 @@ def _execute_spec(spec: Dict[str, Any], attempt: int):
     hits_before = runcache.CACHE.hits
     result = run_coupled(**spec)
     cache_hit = runcache.CACHE.hits > hits_before
-    # Live simulator state neither pickles nor ships.  Stripping the
-    # cached object itself also frees it here: a resident worker's run
-    # cache would otherwise keep every simulation it ever ran alive.
-    result.library = None
     return result, cache_hit
 
 

@@ -28,7 +28,13 @@ from .topology import make_topology
 
 
 class Cluster:
-    """One booted machine inside a simulation environment."""
+    """One booted machine inside a simulation environment.
+
+    Nodes, the Lustre filesystem and the persistent-memory tier are
+    built lazily, on first touch, and frozen at birth once
+    :meth:`freeze_rates` has run: a run pays only for the parts of the
+    machine it uses.
+    """
 
     def __init__(self, env: Environment, spec: MachineSpec) -> None:
         self.env = env
@@ -37,7 +43,7 @@ class Cluster:
         self._links: Dict[tuple, Link] = {}
         self._rates_frozen = False
         self.topology = make_topology(spec.interconnect.topology, spec.num_nodes)
-        self.lustre = LustreFilesystem(env, spec.lustre)
+        self._lustre: Optional[LustreFilesystem] = None
         self._pmem: Optional[PmemDevice] = None
         self.drc: Optional[DrcService] = (
             DrcService(env, max_pending=spec.drc_max_pending)
@@ -49,19 +55,34 @@ class Cluster:
         """Promise no pipe rate changes for the rest of the run.
 
         Freezes the Lustre OSTs and every node's NIC and memory-bus
-        pipe — including nodes created later, since they are built
-        lazily on first touch.  The driver arms this for every run
-        without a fault plan: a :class:`~repro.chaos.faults.FaultPlan`
-        is the only mechanism that can ``degrade()`` a rate mid-run,
-        so everything else may run the eventless arithmetic chains.
+        pipe — including nodes, OSTs and the PMEM tier created later,
+        since they are built lazily on first touch.  The driver arms
+        this for every run without a fault plan: a
+        :class:`~repro.chaos.faults.FaultPlan` is the only mechanism
+        that can ``degrade()`` a rate mid-run, so everything else may
+        run the eventless arithmetic chains.
         """
         self._rates_frozen = True
-        self.lustre.freeze_rates()
+        if self._lustre is not None:
+            self._lustre.freeze_rates()
         if self._pmem is not None:
             self._pmem.freeze_rates()
         for node in self._nodes.values():
             node.nic.freeze_rate()
             node.membus.freeze_rate()
+
+    @property
+    def lustre(self) -> LustreFilesystem:
+        """The machine's Lustre filesystem, created on first use.
+
+        Lazy like the nodes: only MPI-IO runs and ``ost_slow`` faults
+        touch it, so every other run skips building the OST pool.
+        """
+        if self._lustre is None:
+            self._lustre = LustreFilesystem(self.env, self.spec.lustre)
+            if self._rates_frozen:
+                self._lustre.freeze_rates()
+        return self._lustre
 
     @property
     def pmem(self) -> Optional[PmemDevice]:

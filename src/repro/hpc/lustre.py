@@ -59,11 +59,10 @@ class LustreFilesystem:
         self._mds = Resource(env, capacity=spec.num_mds)
         self._next_ost = 0
         self._rates_frozen = False
-        # Vectorized frozen-mode state (authoritative once frozen; the
-        # per-pipe attributes go stale — see freeze_rates):
-        self._chain_ticks = None  # np.int64[num_osts]: chain end ticks
-        self._busy = None  # np.float64[num_osts]: busy_time mirror
-        self._moved = None  # np.float64[num_osts]: bytes_moved mirror
+        # Frozen-mode chain end ticks, np.int64[num_osts] (authoritative
+        # once frozen; the per-pipe attributes go stale — see
+        # freeze_rates)
+        self._chain_ticks = None
         self._plan_memo: dict = {}
         self.bytes_written = 0
         self.bytes_read = 0
@@ -75,10 +74,10 @@ class LustreFilesystem:
         The driver calls this for every run without a fault plan — the
         OST pipes then resolve whole request bursts arithmetically,
         without creating any events (see :meth:`_transfer`).  While
-        frozen, the pool's chain/stats state lives in numpy arrays (one
-        entry per OST) so a request touching hundreds of OSTs updates
-        them with a handful of array operations; the per-pipe
-        attributes are stale until :meth:`sync_frozen_stats`.
+        frozen, the pool's chain state lives in one numpy array (an end
+        tick per OST) so a request touching hundreds of OSTs updates it
+        with a handful of array operations; the per-pipe chain and
+        busy/bytes counters are left stale, and nothing reads them.
         """
         if self._rates_frozen:
             return
@@ -88,17 +87,6 @@ class LustreFilesystem:
         self._chain_ticks = np.array(
             [ost._chain_end_tick for ost in self._osts], dtype=np.int64
         )
-        self._busy = np.array([ost.busy_time for ost in self._osts])
-        self._moved = np.array([float(ost.bytes_moved) for ost in self._osts])
-
-    def sync_frozen_stats(self) -> None:
-        """Copy the frozen-mode array state back onto the OST pipes."""
-        if not self._rates_frozen:
-            return
-        for i, ost in enumerate(self._osts):
-            ost.busy_time = float(self._busy[i])
-            ost.bytes_moved = float(self._moved[i])
-            ost._chain_end_tick = int(self._chain_ticks[i])
 
     def osts_steady_state(self) -> tuple:
         """Boundary fingerprint of the whole OST pool.
@@ -211,11 +199,10 @@ class LustreFilesystem:
 
         Groups the reference :meth:`_stripe_transfers` output by (run
         sequence, rate): OSTs in one class receive the *same* chunk
-        duration sequence, so their accumulator folds and completion
-        offsets are computed together.  Each class precomputes the
-        per-chunk duration vector (``fill``), the burst length in ticks
-        and the per-OST byte count; all float math matches the chunk-
-        by-chunk reference additions bit for bit (np.add.accumulate is
+        duration sequence, so they share one burst length.  Each class
+        is ``(osts, ticks)``: the OST indices and the burst length in
+        ticks, folded from the per-chunk durations with the chunk-by-
+        chunk reference additions bit for bit (np.add.accumulate is
         sequential left-to-right in double precision).
         """
         classes: dict = {}
@@ -232,15 +219,9 @@ class LustreFilesystem:
             counts = np.array([n for _, n in runs])
             fill = np.repeat(pieces / rate, counts)
             total = float(np.add.accumulate(fill)[-1])
-            tick_add = round(total * _TICK_SCALE)
-            per_ost_bytes = 0
-            for piece, n in runs:
-                per_ost_bytes += piece * n
             plan.append((
                 np.array(ost_list, dtype=np.intp),
-                fill,
-                tick_add,
-                per_ost_bytes,
+                round(total * _TICK_SCALE),
             ))
         return plan
 
@@ -260,30 +241,14 @@ class LustreFilesystem:
         return plan
 
     def apply_plan(self, plan: list, now_tick: int) -> int:
-        """Replay one compiled request against the pool's array state.
+        """Replay one compiled request against the pool's chain ticks.
 
-        Advances the chain-tick, busy-time and bytes-moved arrays and
-        returns the request's completion tick.
+        Advances each touched OST's chain end tick and returns the
+        request's completion tick.
         """
-        ticks, busy, moved = self._chain_ticks, self._busy, self._moved
+        ticks = self._chain_ticks
         end = 0
-        for o_arr, fill, tick_add, per_ost_bytes in plan:
-            width = fill.shape[0]
-            if width <= 4096:
-                m = np.empty((o_arr.shape[0], width + 1))
-                m[:, 0] = busy[o_arr]
-                m[:, 1:] = fill
-                np.add.accumulate(m, axis=1, out=m)
-                busy[o_arr] = m[:, width]
-            else:
-                # Very long bursts: per-OST 1-D folds, bounded memory.
-                arr = np.empty(width + 1)
-                for o in o_arr:
-                    arr[0] = busy[o]
-                    arr[1:] = fill
-                    np.add.accumulate(arr, out=arr)
-                    busy[o] = arr[width]
-            moved[o_arr] += per_ost_bytes
+        for o_arr, tick_add in plan:
             sel = ticks[o_arr]
             np.maximum(sel, now_tick, out=sel)
             sel += tick_add
@@ -306,8 +271,8 @@ class LustreFilesystem:
         bursts per campaign.  Requests repeat heavily (the same writer
         geometry recurs every step), so the stripe split is compiled
         once into a :meth:`_build_plan` and replayed against the pool's
-        array state with a few numpy operations per class — identical
-        float addition order per OST, therefore identical stats and
+        chain-tick array with a few numpy operations per class —
+        identical float addition order per burst, therefore identical
         completion ticks.
         """
         if self._rates_frozen:

@@ -47,7 +47,6 @@ stop accepting, cancel queued jobs, drain in-flight pool tasks up to
 from __future__ import annotations
 
 import asyncio
-import copy
 import itertools
 import os
 import signal
@@ -515,10 +514,8 @@ class ServeDaemon:
 
     @staticmethod
     def _point_payload(result, cache_hit: bool, attempts: int) -> Dict[str, Any]:
-        stripped = copy.copy(result)
-        stripped.library = None  # live simulator state never ships
         return dict(
-            result_b64=protocol.pack_pickle(stripped),
+            result_b64=protocol.pack_pickle(result),
             cache_hit=bool(cache_hit),
             attempts=attempts,
             summary=dict(

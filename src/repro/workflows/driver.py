@@ -386,7 +386,11 @@ class _IndependentSteady:
 
 @dataclass
 class RunResult:
-    """Everything one coupled run measured."""
+    """Everything one coupled run measured, as plain data.
+
+    The run's simulator dies with the run, so caches, pool workers, the
+    daemon and forked chaos children hold and ship the result as returned.
+    """
 
     machine: str
     workflow: str
@@ -412,8 +416,7 @@ class RunResult:
     #: engage (see :mod:`repro.workflows.fidelity`); empty when the
     #: request engaged as asked, or nothing was requested
     fidelity_log: Tuple[str, ...] = ()
-    #: inputs echoed into the result so consumers never need the live
-    #: ``library`` (which is stripped from pickled/worker-shipped results)
+    #: inputs echoed into the result (the run's library does not outlive it)
     variable_nbytes: int = 0
     nservers: int = 0
     #: per-processor memory timeline of simulation/analytics rank 0
@@ -434,7 +437,6 @@ class RunResult:
     #: "chaos-trunk" (os.fork off a clean trunk at the fault trigger) —
     #: see :mod:`repro.core.forkpoint`.  None for cold runs.
     forked: Optional[str] = None
-    library: Optional[StagingLibrary] = None
 
     @property
     def ok(self) -> bool:
@@ -1039,7 +1041,6 @@ def _execute(env, cluster, library, result, spec, point,
         result.versions_lost = library.versions_lost
         result.recovery_events = library.recovery_events
         result.recovery_seconds = library.recovery_seconds
-        result.library = library
         library.shutdown()
     if fork_partial is not None:
         from ..core import forkpoint

@@ -38,7 +38,7 @@ def assert_float_identical(a, b):
     import dataclasses
 
     for f in dataclasses.fields(a):
-        if f.name in ("library", "forked"):
+        if f.name == "forked":
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):

@@ -10,6 +10,7 @@ import pytest
 from repro.core import runcache
 from repro.core.runcache import RunCache, config_key
 from repro.hpc.machines import get_machine
+from repro.sim import TimeSeries
 from repro.staging.base import StagingConfig
 from repro.staging.ndarray import Variable
 from repro.workflows import run_coupled
@@ -62,18 +63,21 @@ class TestRunCache:
         assert cache.get("missing") is None
         assert cache.misses == 1
 
-    def test_disk_roundtrip_strips_library(self, tmp_path):
+    def test_disk_roundtrip_preserves_every_field(self, tmp_path):
         cache = RunCache(disk_dir=str(tmp_path))
         result = run_coupled(machine="titan", method="dataspaces",
                              nsim=32, nana=16)
-        assert result.library is not None
+        assert result.ok
         cache.put("k", result)
 
         reloaded = RunCache(disk_dir=str(tmp_path)).get("k")
-        assert reloaded is not None
-        assert reloaded.library is None  # generators do not pickle
-        assert reloaded.end_to_end == result.end_to_end
-        assert result.library is not None  # original untouched
+        assert reloaded is not None and reloaded is not result
+        for f in dataclasses.fields(result):
+            want, got = getattr(result, f.name), getattr(reloaded, f.name)
+            if isinstance(want, TimeSeries):
+                assert (got.times, got.values) == (want.times, want.values), f.name
+            else:
+                assert got == want, f.name
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = RunCache(disk_dir=str(tmp_path))
@@ -99,9 +103,8 @@ class TestRunCache:
 
 
 def _entry(payload):
-    """A picklable stand-in with the ``library`` attr put() strips."""
-    return types.SimpleNamespace(library=None, payload=payload,
-                                 pad="x" * 20000)
+    """A picklable stand-in for a RunResult."""
+    return types.SimpleNamespace(payload=payload, pad="x" * 20000)
 
 
 def _hammer(directory, worker, writes):

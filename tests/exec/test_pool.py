@@ -100,7 +100,6 @@ class TestPoolExecution:
         assert all(o.status == "ok" for o in outcomes.values())
         for key, outcome in outcomes.items():
             assert outcome.result.end_to_end == serial[key]
-            assert outcome.result.library is None
             assert outcome.attempts == 1
 
     def test_empty_task_list(self):

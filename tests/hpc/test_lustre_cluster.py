@@ -160,6 +160,31 @@ class TestClusterPlacement:
         assert cluster.node(5) is n5
         assert len(cluster.booted_nodes) == 1
 
+    def test_lustre_creation_lazy_and_cached(self):
+        cluster = Cluster(Environment(), TITAN)
+        assert cluster._lustre is None
+        fs = cluster.lustre
+        assert cluster.lustre is fs
+        assert len(fs._osts) == TITAN.lustre.num_osts
+        assert not fs._rates_frozen
+
+    def test_lustre_first_touched_after_freeze_is_frozen(self):
+        cluster = Cluster(Environment(), TITAN)
+        cluster.freeze_rates()
+        assert cluster._lustre is None  # freezing builds nothing
+        fs = cluster.lustre
+        assert fs._rates_frozen
+        assert all(ost._rate_frozen for ost in fs._osts)
+        with pytest.raises(RuntimeError):
+            fs.degrade_ost(0, 2.0)
+
+    def test_lustre_touched_before_freeze_is_frozen_by_it(self):
+        cluster = Cluster(Environment(), CORI)
+        fs = cluster.lustre
+        cluster.freeze_rates()
+        assert fs._rates_frozen
+        assert all(ost._rate_frozen for ost in fs._osts)
+
     def test_node_id_range_checked(self):
         env = Environment()
         cluster = Cluster(env, TITAN)

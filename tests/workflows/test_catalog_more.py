@@ -40,15 +40,27 @@ class TestDriverEdges:
                         sim_step_seconds=1.0, ana_step_seconds=0.5)
         assert r.end_to_end == pytest.approx(5.0 + 2 * 1.0)
 
-    def test_explicit_variable_wins(self):
+    def test_explicit_variable_wins(self, monkeypatch):
+        from repro.core import runcache
         from repro.staging import Variable
+        from repro.workflows import driver
 
+        built = []
+        make_library = driver.make_library
+
+        def capture(*args, **kwargs):
+            built.append(make_library(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(driver, "make_library", capture)
+        runcache.clear()  # a cached result would build no library
         var = Variable("custom", (4, 8, 10))
         r = run_coupled("titan", "synthetic", "flexpath", nsim=8, nana=4,
                         steps=1, variable=var,
                         sim_step_seconds=0.0, ana_step_seconds=0.0)
         assert r.ok
-        assert r.library.variable is var
+        assert len(built) == 1
+        assert built[0].variable is var
 
     def test_scheduler_violation_captured(self):
         r = run_coupled("titan", "lammps", "flexpath", nsim=8, nana=4,
@@ -58,7 +70,7 @@ class TestDriverEdges:
 
     def test_bytes_staged_accounting(self):
         r = run_coupled("titan", "lammps", "dimes", nsim=32, nana=16, steps=2)
-        var_bytes = r.library.variable.nbytes
+        var_bytes = r.variable_nbytes
         assert r.bytes_staged == pytest.approx(2 * var_bytes)
 
     def test_server_breakdown_in_result(self):

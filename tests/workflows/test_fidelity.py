@@ -20,7 +20,7 @@ from repro.sim.monitor import TimeSeries
 from .test_perf_modes import fresh_run
 
 #: fields that record how a result was computed, not what it computed
-HOW = ("fidelity", "fidelity_log", "forked", "library")
+HOW = ("fidelity", "fidelity_log", "forked")
 
 TIERS = ("clustered", "steady", "prefix")
 

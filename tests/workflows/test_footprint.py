@@ -1,0 +1,95 @@
+"""A finished run keeps no simulator and builds only what it touches."""
+
+import dataclasses
+import gc
+import weakref
+
+import pytest
+
+from repro.chaos.faults import FaultEvent, FaultPlan
+from repro.core import runcache
+from repro.hpc import cluster as cluster_module
+from repro.sim import Environment
+from repro.workflows import RunResult, driver, run_coupled
+
+#: a fault that slows one OST for a second and lets the run finish
+OST_SLOW = FaultPlan((FaultEvent("ost_slow", at=6.0, factor=2.0,
+                                 duration=1.0),))
+
+
+class _WeakEnvironment(Environment):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def envs(monkeypatch):
+    """Weak references to every Environment the driver builds."""
+    refs = []
+
+    def build():
+        env = _WeakEnvironment()
+        refs.append(weakref.ref(env))
+        return env
+
+    monkeypatch.setattr(driver, "Environment", build)
+    runcache.clear()
+    yield refs
+    runcache.clear()
+
+
+@pytest.fixture
+def lustres(monkeypatch):
+    """Every LustreFilesystem a cluster builds, in build order."""
+    built = []
+    real = cluster_module.LustreFilesystem
+
+    def build(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cluster_module, "LustreFilesystem", build)
+    runcache.clear()
+    yield built
+    runcache.clear()
+
+
+def test_run_result_has_no_library_field():
+    assert "library" not in {f.name for f in dataclasses.fields(RunResult)}
+
+
+@pytest.mark.parametrize("method,fidelity,fault_plan", [
+    ("dataspaces", "exact", None),
+    ("mpiio", "exact", None),
+    ("mpiio", "steady", None),  # also publishes a prefix snapshot
+    (None, "exact", None),
+    ("mpiio", "exact", OST_SLOW),
+], ids=["dataspaces", "mpiio", "mpiio-steady", "compute-only", "ost-slow"])
+def test_a_finished_run_is_garbage(envs, method, fidelity, fault_plan):
+    point = dict(machine="titan", workflow="lammps", method=method, nsim=32,
+                 nana=16, steps=6, fidelity=fidelity, fault_plan=fault_plan)
+    result = run_coupled(**point)
+    assert result.ok
+    assert result.fidelity == fidelity
+    held = (result, runcache.CACHE.get(driver.point_key(**point)),
+            dict(runcache.CACHE._prefixes))
+    assert held[1] is result
+    assert len(held[2]) == (fidelity == "steady")
+    assert len(envs) == 1
+    gc.collect()
+    assert envs[0]() is None, "a cached result pins its simulation"
+
+
+@pytest.mark.parametrize("method,fault_plan,frozen", [
+    ("dataspaces", None, []),         # never touches the filesystem
+    ("mpiio", None, [True]),          # one pool, frozen at birth
+    ("mpiio", OST_SLOW, [False]),     # a fault plan keeps rates mutable
+    ("dataspaces", OST_SLOW, [False]),  # built when the fault fires
+], ids=["dataspaces", "mpiio", "mpiio-ost-slow", "dataspaces-ost-slow"])
+def test_lustre_is_built_once_on_first_touch(lustres, method, fault_plan,
+                                             frozen):
+    result = run_coupled("titan", "lammps", method, nsim=32, nana=16,
+                         steps=2, fault_plan=fault_plan)
+    assert result.ok
+    assert [fs._rates_frozen for fs in lustres] == frozen
+    for fs in lustres:
+        assert all(ost._rate_frozen is fs._rates_frozen for ost in fs._osts)

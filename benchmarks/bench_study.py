@@ -3,7 +3,7 @@
 
 Runs the paper's experiments and writes ``BENCH_study.json`` with, per
 figure, the wall-clock seconds and the number of discrete events the
-simulator processed — the two numbers the DES/clustering/caching
+simulator processed — the two numbers the DES/fast-forward/caching
 optimizations move.  Modes:
 
 * ``--smoke``      — a small subset (CI-friendly, well under a minute);

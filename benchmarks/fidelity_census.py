@@ -2,10 +2,10 @@
 """Fidelity census: which tier each Figure 2 cell ran, and why not others.
 
 Sweeps every (machine, scale, method) cell of the Figure 2 grid at the
-study's small scales with ``fidelity="steady+clustered"`` and records,
-per cell, the fidelity label the driver settled on and its full
-``fidelity_log`` — one verbatim ``"<tier>: <reason>"`` entry per
-requested tier that did not engage.  The summary counts cells per
+study's small scales with ``fidelity="steady"`` and records, per cell,
+the fidelity label the driver settled on (``steady`` or ``exact``) and
+its full ``fidelity_log`` — one verbatim ``"<tier>: <reason>"`` entry
+per requested tier that did not engage.  The summary counts cells per
 label and per log entry.  The output JSON is uploaded as a CI artifact
 so tier regressions (a certificate that silently stops firing, or a
 decline string that drifts) are visible per run without digging
@@ -37,7 +37,7 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
             for method in FIG2_METHODS:
                 result = run_coupled(
                     machine, workflow, method, nsim=nsim, nana=nana,
-                    steps=steps, fidelity="steady+clustered",
+                    steps=steps, fidelity="steady",
                 )
                 cells.append({
                     "machine": machine,

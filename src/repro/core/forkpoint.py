@@ -114,7 +114,7 @@ def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
         return None
     if spec.get("method") is None:
         return None
-    if spec.get("fidelity") not in ("steady", "steady+clustered"):
+    if spec.get("fidelity") != "steady":
         return None
     from . import runcache
 
@@ -163,10 +163,6 @@ class SimSnapshot:
     method: str
     nsim: int
     nana: int
-    fidelity: str
-    #: the publishing run's decision record: a restored result carries
-    #: the same log as a cold run of the same point
-    fidelity_log: Tuple[str, ...]
     variable_nbytes: int
     nservers: int
     server_memory_peaks: List[int]
@@ -180,7 +176,6 @@ class SimSnapshot:
     delta: int
     confirm_close_tick: int
     stats: Dict[str, Any]
-    stats_replicas: int
     put_full: List[Tuple[float, float]]
     put_part: List[Tuple[float, float]]
     get_full: List[Tuple[float, float]]
@@ -218,9 +213,12 @@ class SimSnapshot:
         """A full RunResult for ``steps``, or None when declining.
 
         The replay mirrors ``_SteadyController.finalize`` exactly: the
-        same record-stream tiling folded through the same replicated
-        additions, the same series windows translated by the same exact
-        seconds projections, the same per-actor integer shifts.
+        same record-stream tiling folded through the same additions, the
+        same series windows translated by the same exact seconds
+        projections, the same per-actor integer shifts.  Only an engaged
+        steady run with an empty decision record publishes a snapshot,
+        so the restored result is labelled ``"steady"`` with an empty
+        ``fidelity_log``, exactly like a cold run of the same point.
         """
         if self.decline_reason(steps) is not None:
             return None
@@ -229,10 +227,10 @@ class SimSnapshot:
         skipped = steps - 1 - self.cutoff
         delta = self.delta
 
-        # Statistics: fold each kind's tiled stream through the exact
-        # replicated-addition order of StagingLibrary._record_put/_get.
+        # Statistics: fold each kind's tiled stream in the exact
+        # addition order of StagingLibrary._record_put/_get, one
+        # addition per record.
         st = dict(self.stats)
-        replicas = self.stats_replicas
         for full, part, bkey, tkey, ckey in (
             (self.put_full, self.put_part, "bytes_staged", "put_time", "puts"),
             (self.get_full, self.get_part, "bytes_retrieved", "get_time", "gets"),
@@ -241,12 +239,11 @@ class SimSnapshot:
             total_b = st[bkey]
             total_t = st[tkey]
             for nbytes, elapsed in stream:
-                for _ in range(replicas):
-                    total_b += nbytes
-                    total_t += elapsed
-                st[ckey] += replicas
+                total_b += nbytes
+                total_t += elapsed
             st[bkey] = total_b
             st[tkey] = total_t
+            st[ckey] += len(stream)
 
         # Memory series: prefix verbatim, then the periodic window tiled
         # with per-tile exact seconds offsets.
@@ -295,8 +292,7 @@ class SimSnapshot:
         result.put_time = st["put_time"]
         result.get_time = st["get_time"]
         result.bytes_staged = st["bytes_staged"]
-        result.fidelity = self.fidelity
-        result.fidelity_log = self.fidelity_log
+        result.fidelity = "steady"
         result.nservers = self.nservers
         result.sim_memory = rebuilt[0]
         result.ana_memory = rebuilt[1]
@@ -364,7 +360,6 @@ def begin_capture(steady, library) -> Tuple[Optional[Dict[str, Any]], Optional[s
             puts=stats.puts,
             gets=stats.gets,
         ),
-        stats_replicas=library.stats_replicas,
         put_full=streams["put"][0], put_part=streams["put"][1],
         get_full=streams["get"][0], get_part=streams["get"][1],
         series=series_data,
@@ -376,7 +371,7 @@ def begin_capture(steady, library) -> Tuple[Optional[Dict[str, Any]], Optional[s
 def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
     """Phase B: fold the steps-independent result scalars in.
 
-    Runs after the driver's result-tail assembly (peaks tiled, breakdown
+    Runs after the driver's result-tail assembly (peaks and breakdown
     read), none of which the finalize replay between the phases touches.
     """
     return SimSnapshot(
@@ -385,8 +380,6 @@ def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
         method=result.method,
         nsim=result.nsim,
         nana=result.nana,
-        fidelity=result.fidelity,
-        fidelity_log=result.fidelity_log,
         variable_nbytes=result.variable_nbytes,
         nservers=result.nservers,
         server_memory_peaks=list(result.server_memory_peaks),

@@ -64,8 +64,11 @@ from typing import Any, Dict, Optional
 #: the batch-compilation switch left the key inputs.
 #: 8 -> 9: the batch-compilation tier is gone — the same keys now
 #: carry steady labels and logs where they held the batch label, and
-#: prefix snapshots drop the staging/event state records)
-SCHEMA_VERSION = 9
+#: prefix snapshots drop the staging/event state records.
+#: 9 -> 10: the representative-group tier is gone — its composed
+#: spelling keys as "steady", and prefix snapshots drop their replica
+#: count, label and decision record)
+SCHEMA_VERSION = 10
 
 
 def _canonical(value: Any) -> Any:

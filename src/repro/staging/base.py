@@ -110,31 +110,6 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class ClusterPlan:
-    """Representative-group description for the clustered fidelity mode.
-
-    The first ``sim_reps`` simulation actors, ``ana_reps`` analytics
-    actors and ``server_reps`` servers form one representative group;
-    the full run consists of ``groups`` identical, resource-disjoint
-    copies of it.  Simulating only the representative group and
-    replicating each statistics record ``groups`` times (in place, so
-    the floating-point additions happen in the exact run's order)
-    reproduces the exact run's numbers; per-server memory peaks extend
-    to the full server list by repeating the ``server_reps`` peaks
-    ``groups`` times.
-    """
-
-    sim_reps: int
-    ana_reps: int
-    server_reps: int
-    groups: int
-
-    def __post_init__(self) -> None:
-        if min(self.sim_reps, self.ana_reps) < 1 or self.server_reps < 0:
-            raise ValueError(f"invalid representative counts in {self}")
-
-
-@dataclass(frozen=True)
 class SteadyPlan:
     """Eligibility certificate for the steady-state fast-forward.
 
@@ -255,14 +230,6 @@ class StagingLibrary:
         self.stats = StagingStats()
         self.servers: List[ServerState] = []
         self.gate: Optional[VersionGate] = None
-        #: writer/reader counts the version gate coordinates; the
-        #: clustered fidelity mode overrides them to the
-        #: representative-group counts before bootstrap
-        self.active_writers: Optional[int] = None
-        self.active_readers: Optional[int] = None
-        #: how many exact-run actors each statistics record stands for
-        #: (the clustered fidelity mode sets this to the group count)
-        self.stats_replicas: int = 1
         #: steady-state fast-forward tap: when a list, every
         #: ``_record_put``/``_record_get`` call appends its raw
         #: arguments here so the driver can replay the exact addition
@@ -348,8 +315,8 @@ class StagingLibrary:
             self.variable.check_dims(self.config.dim_bits)
         self.gate = VersionGate(
             self.env,
-            num_writers=self.active_writers or self.topology.sim_actors,
-            num_readers=self.active_readers or self.topology.ana_actors,
+            num_writers=self.topology.sim_actors,
+            num_readers=self.topology.ana_actors,
             window=self._gate_window(),
         )
         self.validate_at_scale()
@@ -390,28 +357,12 @@ class StagingLibrary:
         recovery policy.
         """
 
-    # ------------------------------------------------------- clustering
-
-    def clustering_plan(
-        self, write_regions: List[Region], read_regions: List[Region]
-    ) -> Optional[ClusterPlan]:
-        """A representative-group plan, or None to run every actor.
-
-        Subclasses return a :class:`ClusterPlan` only when structural
-        checks *prove* the actors split into ``groups`` identical and
-        resource-disjoint chains, so simulating one group reproduces
-        the exact run bit for bit.  The default is conservative: no
-        analysis, no clustering.
-        """
-        return None
-
     # ----------------------------------------------- steady fast-forward
 
     def steady_plan(self) -> Optional["SteadyPlan"]:
         """Certify eligibility for the steady-state fast-forward, or None.
 
-        Analogous to :meth:`clustering_plan`, but in time instead of
-        space: a returned :class:`SteadyPlan` asserts that past its
+        A returned :class:`SteadyPlan` asserts that past its
         ``warmup`` prefix the library holds no hidden state that could
         change step timing or exported results aperiodically — every
         version-keyed behaviour (eviction, queue recycling, metadata
@@ -536,16 +487,11 @@ class StagingLibrary:
         return 0.0
 
     def _record_put(self, nbytes: float, elapsed: float) -> None:
-        # Replicated additions, not one multiplication: group-homologous
-        # actors record identical values back to back in the exact run,
-        # and only repeating the same float additions reproduces those
-        # sums bit for bit.
         if self._steady_tap is not None:
             self._steady_tap.append(("put", nbytes, elapsed))
-        for _ in range(self.stats_replicas):
-            self.stats.bytes_staged += nbytes
-            self.stats.put_time += elapsed
-        self.stats.puts += self.stats_replicas
+        self.stats.bytes_staged += nbytes
+        self.stats.put_time += elapsed
+        self.stats.puts += 1
         if self._put_watchers:
             for watcher in list(self._put_watchers):
                 watcher(self.stats.puts)
@@ -553,10 +499,9 @@ class StagingLibrary:
     def _record_get(self, nbytes: float, elapsed: float) -> None:
         if self._steady_tap is not None:
             self._steady_tap.append(("get", nbytes, elapsed))
-        for _ in range(self.stats_replicas):
-            self.stats.bytes_retrieved += nbytes
-            self.stats.get_time += elapsed
-        self.stats.gets += self.stats_replicas
+        self.stats.bytes_retrieved += nbytes
+        self.stats.get_time += elapsed
+        self.stats.gets += 1
 
     def server_memory_peaks(self) -> List[int]:
         """Peak memory per staging server (bytes)."""

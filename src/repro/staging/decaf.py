@@ -27,7 +27,6 @@ Reproduced behaviours:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -36,8 +35,7 @@ import numpy as np
 from ..hpc.failures import OutOfMemory, SchedulerPolicyViolation
 from ..hpc.units import fmt_bytes
 from . import calibration as cal
-from .base import ClusterPlan, StagingConfig, StagingLibrary, SteadyPlan
-from .decomposition import uniform_regions
+from .base import StagingConfig, StagingLibrary, SteadyPlan
 from .ndarray import Region
 from .store import FragmentStore
 
@@ -224,74 +222,6 @@ class Decaf(StagingLibrary):
         the bootstrap.  Warm-up covers the pipeline fill.
         """
         return SteadyPlan(warmup=max(1, self.config.max_versions) + 1)
-
-    # ------------------------------------------------------- clustering
-
-    def clustering_plan(self, write_regions, read_regions):
-        """Engage when the dataflow splits into identical MPI islands.
-
-        Decaf's ``count`` redistribution is block-diagonal whenever the
-        producer/dflow/consumer counts share a common factor ``g``: the
-        ranks partition into ``g`` groups that never exchange a byte.
-        The checks below verify that structure *exactly* — every
-        group's redistribution shares must be a literal translate of
-        group 0's (float-equal fractions), regions uniform, and each
-        group's wire distances equal to group 0's — so the
-        representative island reproduces the run bit for bit.  MPI
-        messaging holds no cross-group state (no DRC credentials, no
-        socket pools), so resource disjointness follows from the nodes
-        being disjoint.
-        """
-        topo = self.topology
-        g = math.gcd(
-            math.gcd(topo.sim_actors, topo.ana_actors), topo.server_actors
-        )
-        if g < 2 or self.shared_nodes:
-            return None
-        a = topo.sim_actors // g
-        b = topo.ana_actors // g
-        s = topo.server_actors // g
-        if s < 1:
-            return None
-        if not (uniform_regions(write_regions) and uniform_regions(read_regions)):
-            return None
-
-        def translates(num_src: int, reps: int) -> bool:
-            for r in range(reps):
-                base = count_redistribution(r, num_src, topo.server_actors)
-                if any(not 0 <= dst < s for dst, _ in base):
-                    return False
-                for k in range(1, g):
-                    shifted = [(dst + k * s, frac) for dst, frac in base]
-                    if count_redistribution(
-                        k * reps + r, num_src, topo.server_actors
-                    ) != shifted:
-                        return False
-            return True
-
-        if not translates(topo.sim_actors, a) or not translates(topo.ana_actors, b):
-            return None
-
-        sim_nodes = self._placed_nodes("simulation")
-        ana_nodes = self._placed_nodes("analytics")
-        srv_nodes = self._placed_nodes("servers")
-        for r in range(a):
-            base = count_redistribution(r, topo.sim_actors, topo.server_actors)
-            for k in range(1, g):
-                for dst, _ in base:
-                    if self._chain_hops(
-                        sim_nodes[k * a + r], srv_nodes[k * s + dst]
-                    ) != self._chain_hops(sim_nodes[r], srv_nodes[dst]):
-                        return None
-        for r in range(b):
-            base = count_redistribution(r, topo.ana_actors, topo.server_actors)
-            for k in range(1, g):
-                for dst, _ in base:
-                    if self._chain_hops(
-                        srv_nodes[k * s + dst], ana_nodes[k * b + r]
-                    ) != self._chain_hops(srv_nodes[dst], ana_nodes[r]):
-                        return None
-        return ClusterPlan(sim_reps=a, ana_reps=b, server_reps=s, groups=g)
 
     # ------------------------------------------------------ chaos hooks
 

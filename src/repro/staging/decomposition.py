@@ -18,7 +18,7 @@ Finding 3.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .ndarray import Region, Variable, longest_dimension
 
@@ -118,27 +118,6 @@ def access_plan(
         if overlap is not None:
             plan.append((region_to_server(index, len(partition), num_servers), overlap))
     return plan
-
-
-def symmetry_classes(regions: List[Region]) -> Dict[Tuple[int, ...], int]:
-    """Group regions into equivalence classes by shape.
-
-    Two regions of the same shape cover the same number of bytes, so a
-    decomposition whose regions all fall into one class gives every
-    processor identical transfer volumes — the precondition for the
-    clustered fidelity mode to simulate one representative chain per
-    class.  Returns ``shape -> count``.
-    """
-    classes: Dict[Tuple[int, ...], int] = {}
-    for region in regions:
-        shape = region.shape
-        classes[shape] = classes.get(shape, 0) + 1
-    return classes
-
-
-def uniform_regions(regions: List[Region]) -> bool:
-    """Whether all regions form a single symmetry class."""
-    return len(symmetry_classes(regions)) == 1
 
 
 def servers_touched(plan: List[Tuple[int, Region]]) -> List[int]:

@@ -34,10 +34,9 @@ import numpy as np
 
 from ..hpc.failures import DrcOverload, OutOfMemory
 from ..hpc.units import fmt_bytes
-from ..transport import RdmaTransport, TcpTransport
+from ..transport import RdmaTransport
 from . import calibration as cal
-from .base import ClusterPlan, StagingLibrary, SteadyPlan
-from .decomposition import uniform_regions
+from .base import StagingLibrary, SteadyPlan
 from .ndarray import Region
 from .store import FragmentStore
 
@@ -182,66 +181,6 @@ class Sst(StagingLibrary):
         if self.config.pmem_checkpoint and self.cluster.pmem is not None:
             state += self.cluster.pmem.steady_state()
         return state
-
-    # ------------------------------------------------------- clustering
-
-    def clustering_plan(
-        self, write_regions: List[Region], read_regions: List[Region]
-    ) -> Optional[ClusterPlan]:
-        """One representative (writers -> reader) stream group, or None.
-
-        SST streams are genuinely point-to-point: each reader connects
-        only to the writers whose regions it subscribes to, and the
-        per-put notification is a fixed-latency message on that private
-        connection — no shared fan-out stage like Flexpath's EVPath
-        stones.  So when the subscription graph splits into ``m``
-        identical groups of ``k`` writers feeding one reader each, the
-        groups share no resource and one group reproduces them all.
-
-        Engagement requires proof of exactly that:
-
-        * reader pacing (discard mode couples the drop pattern to the
-          global consumption cursor — decline);
-        * no pmem mirroring (every group would write through the one
-          shared tier device — decline);
-        * dedicated nodes, no DRC credential service on an RDMA
-          transport, no pooled TCP descriptors (shared services);
-        * uniform region shapes, and reader ``j`` overlapping *exactly*
-          writers ``j*k .. (j+1)*k-1`` — the partition into groups;
-        * equal hop counts chain-by-chain across groups, so group 0's
-          wire times are every group's wire times.
-        """
-        topo = self.topology
-        n, m = topo.sim_actors, topo.ana_actors
-        if self.config.sst_discard:
-            return None
-        if m < 2 or n % m != 0:
-            return None
-        if self.shared_nodes:
-            return None
-        if self.config.pmem_checkpoint:
-            return None
-        if isinstance(self.transport, RdmaTransport) and self.cluster.drc is not None:
-            return None
-        if isinstance(self.transport, TcpTransport) and self.transport.pool_size is not None:
-            return None
-        if not (uniform_regions(write_regions) and uniform_regions(read_regions)):
-            return None
-        k = n // m
-        for j in range(m):
-            reader = read_regions[j]
-            for i in range(n):
-                in_group = j * k <= i < (j + 1) * k
-                if (write_regions[i].intersect(reader) is not None) != in_group:
-                    return None
-        sim_nodes = self._placed_nodes("simulation")
-        ana_nodes = self._placed_nodes("analytics")
-        base = [self._chain_hops(sim_nodes[p], ana_nodes[0]) for p in range(k)]
-        for j in range(1, m):
-            for p in range(k):
-                if self._chain_hops(sim_nodes[j * k + p], ana_nodes[j]) != base[p]:
-                    return None
-        return ClusterPlan(sim_reps=k, ana_reps=1, server_reps=0, groups=m)
 
     # --------------------------------------------------------------- put
 

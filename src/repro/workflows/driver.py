@@ -29,7 +29,7 @@ from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
 from .catalog import WorkflowSpec, get_workflow
-from .fidelity import resolve_fidelity
+from .fidelity import FIDELITIES, resolve_fidelity
 from .trace import ActivityTrace
 
 #: simulated seconds of application initialization before the staging
@@ -266,8 +266,7 @@ class _SteadyController:
         delta = self.delta
         # Statistics: put and get records feed disjoint accumulators,
         # so each kind's stream replays independently in its own exact
-        # order (through _record_*, so stats_replicas composes with the
-        # clustered fidelity).
+        # order, through the same _record_* additions.
         tap = library._steady_tap
         j0 = self.boundaries[self.cutoff - 2]["tap"]
         j1 = self.boundaries[self.cutoff - 1]["tap"]
@@ -405,12 +404,10 @@ class RunResult:
     get_time: float = 0.0
     bytes_staged: float = 0.0
     failure: Optional[str] = None
-    #: "exact" ran every actor every step; "clustered" ran one
-    #: representative group per equivalence class; "steady" stopped
-    #: simulating once the step loop provably entered a periodic orbit
-    #: and replayed the rest by exact translation; "steady+clustered"
-    #: composed both (requested via ``fidelity`` and engaged only when
-    #: the structural/fingerprint checks proved it bit-identical)
+    #: "exact" ran every actor every step; "steady" stopped simulating
+    #: once the step loop provably entered a periodic orbit and replayed
+    #: the rest by exact translation (requested via ``fidelity`` and
+    #: engaged only when the fingerprint checks proved it bit-identical)
     fidelity: str = "exact"
     #: one ``"<tier>: <reason>"`` entry per requested tier that did not
     #: engage (see :mod:`repro.workflows.fidelity`); empty when the
@@ -503,27 +500,18 @@ def run_coupled(
     overrides the library's default failure reaction.  Both are part of
     the run-cache key, so chaos runs never collide with clean ones.
 
-    ``fidelity="clustered"`` asks the run to simulate one
-    representative actor per symmetry equivalence class instead of
-    every actor; it engages only when the configuration's structural
-    checks prove the classes identical (see
-    :meth:`~repro.staging.base.StagingLibrary.clustering_plan`) and
-    silently falls back to exact otherwise — check
-    ``RunResult.fidelity`` for what actually ran.
-
-    ``fidelity="steady"`` additionally asks the run to stop simulating
-    once the coupled step loop provably enters a periodic orbit — two
-    consecutive step boundaries matching in the full observable
-    fingerprint modulo one exact clock translation Δ — and fast-forward
-    the remaining iterations by exact translation (see
-    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).
-    ``fidelity="steady+clustered"`` composes both reductions.  Either
-    falls back automatically (to clustered or exact) whenever the
-    library declines a certificate or no boundary pair matches.  Which
-    tiers engage is decided by
+    ``fidelity`` is one of :data:`~repro.workflows.fidelity.FIDELITIES`;
+    anything else raises ``ValueError``.  ``fidelity="steady"`` asks the
+    run to stop simulating once the coupled step loop provably enters a
+    periodic orbit — two consecutive step boundaries matching in the
+    full observable fingerprint modulo one exact clock translation Δ —
+    and fast-forward the remaining iterations by exact translation (see
+    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).  It falls
+    back to exact whenever the library declines a certificate or no
+    boundary pair matches; check ``RunResult.fidelity`` for what
+    actually ran.  Whether steady engages is decided by
     :func:`~repro.workflows.fidelity.resolve_fidelity`;
-    ``RunResult.fidelity_log`` records why every other requested tier
-    did not.
+    ``RunResult.fidelity_log`` records why it did not.
 
     ``fork_host`` (a :class:`repro.core.forkpoint.ChaosForkHost`) runs
     this configuration as a clean *trunk* that ``os.fork()``\\ s a child
@@ -540,11 +528,6 @@ def run_coupled(
     ``steps`` may have published its certified orbit, in which case the
     divergent suffix is replayed arithmetically instead of simulated.
     """
-    if fidelity not in ("exact", "clustered", "steady", "steady+clustered"):
-        raise ValueError(
-            "fidelity must be 'exact', 'clustered', 'steady' or "
-            f"'steady+clustered', got {fidelity!r}"
-        )
     if fork_host is not None and (fault_plan is not None or trace is not None):
         raise ValueError(
             "fork_host runs a clean trunk: fault_plan and trace must be "
@@ -637,9 +620,7 @@ def run_coupled(
             # verification.  Rerun the whole configuration (fresh
             # environment, cluster and library) without the fast-forward
             # — a false engagement costs time, never correctness.
-            result = _attempt(dict(point, fidelity=(
-                "clustered" if fidelity == "steady+clustered" else "exact"
-            )))
+            result = _attempt(dict(point, fidelity="exact"))
             result.fidelity_log += (f"steady: {exc}",)
     except BaseException as exc:
         # A forked chaos child shares this stack with its parent: an
@@ -691,9 +672,11 @@ def _resolve_point(args: dict):
 
     The point dict carries every input that determines the outcome,
     with machine/workflow reduced to catalog names and workflow-spec
-    defaults applied.  The cache key, the planning recorder, the
-    forkpoint prefix key and the fidelity resolver all derive from it,
-    so they always agree on what "the same configuration" means.
+    defaults applied, and its fidelity checked against
+    :data:`~repro.workflows.fidelity.FIDELITIES`.  The cache key, the
+    planning recorder, the forkpoint prefix key and the fidelity
+    resolver all derive from it, so they always agree on what "the same
+    configuration" means.
     """
     point = {k: args[k] for k in _SIGNATURE.parameters if k not in _NOT_INPUTS}
     workflow, machine = point["workflow"], point["machine"]
@@ -709,6 +692,16 @@ def _resolve_point(args: dict):
     for name in ("sim_step_seconds", "ana_step_seconds", "app_axis"):
         if point[name] is None:
             point[name] = getattr(spec, name)
+    # Legacy spelling of "steady", still sent by the benchmark's whatif
+    # request stream (benchmarks/e2e/stream.py); delete this alias once
+    # that stream drops the spelling.
+    if point["fidelity"] == "steady+clustered":
+        point["fidelity"] = "steady"
+    if point["fidelity"] not in FIDELITIES:
+        raise ValueError(
+            f"fidelity must be one of {', '.join(map(repr, FIDELITIES))}, "
+            f"got {point['fidelity']!r}"
+        )
     point.update(machine=machine_spec.name, workflow=spec.name,
                  topology_overrides=overrides)
     return machine_spec, spec, point
@@ -717,9 +710,11 @@ def _resolve_point(args: dict):
 def point_key(**kwargs) -> Optional[str]:
     """The run-cache key ``run_coupled(**kwargs)`` would use.
 
-    ``None`` when the configuration is uncacheable.  The chaos fork
-    pass uses this to address forked-child results without simulating,
-    and the serve daemon to key point jobs.
+    ``None`` when the configuration is uncacheable; ``ValueError`` for
+    a fidelity ``run_coupled`` would refuse.  The chaos fork pass uses
+    this to address forked-child results without simulating, and the
+    serve daemon to key point jobs (so it refuses a bad fidelity at
+    submit time).
     """
     unknown = kwargs.keys() - _DEFAULTS.keys()
     if unknown:
@@ -813,26 +808,16 @@ def _execute(env, cluster, library, result, spec, point,
     bytes_per_sim_proc = var.nbytes / nsim
     bytes_per_ana_proc = var.nbytes / nana
 
-    decision = resolve_fidelity(
-        point, library, write_regions, read_regions, traced=trace is not None
-    )
+    decision = resolve_fidelity(point, library, traced=trace is not None)
     result.fidelity_log = decision.log
-    plan = decision.plan
-    if plan is not None and library is not None:
-        library.active_writers = plan.sim_reps
-        library.active_readers = plan.ana_reps
-        library.stats_replicas = plan.groups
-    sim_count = plan.sim_reps if plan is not None else sim_actors
-    ana_count = plan.ana_reps if plan is not None else ana_actors
-    result.fidelity = "clustered" if plan is not None else "exact"
 
     sim_trackers = [
         placement.node_of("simulation", i).process_memory(f"simproc{i}")
-        for i in range(sim_count)
+        for i in range(sim_actors)
     ]
     ana_trackers = [
         placement.node_of("analytics", j).process_memory(f"anaproc{j}")
-        for j in range(ana_count)
+        for j in range(ana_actors)
     ]
     if library is not None:
         for i, tracker in enumerate(sim_trackers):
@@ -853,7 +838,7 @@ def _execute(env, cluster, library, result, spec, point,
 
         steady = _SteadyController(
             env, library, steps, decision.steady.warmup,
-            n_actors=sim_count + ana_count,
+            n_actors=sim_actors + ana_actors,
             series_fn=_steady_series,
             trackers=sim_trackers + ana_trackers,
         )
@@ -954,8 +939,8 @@ def _execute(env, cluster, library, result, spec, point,
         finish["ana"] = max(finish["ana"], env.now)
 
     procs = [env.process(booter(env))]
-    procs += [env.process(sim_actor(i)) for i in range(sim_count)]
-    procs += [env.process(ana_actor(j)) for j in range(ana_count)]
+    procs += [env.process(sim_actor(i)) for i in range(sim_actors)]
+    procs += [env.process(ana_actor(j)) for j in range(ana_actors)]
 
     def main(env):
         yield env.all_of(procs)
@@ -1014,7 +999,7 @@ def _execute(env, cluster, library, result, spec, point,
         # divergence _SteadyDiverged propagates to run_coupled, which
         # reruns the configuration without the fast-forward.
         steady_end = steady.finalize(finish, library)
-        result.fidelity = "steady+clustered" if plan is not None else "steady"
+        result.fidelity = "steady"
     elif steady is not None:
         if library is not None:
             library._steady_tap = None
@@ -1029,12 +1014,7 @@ def _execute(env, cluster, library, result, spec, point,
         result.put_time = library.stats.put_time
         result.get_time = library.stats.get_time
         result.bytes_staged = library.stats.bytes_staged
-        peaks = library.server_memory_peaks()
-        if plan is not None and plan.groups > 1 and plan.server_reps:
-            # Only the representative servers saw staged data; each
-            # group's servers behave alike.
-            peaks = peaks[: plan.server_reps] * plan.groups
-        result.server_memory_peaks = peaks
+        result.server_memory_peaks = library.server_memory_peaks()
         if library.servers:
             result.server_memory = library.servers[0].memory.series
             result.server_memory_breakdown = library.servers[0].memory.breakdown()

@@ -89,18 +89,18 @@ class TestPrefixRestore:
         assert short.forked is None
 
     def test_restored_log_equals_cold_log(self):
-        # cori/flexpath steady+clustered engages steady but logs the
-        # clustered decline: a restored result must carry
-        # exactly the log a cold run of the same steps records
+        # only an engaged steady run with nothing to decline publishes a
+        # snapshot, so a restored result carries exactly the label and
+        # (empty) log a cold run of the same steps records
         kwargs = dict(machine="cori", method="flexpath", nsim=32, nana=16,
-                      fidelity="steady+clustered")
+                      fidelity="steady")
         cold = fresh_run(steps=16, **kwargs)
         runcache.clear()
         run_coupled(steps=8, **kwargs)
         restored = run_coupled(steps=16, **kwargs)
         assert (restored.forked or "").startswith("prefix:")
-        assert cold.fidelity_log
-        assert restored.fidelity_log == cold.fidelity_log
+        assert restored.fidelity_log == cold.fidelity_log == ()
+        assert restored.fidelity == cold.fidelity == "steady"
 
     def test_uncertified_orbit_recorded_in_fidelity_log(self):
         # titan/dimes never certifies steady at this scale: no snapshot

@@ -3,7 +3,7 @@
 The committed ``results/`` files are the reproduction's reference
 output.  Because the simulation is deterministic, any byte difference
 in a regenerated table means an unintended behaviour change — exactly
-what performance work (event-loop rewrites, clustering, caching) must
+what performance work (event-loop rewrites, fast-forwarding, caching) must
 not introduce.  A representative cross-section of experiments is
 regenerated here; the complete sweep is ``python -m repro study
 --export`` diffed against ``results/``.

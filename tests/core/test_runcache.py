@@ -155,9 +155,9 @@ class TestDriverIntegration:
 
     def test_fidelity_in_key(self):
         exact = run_coupled(machine="titan", method=None, nsim=32, nana=16)
-        clustered = run_coupled(machine="titan", method=None, nsim=32, nana=16,
-                                fidelity="clustered")
-        assert clustered is not exact
+        steady = run_coupled(machine="titan", method=None, nsim=32, nana=16,
+                             fidelity="steady")
+        assert steady is not exact
 
     def test_traced_runs_bypass(self):
         cached = run_coupled(**self.KW)

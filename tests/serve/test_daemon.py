@@ -172,17 +172,25 @@ class TestPointServing:
                 == first["result"]["summary"]["end_to_end"])
 
     def test_point_spellings_share_the_driver_key(self, served):
-        # an omitted default and its explicit spelling are one point:
-        # the second submission is answered from the daemon's own cache
+        # two spellings of one point, an omitted default and its explicit
+        # spelling, then the legacy composed fidelity and the one it
+        # aliases: each second submission is answered from the daemon's
+        # own cache
         spec = point_spec(nsim=12, nana=6)
         with client(served) as c:
-            first = c.wait(c.submit_point(spec)["job"])
-            second = c.wait(
-                c.submit_point(dict(spec, fidelity="exact"))["job"]
-            )
-        assert first["state"] == second["state"] == "done"
-        assert second["result"]["cache_hit"] is True
-        assert second["result"]["attempts"] == 0
+            for first_extra, second_extra in (
+                ({}, {"fidelity": "exact"}),
+                ({"fidelity": "steady+clustered"}, {"fidelity": "steady"}),
+            ):
+                first = c.wait(
+                    c.submit_point(dict(spec, **first_extra))["job"]
+                )
+                second = c.wait(
+                    c.submit_point(dict(spec, **second_extra))["job"]
+                )
+                assert first["state"] == second["state"] == "done"
+                assert second["result"]["cache_hit"] is True
+                assert second["result"]["attempts"] == 0
 
     def test_worker_crash_is_retried_transparently(self, served):
         crashed_before = served.daemon.pool.workers_crashed
@@ -221,6 +229,9 @@ class TestPointServing:
         with client(served) as c:
             with pytest.raises(ServeError, match="missing keys"):
                 c.submit_point({"machine": "titan"})
+            # refused at submit time, not failed later in a worker
+            with pytest.raises(ServeError, match="bad submission: fidelity"):
+                c.submit_point(point_spec(fidelity="clustered"))
 
 
 class TestStudyOverService:

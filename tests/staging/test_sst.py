@@ -3,8 +3,8 @@
 Covers the sixth (beyond-the-paper) scenario family end to end: data
 round-trips under both queue policies, reader pacing as real
 backpressure, latest-step-wins discard semantics, and the honest
-fidelity certificates — engage where the structural proof holds,
-decline with a recorded reason where it does not, and fall back
+steady certificate — engage where the step loop is provably periodic,
+decline with a recorded reason where it is not, and fall back
 bit-identically to the exact run either way.
 """
 
@@ -162,50 +162,39 @@ def _coupled(machine, fidelity, **overrides):
 
 
 class TestFidelityCertificates:
-    def test_cori_mpi_engages_both_reductions(self):
-        """Dragonfly hops are uniform and MPI needs no DRC: the stream
-        groups are provably identical, so clustering + steady engage."""
-        result = _coupled("cori", "steady+clustered")
+    @pytest.mark.parametrize("machine", ["cori", "titan"])
+    def test_reader_pacing_engages_steady(self, machine):
+        """Under reader pacing the step loop is version-periodic on both
+        machines, so the steady fast-forward engages with nothing to
+        decline."""
+        result = _coupled(machine, "steady")
         assert result.ok
-        assert result.fidelity == "steady+clustered"
-        assert not any(e.startswith("steady:") for e in result.fidelity_log)
+        assert result.fidelity == "steady"
+        assert result.fidelity_log == ()
 
-    def test_cori_engagement_is_bit_identical_to_exact(self):
-        reduced = _coupled("cori", "steady+clustered")
-        exact = _coupled("cori", "exact")
+    @pytest.mark.parametrize("machine", ["cori", "titan"])
+    def test_engagement_is_bit_identical_to_exact(self, machine):
+        reduced = _coupled(machine, "steady")
+        exact = _coupled(machine, "exact")
         assert reduced.end_to_end == exact.end_to_end
         assert reduced.put_time == exact.put_time
         assert reduced.get_time == exact.get_time
         assert reduced.bytes_staged == exact.bytes_staged
 
-    def test_titan_torus_declines_clustering(self):
-        """Unequal hop counts across the torus break the one-group-
-        stands-for-all proof; steady still engages on its own."""
-        result = _coupled("titan", "steady+clustered")
-        assert result.ok
-        assert result.fidelity == "steady"
-
-    def test_titan_decline_falls_back_bit_identically(self):
-        declined = _coupled("titan", "steady+clustered")
-        exact = _coupled("titan", "exact")
-        assert declined.end_to_end == exact.end_to_end
-        assert declined.put_time == exact.put_time
-        assert declined.get_time == exact.get_time
-
     def test_discard_declines_steady_with_a_recorded_reason(self):
         """Which steps get dropped depends on the absolute writer/reader
         phase: hidden aperiodic state no fingerprint can vouch for."""
         result = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(sst_discard=True)
+            "cori", "steady", config_knobs=dict(sst_discard=True)
         )
         assert result.ok
-        assert result.fidelity == "exact"  # clustering declines too
+        assert result.fidelity == "exact"
         assert any("aperiodic hidden state" in e
                    for e in result.fidelity_log)
 
     def test_discard_decline_falls_back_bit_identically(self):
         declined = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(sst_discard=True)
+            "cori", "steady", config_knobs=dict(sst_discard=True)
         )
         exact = _coupled(
             "cori", "exact", config_knobs=dict(sst_discard=True)
@@ -213,22 +202,12 @@ class TestFidelityCertificates:
         assert declined.end_to_end == exact.end_to_end
         assert declined.put_time == exact.put_time
 
-    def test_pmem_mirroring_declines_clustering(self):
-        """Every group would write through the one shared tier device."""
-        result = _coupled(
-            "cori", "clustered", config_knobs=dict(pmem_checkpoint=True)
-        )
-        assert result.ok
-        assert result.fidelity == "exact"
-        plain = _coupled("cori", "clustered")
-        assert plain.fidelity == "clustered"
-
     def test_short_runs_record_the_warmup_decline(self):
         """steps=5 under queue_size=4 leaves no room past the warm-up."""
         result = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(queue_size=4)
+            "cori", "steady", config_knobs=dict(queue_size=4)
         )
         assert result.ok
-        assert result.fidelity == "clustered"
+        assert result.fidelity == "exact"
         assert any(e.startswith("steady:") and "warm-up" in e
                    for e in result.fidelity_log)

@@ -1,11 +1,11 @@
 """The fidelity resolver against exact simulation, on drawn configurations.
 
-Every reduction a ``steady+clustered`` request can engage (clustered,
-steady) must reproduce ``fidelity="exact"`` float for float, and every
-requested tier that did not engage must say why with exactly one
+A ``steady`` request must reproduce ``fidelity="exact"`` float for
+float whether or not the fast-forward engages, and every requested tier
+that did not engage must say why with exactly one
 ``"<tier>: <reason>"`` entry in ``RunResult.fidelity_log``.  Hypothesis
-draws the configurations; the hand-picked Figure 2 cells pin which
-tiers engage, so a certificate that silently stops firing fails here.
+draws the configurations; the hand-picked Figure 2 cells pin where
+steady engages, so a certificate that silently stops firing fails here.
 """
 
 import dataclasses
@@ -22,15 +22,15 @@ from .test_perf_modes import fresh_run
 #: fields that record how a result was computed, not what it computed
 HOW = ("fidelity", "fidelity_log", "forked")
 
-TIERS = ("clustered", "steady", "prefix")
+TIERS = ("steady", "prefix")
 
-#: the tier every Figure 2 LAMMPS (32,16) ``steady+clustered`` cell
-#: engages; the cells missing here run exact
+#: the tier every Figure 2 LAMMPS (32,16) ``steady`` cell engages; the
+#: cells missing here run exact
 FIG2_LABELS = {
     ("titan", "mpiio"): "steady",
     ("cori", "mpiio"): "steady",
     ("cori", "flexpath"): "steady",
-    ("cori", "decaf"): "steady+clustered",
+    ("cori", "decaf"): "steady",
 }
 
 
@@ -59,27 +59,24 @@ def assert_same_physics(a, b):
     steps=st.integers(6, 12),
 )
 @settings(max_examples=25, derandomize=True, deadline=None)
-def test_steady_clustered_matches_exact_or_logs_why(
-    method, machine, scale, steps,
-):
+def test_steady_matches_exact_or_logs_why(method, machine, scale, steps):
     nsim, nana = scale
     kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana,
                   steps=steps)
     exact = fresh_run(fidelity="exact", **kwargs)
-    reduced = fresh_run(fidelity="steady+clustered", **kwargs)
+    reduced = fresh_run(fidelity="steady", **kwargs)
     assert exact.fidelity_log == ()
     assert_same_physics(exact, reduced)
 
     log = reduced.fidelity_log
     assert all(entry.split(": ", 1)[0] in TIERS for entry in log), log
-    label = set(reduced.fidelity.split("+"))
-    for tier in ("clustered", "steady"):
-        entries = [e for e in log if e.startswith(f"{tier}: ")]
-        assert len(entries) <= 1, (tier, log)
-        assert tier in label or len(entries) == 1, (tier, reduced.fidelity, log)
+    assert reduced.fidelity in ("steady", "exact"), reduced.fidelity
+    engaged = reduced.fidelity == "steady"
+    steady = [e for e in log if e.startswith("steady: ")]
+    assert len(steady) == (0 if engaged else 1), (reduced.fidelity, log)
     prefix = [e for e in log if e.startswith("prefix: ")]
     assert len(prefix) <= 1, log
-    assert not prefix or "steady" in label, log
+    assert not prefix or engaged, log
 
 
 @pytest.mark.parametrize("machine", ["titan", "cori"])
@@ -87,7 +84,7 @@ def test_steady_clustered_matches_exact_or_logs_why(
 def test_fig2_cell_fidelity_labels(machine, method):
     result = fresh_run(machine=machine, method=method, workflow="lammps",
                        nsim=32, nana=16, steps=5,
-                       fidelity="steady+clustered")
+                       fidelity="steady")
     assert result.fidelity == FIG2_LABELS.get((machine, method), "exact"), (
         result.fidelity_log
     )

@@ -1,14 +1,11 @@
-"""Determinism and clustered-fidelity equivalence of the driver.
-
-Two properties back the performance work of this repo:
+"""Determinism of the driver and its fidelity vocabulary.
 
 * **determinism** — the simulation breaks time ties by event id, so the
   same configuration always produces bit-identical results (this is
   what makes the run cache and the golden files sound);
-* **clustered == exact** — when ``fidelity="clustered"`` engages, the
-  representative-group run must reproduce the exact run bit for bit,
-  and it must *refuse* to engage whenever a structural coupling
-  (non-uniform hops, shared services...) would break that.
+* **fidelity requests** — a run is exact unless it asks otherwise, and
+  a fidelity outside :data:`repro.workflows.fidelity.FIDELITIES` is
+  refused with an error that names the valid ones.
 """
 
 import pytest
@@ -61,55 +58,15 @@ class TestDeterminism:
         assert titan.end_to_end != cori.end_to_end
 
 
-# ------------------------------------------------ clustered equivalence
+# --------------------------------------------------- fidelity requests
 
-class TestClusteredEquivalence:
-    @pytest.mark.parametrize("machine", ["titan", "cori"])
-    @pytest.mark.parametrize(
-        "kwargs,engages",
-        [
-            # compute-only baselines: no interactions, always clusterable
-            (dict(method=None, nsim=512, nana=256), {"titan": True, "cori": True}),
-            # Decaf islands: uniform one-hop distances on Cori's
-            # dragonfly; Titan's torus hops vary with placement offset
-            (dict(method="decaf", nsim=512, nana=256), {"titan": False, "cori": True}),
-        ],
-        ids=["compute-only", "decaf"],
-    )
-    def test_bitwise_equal_and_engagement(self, machine, kwargs, engages):
-        exact = fresh_run(machine=machine, fidelity="exact", **kwargs)
-        clustered = fresh_run(machine=machine, fidelity="clustered", **kwargs)
-        expected = "clustered" if engages[machine] else "exact"
-        assert clustered.fidelity == expected
-        assert exact.fidelity == "exact"
-        assert_identical(exact, clustered, ignore=("fidelity",))
 
-    def test_clustered_runs_fewer_actors(self):
-        # The point of the mode: representative chains, same numbers.
-        from repro.sim.engine import Environment
-
-        counts = []
-        orig = Environment.step
-
-        def counting(env):
-            counts[-1] += 1
-            orig(env)
-
-        Environment.step = counting
-        try:
-            for fidelity in ("exact", "clustered"):
-                counts.append(0)
-                fresh_run(machine="cori", method="decaf",
-                          nsim=512, nana=256, fidelity=fidelity)
-        finally:
-            Environment.step = orig
-        exact_events, clustered_events = counts
-        assert clustered_events < exact_events / 2
-
+class TestFidelityRequests:
     def test_exact_default(self):
         result = fresh_run(machine="titan", method=None, nsim=32, nana=16)
         assert result.fidelity == "exact"
 
     def test_invalid_fidelity_rejected(self):
-        with pytest.raises(ValueError):
-            run_coupled(fidelity="fast")
+        for fidelity in ("fast", "clustered"):
+            with pytest.raises(ValueError, match="'exact', 'steady'"):
+                run_coupled(fidelity=fidelity)

@@ -44,18 +44,6 @@ class TestSteadyEquivalence:
             assert steady_entry(steady).startswith("steady:")
         assert_identical(exact, steady, ignore=("fidelity",))
 
-    @pytest.mark.parametrize("machine", ["titan", "cori"])
-    @pytest.mark.parametrize("method", METHODS)
-    def test_composed_equals_exact(self, machine, method):
-        kwargs = dict(machine=machine, method=method, nsim=32, nana=16,
-                      steps=8)
-        exact = fresh_run(fidelity="exact", **kwargs)
-        composed = fresh_run(fidelity="steady+clustered", **kwargs)
-        assert composed.fidelity in (
-            "steady+clustered", "steady", "clustered", "exact"
-        )
-        assert_identical(exact, composed, ignore=("fidelity",))
-
     def test_compute_only_baseline_fast_forwards(self):
         kwargs = dict(machine="titan", method=None, nsim=32, nana=16,
                       steps=8)

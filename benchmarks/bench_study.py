@@ -25,17 +25,16 @@ optimizations move.  Modes:
   import + serial simulation) against a resident daemon's first
   (cache-cold) and warm (cache-hot) submissions of the same figure,
   plus the warm pool's resident events/sec, under the ``serve`` key;
-* ``--fork-ab``    — the checkpoint-fork A/B: the chaos campaign with
-  the fork pass off vs on (plus a resident resubmission), one
-  late-fault chaos cell cold vs ``os.fork``-ed off a clean trunk, and
-  a steady step-count column cold vs arithmetic prefix resume —
+* ``--fork-ab``    — the resident-state A/B: the cold chaos campaign
+  against a resubmission served from the resident run cache, and a
+  steady step-count column cold vs arithmetic prefix resume —
   byte-identity asserted on every arm, under the ``fork`` key;
 * ``--gate PATH``  — the CI perf gate: re-measure the ``--full``
-  figures, the chaos campaign and the checkpoint-fork A/B, exit
+  figures, the chaos campaign and the ``--fork-ab`` A/B, exit
   non-zero if a figure regresses more than 25 % in wall time, coupled
   events/sec drops more than 25 % (figures or chaos) against the
   committed baseline at ``PATH``, ``fig2a_full`` falls below the
-  absolute :data:`COUPLED_EPS_FLOOR`, or the fork A/B misses its
+  absolute :data:`COUPLED_EPS_FLOOR`, or the A/B misses its
   absolute :data:`FORK_GATE_FLOORS`;
 * ``--profile FIG`` — run one figure (any ``--full`` or study
   experiment name) under :mod:`cProfile` and write the top 25
@@ -59,7 +58,9 @@ clamp per ``jobs_sweep`` level (skipping levels the clamp makes
 redundant instead of timing pure worker-spawn overhead) and adds the
 contended-path compilers (dimes, mpiio, flexpath) to ``batch_ab``.
 Schema 9 drops the ``batch_ab`` section with the batch-compilation
-tier it measured.
+tier it measured.  Schema 10 drops the ``fork`` section's ``cell`` arm
+and the ``matrix`` fork-on arm (``forked_seconds``, ``speedup``,
+``forks_served``) with the chaos fork pass they measured.
 
 The run cache is cleared before every experiment so timings measure
 simulation, not memoization.  Results merge into the output JSON, so
@@ -207,19 +208,13 @@ def profile_figure(fig: str, output: str) -> int:
 
 
 def chaos_bench(seed: int = 7) -> Dict[str, object]:
-    """Wall-clock the chaos campaign (serial, cold cache).
-
-    Runs with ``fork=False``: the fork pass moves cell execution into
-    ``os.fork`` children this process's event counter cannot see, so
-    its events/sec would be meaningless here.  The fork path is
-    measured on its own terms by :func:`fork_ab_bench`.
-    """
+    """Wall-clock the chaos campaign (serial, cold cache)."""
     from repro.chaos import run_campaign
 
     runcache.clear()
     with EventCounter() as counter:
         start = time.perf_counter()
-        run_campaign(seed=seed, fork=False)
+        run_campaign(seed=seed)
         elapsed = time.perf_counter() - start
     print(f"chaos(seed={seed}) {elapsed:8.2f} s  {counter.count:>12,} events")
     return {
@@ -469,7 +464,7 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------- checkpoint-fork A/B
+# ---------------------------------------------------- resident-state A/B
 
 def _results_identical(a, b) -> bool:
     """Field-by-field RunResult equality, NaN-aware, fork-metadata blind.
@@ -521,126 +516,54 @@ def _export_bytes(export_dir: str) -> Dict[str, bytes]:
 
 
 def fork_ab_bench(seed: int = 7, repeats: int = 3) -> Dict[str, object]:
-    """Cold vs checkpoint-forked wall clock, byte-identity asserted.
+    """Cold vs resident-state wall clock, byte-identity asserted.
 
-    Three comparisons, three grains of the same optimization:
+    Two comparisons:
 
-    * ``matrix``  — the whole seed-``seed`` chaos campaign with the
-      fork pass off vs on; the exported tables must be byte-identical.
-      Also times a *resubmission* of the forked campaign against the
-      resident cache/prefix state (what a ``repro.serve`` what-if
-      resubmission pays) against full re-simulation of the matrix;
-    * ``cell``    — one late-fault chaos cell at a step count long
-      enough for the shared prefix to dominate: cold pays the clean
-      baseline plus a full faulted run, forked pays one trunk and an
-      ``os.fork`` child that simulates only the post-trigger suffix;
+    * ``matrix``  — the whole seed-``seed`` chaos campaign cold against
+      a *resubmission* served from the resident run cache (what a
+      ``repro.serve`` what-if resubmission pays); the exported tables
+      must be byte-identical;
     * ``column``  — a steady step-count column: cold simulates the
-      warm-up prefix once per steps count, forked snapshots the steady
-      boundary on the first run and serves every other count by
-      arithmetic resume (microseconds).
+      warm-up prefix once per steps count, the resident run snapshots
+      the steady boundary on the first run and serves every other
+      count by arithmetic resume (microseconds).
 
     Wall times are best-of-``repeats``; identity is asserted on every
-    repeat — forking must never change bytes, only wall-clock.  The
-    first-run ``matrix`` arms are reported for honesty but not gated
-    on speedup: the campaign's 5-step cells cost single milliseconds,
-    the same order as ``os.fork`` itself, and on a single-CPU host
-    (``cpus`` in the report) the children cannot overlap the trunk —
-    the structural wins are the resubmission, the cell and the column.
+    repeat — resident state must never change bytes, only wall-clock.
     """
     import shutil
     import tempfile
 
-    from repro.chaos.campaign import CELL, run_campaign
-    from repro.chaos.faults import FaultEvent, FaultPlan
-    from repro.core import forkpoint
-    from repro.workflows import driver, run_coupled
+    from repro.chaos.campaign import run_campaign
+    from repro.workflows import run_coupled
 
     results: Dict[str, object] = {}
 
-    # -- matrix: the full campaign, fork pass off vs on ----------------
-    arms: Dict[str, float] = {}
-    exports: Dict[str, Dict[str, bytes]] = {}
-    forks_served = 0
-    resident = math.inf
-    for arm, fork in (("cold", False), ("forked", True)):
-        best = math.inf
-        for _ in range(repeats):
-            runcache.clear()
-            tmp = tempfile.mkdtemp(prefix=f"repro-fork-ab-{arm}-")
-            before = forkpoint.STATS.forks_served
-            start = time.perf_counter()
-            run_campaign(seed=seed, export_dir=tmp, fork=fork)
-            best = min(best, time.perf_counter() - start)
-            forks_served = forkpoint.STATS.forks_served - before
-            exports[arm] = _export_bytes(tmp)
-            if fork:
-                # resubmission against the resident cache/prefix state:
-                # the what-if latency the serve daemon keeps warm
-                start = time.perf_counter()
-                run_campaign(seed=seed, export_dir=tmp, fork=fork)
-                resident = min(resident, time.perf_counter() - start)
-                assert _export_bytes(tmp) == exports[arm], \
-                    "resident resubmission exports diverged"
-            shutil.rmtree(tmp)
-        arms[arm] = best
-    assert exports["cold"] == exports["forked"], \
-        "forked campaign exports diverged from cold"
-    results["matrix"] = {
-        "seed": seed,
-        "cold_seconds": round(arms["cold"], 3),
-        "forked_seconds": round(arms["forked"], 3),
-        "speedup": round(arms["cold"] / arms["forked"], 2),
-        "resident_seconds": round(resident, 3),
-        "resident_speedup": round(arms["cold"] / resident, 2),
-        "forks_served": forks_served,
-        "byte_identical": True,
-    }
-    print(f"fork-ab/matrix  cold {arms['cold']:6.2f} s   forked "
-          f"{arms['forked']:6.2f} s   ({arms['cold'] / arms['forked']:.2f}x, "
-          f"{forks_served} forks)   resident resubmission {resident:6.2f} s "
-          f"({arms['cold'] / resident:.2f}x)")
-
-    # -- cell: one late-fault cell off a shared trunk ------------------
-    # 60 steps with the crash at put 430/480: the shared prefix is ~90%
-    # of the run, the scale at which forking one variant pays even
-    # without a second CPU to overlap the child on.
-    plan = FaultPlan(
-        events=(FaultEvent("server_crash", after_puts=430, target=0),),
-        watchdog=4000.0,
-    )
-    cell_kwargs = dict(machine="titan", method="dataspaces",
-                       **dict(CELL, steps=60))
-    key = driver.point_key(fault_plan=plan, **cell_kwargs)
-    cold_best = fork_best = math.inf
+    # -- matrix: the cold campaign vs a resident resubmission ----------
+    cold_best = resident = math.inf
     for _ in range(repeats):
         runcache.clear()
+        tmp = tempfile.mkdtemp(prefix="repro-fork-ab-")
         start = time.perf_counter()
-        baseline = run_coupled(**cell_kwargs)
-        faulted = run_coupled(fault_plan=plan, **cell_kwargs)
+        run_campaign(seed=seed, export_dir=tmp)
         cold_best = min(cold_best, time.perf_counter() - start)
-
-        runcache.clear()
-        trigger, reason = forkpoint.plan_trigger(plan, key=key)
-        assert trigger is not None, reason
-        host = forkpoint.ChaosForkHost([trigger])
+        exported = _export_bytes(tmp)
         start = time.perf_counter()
-        trunk = run_coupled(fork_host=host, **cell_kwargs)
-        collected = host.collect()
-        fork_best = min(fork_best, time.perf_counter() - start)
-        assert not host.declines, host.declines
-        assert _results_identical(trunk, baseline), "trunk != baseline"
-        assert _results_identical(collected[key], faulted), \
-            "forked cell != cold cell"
-    results["cell"] = {
-        "fault": "server_crash",
-        "steps": cell_kwargs["steps"],
+        run_campaign(seed=seed, export_dir=tmp)
+        resident = min(resident, time.perf_counter() - start)
+        assert _export_bytes(tmp) == exported, \
+            "resident resubmission exports diverged"
+        shutil.rmtree(tmp)
+    results["matrix"] = {
+        "seed": seed,
         "cold_seconds": round(cold_best, 3),
-        "forked_seconds": round(fork_best, 3),
-        "speedup": round(cold_best / fork_best, 2),
-        "identical": True,
+        "resident_seconds": round(resident, 3),
+        "resident_speedup": round(cold_best / resident, 2),
+        "byte_identical": True,
     }
-    print(f"fork-ab/cell    cold {cold_best:6.2f} s   forked "
-          f"{fork_best:6.2f} s   ({cold_best / fork_best:.2f}x)")
+    print(f"fork-ab/matrix  cold {cold_best:6.2f} s   resident "
+          f"resubmission {resident:6.2f} s   ({cold_best / resident:.2f}x)")
 
     # -- column: steps counts off one steady-boundary snapshot ---------
     cold_runs: Dict[int, object] = {}
@@ -766,18 +689,17 @@ def perf_gate(
     return failures
 
 
-#: absolute checkpoint-fork gate floors (not baseline-relative: the
+#: absolute resident-state gate floors (not baseline-relative: the
 #: A/B's cold arm is re-measured in the same process, so the ratio is
 #: already host-normalized)
 FORK_GATE_FLOORS = {
     ("matrix", "resident_speedup"): 3.0,
-    ("cell", "speedup"): 1.0,
     ("column", "speedup"): 3.0,
 }
 
 
 def fork_gate(fork: Dict[str, Dict]) -> int:
-    """Gate the checkpoint-fork A/B on its absolute speedup floors.
+    """Gate the ``--fork-ab`` A/B on its absolute speedup floors.
 
     Byte-identity is asserted inside :func:`fork_ab_bench` itself (the
     bench dies rather than reporting divergent bytes), so the gate
@@ -785,7 +707,7 @@ def fork_gate(fork: Dict[str, Dict]) -> int:
     """
     failures = 0
     for section, flag in (("matrix", "byte_identical"),
-                          ("cell", "identical"), ("column", "identical")):
+                          ("column", "identical")):
         ok = fork[section].get(flag, False)
         print(f"{'ok' if ok else 'GATE FAIL':9s} fork/{section}: "
               f"{flag}={ok}")
@@ -833,9 +755,9 @@ def main(argv=None) -> int:
                             "first and warm submissions to a resident "
                             "daemon")
     group.add_argument("--fork-ab", action="store_true",
-                       help="checkpoint-fork A/B: the chaos campaign, one "
-                            "late-fault cell and a steady step-count "
-                            "column, cold vs forked, byte-identity "
+                       help="resident-state A/B: the chaos campaign cold "
+                            "vs resubmitted, and a steady step-count "
+                            "column cold vs prefix-resumed, byte-identity "
                             "asserted")
     group.add_argument("--profile", metavar="FIG",
                        help="run one figure under cProfile and write the "
@@ -843,10 +765,10 @@ def main(argv=None) -> int:
                             "profile-<fig>.txt (no JSON report)")
     group.add_argument("--gate", metavar="BASELINE",
                        help="CI perf gate: rerun the --full figures, the "
-                            "chaos campaign and the fork A/B; fail on a "
+                            "chaos campaign and the --fork-ab A/B; fail on a "
                             ">25%% wall-time regression (figures), a "
                             ">25%% events/sec drop (chaos) vs the "
-                            "committed BASELINE json, or a fork speedup "
+                            "committed BASELINE json, or an A/B speedup "
                             "below its absolute floor")
     parser.add_argument("-o", "--output", default="BENCH_study.json",
                         help="where to write the JSON report")
@@ -855,7 +777,7 @@ def main(argv=None) -> int:
     if args.profile:
         return profile_figure(args.profile, args.output)
 
-    report: Dict[str, object] = {"schema": 9, "cpus": os.cpu_count()}
+    report: Dict[str, object] = {"schema": 10, "cpus": os.cpu_count()}
     if args.jobs_sweep:
         report["mode"] = "jobs-sweep"
         report["jobs_sweep"] = jobs_sweep()

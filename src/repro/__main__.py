@@ -10,12 +10,10 @@ Subcommands:
 * ``list`` — list available experiment ids;
 * ``findings`` — verify the eight findings (plus the chaos-campaign
   robustness findings) and print the outcome;
-* ``chaos [--seed S] [--jobs N] [--export DIR] [--report PATH]
-  [--no-fork] [--fork-stats PATH]`` — run the fault-injection campaign
-  and export ``chaos_matrix`` and ``chaos_blast`` (byte-identical at
-  any seed-fixed job count; by default faulted cells fork off a shared
-  clean trunk at their trigger points instead of re-simulating the
-  warm-up prefix — see :mod:`repro.core.forkpoint`);
+* ``chaos [--seed S] [--jobs N] [--export DIR] [--report PATH]`` —
+  run the fault-injection campaign and export ``chaos_matrix``,
+  ``chaos_blast`` and ``chaos_matrix_ext`` (byte-identical at any
+  seed-fixed job count; every faulted cell simulates cold);
 * ``serve [--socket PATH] [--tcp HOST:PORT] [--jobs N] [--cache DIR]``
   — start the long-running simulation service: a warm spawn-worker
   pool plus a single-flight shared run cache behind a newline-JSON
@@ -95,7 +93,6 @@ def _cmd_study(
 def _cmd_chaos(
     seed: int, jobs: int, export: Optional[str],
     report_path: Optional[str] = None,
-    fork: bool = True, fork_stats_path: Optional[str] = None,
 ) -> int:
     from .chaos import run_campaign
 
@@ -104,7 +101,6 @@ def _cmd_chaos(
     results = run_campaign(
         seed=seed, jobs=jobs, export_dir=export, report_path=report_path,
         progress_stream=sys.stderr if jobs > 1 else None,
-        fork=fork, fork_stats_path=fork_stats_path,
     )
     run_report = results.pop("__report__", None)
     for table in results.values():
@@ -291,15 +287,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "processes, clamped to the host's cpu count "
                               "(tables stay byte-identical)")
     chaos_p.add_argument("--export", metavar="DIR", default="results",
-                         help="write chaos_matrix/chaos_blast as CSV+JSON "
-                              "into DIR (default: results)")
-    chaos_p.add_argument("--no-fork", action="store_true",
-                         help="disable the checkpoint-fork pass (every "
-                              "faulted cell simulates its warm-up prefix "
-                              "cold; bytes are identical either way)")
-    chaos_p.add_argument("--fork-stats", metavar="PATH", dest="fork_stats",
-                         help="write the fork pass's counters and per-cell "
-                              "decline reasons as JSON")
+                         help="write chaos_matrix, chaos_blast and "
+                              "chaos_matrix_ext as CSV+JSON into DIR "
+                              "(default: results)")
     chaos_p.add_argument("--report", metavar="PATH", dest="report_path",
                          help="write the JSON run report here (default "
                               "with --jobs: DIR/chaos_run_report.json)")
@@ -379,9 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "findings":
         return _cmd_findings()
     if args.command == "chaos":
-        return _cmd_chaos(args.seed, args.jobs, args.export, args.report_path,
-                          fork=not args.no_fork,
-                          fork_stats_path=args.fork_stats)
+        return _cmd_chaos(args.seed, args.jobs, args.export, args.report_path)
     if args.command == "study":
         if args.list_ids:
             return _cmd_list()

@@ -415,79 +415,6 @@ def campaign_outcomes(seed: int = 7) -> Dict[Tuple[str, str], Dict[str, Any]]:
     }
 
 
-def _fork_pass(seed: int) -> Dict[str, str]:
-    """Warm the run cache by forking faulted cells off clean trunks.
-
-    One trunk per (machine, library) for the paper matrix and one per
-    (library, tier) for the extended sweep: the trunk simulates the
-    clean cell once (seeding the baseline cache entry as a side effect)
-    and ``os.fork()``\\ s a child at each cell's trigger point, so the
-    shared warm-up prefix is simulated once per group instead of once
-    per cell.  Cells the fork protocol declines — and anything already
-    cached — are left alone; the serial replay runs them cold, so the
-    exported tables are byte-identical with or without this pass.
-
-    Returns label -> decline reason for the cells that fell back.
-    """
-    from ..core import forkpoint, runcache
-    from ..workflows import driver
-
-    declines: Dict[str, str] = {}
-    labels: Dict[str, str] = {}
-    groups: Dict[Tuple, Tuple[Dict[str, Any], List]] = {}
-
-    def stage(group, run_kwargs, label, plan, recovery=None):
-        key = driver.point_key(fault_plan=plan, recovery=recovery, **run_kwargs)
-        if key is None or runcache.CACHE.contains(key):
-            return
-        trigger, reason = forkpoint.plan_trigger(plan, recovery=recovery, key=key)
-        if trigger is None:
-            declines[label] = reason
-            forkpoint.STATS.decline(reason)
-            return
-        labels[key] = label
-        groups.setdefault(group, (run_kwargs, []))[1].append(trigger)
-
-    for cell in build_campaign(seed):
-        stage(
-            ("matrix", cell["machine"], cell["library"]),
-            dict(machine=cell["machine"], method=cell["library"], **CELL),
-            f"{cell['fault']}/{cell['library']}",
-            cell["plan"],
-        )
-
-    rng = random.Random(f"ext-{seed}")
-    plans = {fault: _ext_plan_for(fault, rng) for fault in EXT_FAULTS}
-    for fault in EXT_FAULTS:
-        for library in EXT_LIBRARIES:
-            for tier in EXT_TIERS:
-                stage(
-                    ("ext", library, tier),
-                    dict(
-                        machine="titan", method=library,
-                        config=_ext_config(library, tier == "pmem"),
-                        **CELL,
-                    ),
-                    f"ext:{fault}/{library}/{tier}",
-                    plans[fault],
-                    recovery=(
-                        RecoveryPolicy("restart-from-pmem")
-                        if tier == "pmem" else None
-                    ),
-                )
-
-    from ..workflows import run_coupled
-
-    for run_kwargs, triggers in groups.values():
-        host = forkpoint.ChaosForkHost(triggers)
-        run_coupled(fork_host=host, **run_kwargs)
-        for key, result in host.collect().items():
-            runcache.CACHE.put(key, result)
-        for key, reason in host.declines.items():
-            declines[labels.get(key, key)] = reason
-    return declines
-
-
 def run_campaign(
     seed: int = 7,
     jobs: int = 1,
@@ -495,18 +422,16 @@ def run_campaign(
     report_path: Optional[str] = None,
     progress_stream: Optional[TextIO] = None,
     fork: bool = True,
-    fork_stats_path: Optional[str] = None,
 ) -> Dict[str, TableResult]:
     """Run the campaign and (optionally) export its tables.
 
-    The checkpoint-fork pass runs first (unless ``fork=False``): one
-    clean trunk per cell group, every forkable faulted cell forked off
-    it at its trigger point, results warmed into the run cache.  With
-    ``jobs > 1`` the remaining deduplicated points execute on the
-    worker pool; the tables are then rebuilt serially from the warmed
-    cache, so the exported bytes match a cold serial run exactly.
-    ``fork_stats_path`` exports the pass's counters and per-cell
-    decline reasons as JSON.
+    With ``jobs > 1`` the deduplicated points execute on the worker
+    pool; the tables are then rebuilt serially from the warmed cache,
+    so the exported bytes match a cold serial run exactly.  Every
+    faulted cell simulates cold either way.  ``fork`` is accepted and
+    ignored: the end-to-end benchmark's chaos child
+    (``benchmarks/e2e/child.py``) still passes it; delete it once that
+    call stops.
     """
     experiments = {
         "chaos_matrix": lambda: chaos_matrix(seed),
@@ -517,23 +442,6 @@ def run_campaign(
         import os
 
         os.makedirs(export_dir, exist_ok=True)
-    fork_declines: Dict[str, str] = {}
-    if fork:
-        fork_declines = _fork_pass(seed)
-    if fork_stats_path is not None:
-        import json
-
-        from ..core.forkpoint import STATS
-
-        payload = dict(
-            seed=seed,
-            forked=fork,
-            **STATS.stats(),
-            declined_cells=dict(sorted(fork_declines.items())),
-        )
-        with open(fork_stats_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     run_report = None
     if jobs > 1:
         from ..exec import execute_parallel

@@ -1,11 +1,7 @@
-"""Checkpoint-fork incremental simulation.
+"""Steady-boundary prefix snapshots.
 
-Every point in the fault x library x scale matrix re-simulates an
-identical warm-up prefix before diverging.  This module captures that
-prefix once and forks every variant run from it, along two mechanisms
-matched to the two ways runs diverge:
-
-**Steps variants — arithmetic restore.**  When the driver certifies the
+Every steps variant of a point re-simulates an identical warm-up
+prefix before its step counts diverge.  When the driver certifies the
 first steady boundary (see ``_SteadyController``), the whole remaining
 effect of the run on its :class:`~repro.workflows.driver.RunResult` is
 closed-form: the boundary pair's record streams tile, the memory-series
@@ -19,44 +15,27 @@ point spec minus ``(steps, fault_plan, recovery)``.  Any later run
 sharing the prefix calls :meth:`SimSnapshot.resume` and replays only
 the divergent suffix, reproducing the cold run's floats bit for bit
 (the replay is the same arithmetic ``_SteadyController.finalize``
-performs, folded in the same order).
+performs, folded in the same order).  Faulted runs share no prefix:
+:func:`prefix_key` is None for any fault plan or recovery policy, so
+every chaos cell simulates cold.
 
-**Fault variants — process forking.**  Chaos cells diverge *mid-prefix*
-(a fault fires after k puts or at an absolute tick), where no certified
-boundary exists yet; restoring state by value would need every live
-generator frame.  :class:`ChaosForkHost` instead drives one *trunk*
-simulation of the clean cell and ``os.fork()``\\ s a child at each
-cell's exact trigger point — the operating system snapshots the whole
-event loop for free.  The child arms the real
-:class:`~repro.chaos.faults.FaultInjector` machinery in the positions
-the cold run would have used (fault times are already integer ticks, so
-quantized injection after the fork is exact; put-watchers re-arm before
-the triggering put) and ships its ``RunResult`` back over a
-temp file.  Anything the protocol cannot reproduce byte-for-byte
-declines honestly — multi-event plans, faults at t=0 (no shared
-prefix), put triggers that overshoot inside one event step — and the
-cell falls back to a cold run, so forking can only ever save time,
-never change bytes.
-
-Decline taxonomy (every reason lands in :data:`STATS` and, for
-steps-prefix requests, in ``RunResult.fidelity_log``): traced runs,
-steady orbit not certified (covers discard-mode SST), compute-only
-baselines (per-actor fast-forward has no shared boundary), steps that
-end inside the prefix, fast-forward horizons past the exact-arithmetic
-window, and the chaos protocol declines above.
+Decline taxonomy: a snapshot that cannot serve a steps count (steps
+that end inside the prefix, fast-forward horizons past the
+exact-arithmetic window) counts its reason in :data:`STATS`, and the
+run simulates cold; an engaged steady run that cannot publish a
+snapshot (compute-only baselines, whose per-actor fast-forward has no
+shared boundary; boundary data that is not periodic; unkeyable points)
+says why in ``RunResult.fidelity_log``.  A run whose steady orbit never
+certifies (covers discard-mode SST) publishes nothing, and its steady
+entry already explains why.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sim.engine import EXACT_TICK_LIMIT, _TICK, _TICK_SCALE
-from ..sim.events import Event
+from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..sim.monitor import TimeSeries
 
 #: prefix-entry keys exclude exactly these point-spec inputs: a prefix
@@ -69,7 +48,13 @@ PREFIX_TAG = "steady-boundary-prefix"
 
 
 class ForkpointStats:
-    """Process-wide fork/snapshot observability counters."""
+    """Process-wide prefix-snapshot observability counters.
+
+    ``forks_served`` counts prefix resumes and ``fork_declines`` the
+    reasons a resident snapshot declined a steps count; the names stay
+    because the run report, the daemon ``stats`` verb and the
+    benchmark harness read them.
+    """
 
     def __init__(self) -> None:
         self.snapshots_taken = 0
@@ -95,8 +80,8 @@ class ForkpointStats:
         self.fork_declines.clear()
 
 
-#: the singleton every layer (driver, campaign, exec report, daemon)
-#: reads and bumps
+#: the singleton every layer (driver, exec report, daemon) reads and
+#: bumps
 STATS = ForkpointStats()
 
 
@@ -108,7 +93,7 @@ def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
     overrides merged).  Returns None when the spec cannot share a
     prefix: chaos/recovery runs diverge inside it, compute-only
     baselines fast-forward per actor (no shared boundary), and only the
-    steady fidelities ever certify one.
+    steady fidelity ever certifies one.
     """
     if spec.get("fault_plan") is not None or spec.get("recovery") is not None:
         return None
@@ -143,7 +128,7 @@ def can_serve(spec: Dict[str, Any]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Steps variants: the arithmetic snapshot
+# The arithmetic snapshot
 
 
 @dataclass
@@ -198,8 +183,8 @@ class SimSnapshot:
         """
         if steps < self.cutoff + 2:
             return (
-                f"prefix: {steps} steps end inside the warm-up prefix "
-                f"(cutoff {self.cutoff})"
+                f"prefix: steps end inside the warm-up prefix "
+                f"({steps} steps, cutoff {self.cutoff})"
             )
         if (self.confirm_close_tick + (steps - self.cutoff) * self.delta
                 >= EXACT_TICK_LIMIT):
@@ -389,274 +374,3 @@ def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
         recovery_seconds=result.recovery_seconds,
         **partial,
     )
-
-
-# --------------------------------------------------------------------------
-# Fault variants: the chaos fork host
-
-
-@dataclass
-class ForkTrigger:
-    """One faulted cell to fork off the trunk."""
-
-    key: str                     # the cell's run-cache key
-    plan: Any                    # FaultPlan (single event)
-    recovery: Any = None         # explicit RecoveryPolicy or None
-    #: put-count threshold (after_puts) or 0 for a time trigger
-    after_puts: int = 0
-    #: absolute fire tick for time triggers
-    at_tick: int = 0
-    forked: bool = False
-
-
-def plan_trigger(plan, recovery=None, key: str = "") -> Tuple[Optional[ForkTrigger], Optional[str]]:
-    """Build a trigger for a cell's fault plan, or a decline reason.
-
-    The protocol handles exactly the shapes it can reproduce
-    byte-for-byte: one event, firing strictly after the shared prefix
-    began.  Everything else runs cold.
-    """
-    if len(plan.events) != 1:
-        return None, "fork: multi-event plans interleave with the prefix"
-    event = plan.events[0]
-    if event.after_puts > 0:
-        return ForkTrigger(key=key, plan=plan, recovery=recovery,
-                           after_puts=event.after_puts), None
-    tick = round(event.at * _TICK_SCALE)
-    if tick <= 0:
-        return None, "fork: fault fires at t=0 (no shared prefix exists)"
-    return ForkTrigger(key=key, plan=plan, recovery=recovery,
-                       at_tick=tick), None
-
-
-class ChaosForkHost:
-    """Drives one clean trunk and forks each faulted variant from it.
-
-    Passed to ``run_coupled(..., fork_host=...)`` by the campaign's
-    fork pass.  The trunk bypasses the cache read (it must actually
-    simulate), suppresses the frozen-rate promise (children degrade
-    pipes mid-run) and is itself byte-identical to the clean baseline,
-    so its result seeds the baseline cache entry.  ``collect()`` reaps
-    the children; any child that declined or died leaves its cell to a
-    cold run — forking never changes bytes, only wall-clock.
-    """
-
-    def __init__(self, triggers: List[ForkTrigger]) -> None:
-        self.triggers = triggers
-        self.in_child = False
-        self.declines: Dict[str, str] = {}
-        self._children: List[Tuple[int, str, ForkTrigger]] = []
-        self._child_trigger: Optional[ForkTrigger] = None
-        self._child_path: Optional[str] = None
-        self._puts_flag = 0
-        self._watched_library = None
-
-    # ------------------------------------------------------------ trunk
-
-    def drive(self, env, done, library, cluster) -> None:
-        """Run the trunk event loop, forking at each trigger point.
-
-        Replicates ``env.run(until=done)`` step for step; the only
-        additions are pure-Python trigger checks between events, so the
-        trunk's simulation is bit-identical to the clean baseline's.
-        The checks must stay cheap — they run once per event, and the
-        trunk's whole point is costing no more than a clean run — so
-        the loop guards on two scalars (the next put threshold and the
-        next trigger tick) and only does per-trigger work when one of
-        them trips.
-        """
-        if library is not None and any(t.after_puts for t in self.triggers):
-            self._watch_puts(library)
-        put_pending = sorted(
-            (t for t in self.triggers if t.after_puts),
-            key=lambda t: t.after_puts,
-        )
-        time_pending = sorted(
-            (t for t in self.triggers if not t.after_puts),
-            key=lambda t: t.at_tick,
-        )
-        step = env.step
-        ticks = env._ticks
-        from ..sim.engine import EmptySchedule
-
-        next_puts = put_pending[0].after_puts - 1 if put_pending else None
-        next_tick = time_pending[0].at_tick if time_pending else None
-        while done.callbacks is not None:
-            if next_puts is not None and self._puts_flag >= next_puts:
-                trigger = put_pending.pop(0)
-                self._fork(env, done, library, cluster, trigger)
-                if self.in_child:
-                    return
-                next_puts = (put_pending[0].after_puts - 1
-                             if put_pending else None)
-                continue
-            if next_tick is not None and ticks and ticks[0] >= next_tick:
-                cur = env._current
-                if (cur is None or env._pos >= len(cur)) \
-                        and env._now_tick < next_tick:
-                    trigger = time_pending.pop(0)
-                    self._fork(env, done, library, cluster, trigger)
-                    if self.in_child:
-                        return
-                    next_tick = (time_pending[0].at_tick
-                                 if time_pending else None)
-                    continue
-            try:
-                step()
-            except EmptySchedule:
-                raise RuntimeError(
-                    "simulation ran out of events before the awaited "
-                    "event triggered (deadlock?)"
-                ) from None
-        for trigger in put_pending + time_pending:
-            if not trigger.forked:
-                self.declines[trigger.key] = (
-                    "fork: trunk finished before the trigger point"
-                )
-                STATS.decline("fork: trunk finished before the trigger point")
-
-    def _watch_puts(self, library) -> None:
-        # Inert observer: raises a host-side flag, never touches the
-        # simulation — the trunk stays byte-identical to a clean run.
-        host = self
-
-        def trunk_watcher(puts: int) -> None:
-            host._puts_flag = puts
-
-        library._put_watchers.append(trunk_watcher)
-        self._watched_library = library
-
-    def _fork(self, env, done, library, cluster, trigger) -> None:
-        trigger.forked = True
-        fd, path = tempfile.mkstemp(prefix="forkpoint-", suffix=".pkl")
-        os.close(fd)
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pid = os.fork()
-        if pid:
-            self._children.append((pid, path, trigger))
-            return
-        # Child: this process now *is* the faulted variant.
-        self.in_child = True
-        self._child_trigger = trigger
-        self._child_path = path
-        self._run_child(env, done, library, cluster, trigger)
-
-    # ------------------------------------------------------------ child
-
-    def _child_decline(self, reason: str) -> None:
-        with open(self._child_path, "wb") as fh:
-            pickle.dump({"__fork_decline__": reason}, fh)
-        os._exit(0)
-
-    def _run_child(self, env, done, library, cluster, trigger) -> None:
-        """Arm the fault exactly as the cold run would have, then run.
-
-        Every piece of chaos state the cold run wires at t=0 is applied
-        here instead; all of it is only ever *read* after a fault fires,
-        so arming at the fork point reproduces the cold run's post-fault
-        behaviour exactly.  The armed events land in the cold run's
-        bucket positions: a time fault prepends at its (not yet opened)
-        tick bucket, matching the cold run's t=0 insertion order.
-        """
-        from ..chaos.faults import DEFAULT_RECOVERY, FaultInjector
-        from ..hpc.failures import WorkflowHang
-
-        plan = trigger.plan
-        event = plan.events[0]
-        if event.after_puts > 0 and library.stats.puts >= event.after_puts:
-            # One event step advanced the put count past the threshold:
-            # the cold run fired mid-step, which the fork cannot replay.
-            self._child_decline(
-                "fork: put trigger overshot inside one event step"
-            )
-        library.recovery = (
-            trigger.recovery if trigger.recovery is not None
-            else DEFAULT_RECOVERY.get(library.name)
-        )
-        if (library.recovery is not None
-                and library.recovery.kind == "reconnect-backoff"
-                and hasattr(library.transport, "credential_retry")):
-            library.transport.credential_retry = (
-                library.recovery.backoff, library.recovery.max_retries
-            )
-        injector = FaultInjector(env, cluster, library, plan, None)
-        if event.after_puts > 0:
-            library._put_watchers.clear()
-            injector._arm_put_watcher(event)
-        else:
-            fire = Event(env)
-            fire._ok = True
-            fire._value = None
-            fire.callbacks.append(lambda _ev, ev=event: injector._fire(ev))
-            env.schedule_at_tick_front(fire, trigger.at_tick)
-        watchdog = env.timeout_at_tick(round(plan.watchdog * _TICK_SCALE))
-        env.run(until=env.any_of([done, watchdog]))
-        if not done.triggered:
-            raise WorkflowHang(
-                f"workflow did not finish within the {plan.watchdog:g}"
-                f"-second watchdog after fault injection "
-                f"(injected: {injector.describe()})"
-            )
-
-    def finalize_run(self, result) -> None:
-        """run_coupled hook, after the attempt and before the cache put.
-
-        In a child: ship the result to the parent and exit — the child
-        must never reach the parent's cache or return to the campaign
-        loop.  In the parent (trunk): drop the inert watcher so the
-        trunk result carries no fork-host residue.
-        """
-        if self.in_child:
-            with open(self._child_path, "wb") as fh:
-                pickle.dump(result, fh)
-            os._exit(0)
-        if self._watched_library is not None:
-            self._watched_library._put_watchers.clear()
-            self._watched_library = None
-
-    def child_abort(self, exc: BaseException) -> None:
-        """Last-resort child containment (run_coupled's BaseException net).
-
-        A child whose exception escaped the normal HpcError handling
-        must not unwind into the parent's calling code — that stack
-        belongs to the campaign loop.  Record a decline (the cell runs
-        cold, where the same exception surfaces visibly) and exit.
-        """
-        self._child_decline(f"fork: child crashed ({type(exc).__name__}: {exc})")
-
-    # ----------------------------------------------------------- parent
-
-    def collect(self) -> Dict[str, Any]:
-        """Reap every child; cell key -> RunResult for the successes.
-
-        Declined or crashed children register in :attr:`declines`; the
-        campaign runs those cells cold.
-        """
-        results: Dict[str, Any] = {}
-        for pid, path, trigger in self._children:
-            _, status = os.waitpid(pid, 0)
-            obj = None
-            try:
-                with open(path, "rb") as fh:
-                    obj = pickle.load(fh)
-            except Exception:
-                obj = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            if isinstance(obj, dict) and "__fork_decline__" in obj:
-                reason = obj["__fork_decline__"]
-                self.declines[trigger.key] = reason
-                STATS.decline(reason)
-            elif obj is None or status != 0:
-                reason = "fork: child did not ship a result"
-                self.declines[trigger.key] = reason
-                STATS.decline(reason)
-            else:
-                obj.forked = "chaos-trunk"
-                results[trigger.key] = obj
-                STATS.forks_served += 1
-        self._children.clear()
-        return results

@@ -162,17 +162,6 @@ class RunCache:
             except OSError:
                 pass
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is resolvable, without touching hit counters.
-
-        Planning passes (the chaos fork pass, ``repro.exec``) use this
-        to decide what still needs computing; only actual consumption
-        should move the hit/miss statistics.
-        """
-        if key in self._memory:
-            return True
-        return self.disk_dir is not None and os.path.exists(self._path(key))
-
     def get_prefix(self, key: str) -> Optional[Any]:
         """Fetch a steady-boundary prefix snapshot (or ``None``)."""
         snap = self._prefixes.get(key)

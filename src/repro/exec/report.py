@@ -20,8 +20,9 @@ from typing import Any, Dict, List, Optional, TextIO
 #: 3 -> 4: records ``runcache`` — the in-process cache's hit/miss/
 #:         store/disk-hit counters at campaign end (the serving layer's
 #:         shared-store observability)
-#: 4 -> 5: records ``forkpoint`` — checkpoint-fork counters at campaign
-#:         end (snapshots taken, forks served, declines by reason) and
+#: 4 -> 5: records ``forkpoint`` — prefix-snapshot counters at campaign
+#:         end (snapshots taken, prefix resumes as ``forks_served``,
+#:         prefix declines by reason as ``fork_declines``) and
 #:         per-round ``prefix_hits`` (points a resident steady-prefix
 #:         entry serves, kept off the pool)
 SCHEMA = 5

@@ -616,8 +616,8 @@ class ServeDaemon:
                 point_inflight_now=flight["inflight_now"],
                 job_coalesced=self.jobs_coalesced,
             ),
-            #: resident snapshot/fork observability: prefix entries stay
-            #: hot in this process's run cache across jobs, so replays
-            #: keep serving steps variants without re-simulating
+            #: resident prefix-snapshot observability: prefix entries
+            #: stay hot in this process's run cache across jobs, so
+            #: replays keep serving steps variants without re-simulating
             forkpoint=forkpoint.STATS.stats(),
         )

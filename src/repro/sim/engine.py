@@ -142,33 +142,6 @@ class Environment:
                 bucket = [got, event]
             buckets[tick] = bucket
 
-    def schedule_at_tick_front(self, event: Event, tick: int) -> None:
-        """Queue ``event`` at ``tick`` *ahead of* everything already there.
-
-        The fork-restore primitive: a forked child re-arms events that
-        the cold run scheduled at t=0 into then-empty future buckets,
-        where they landed *first*.  By fork time those buckets already
-        hold workload events, so plain appends would change same-tick
-        order; prepending (in reverse cold order) reconstructs the cold
-        bucket layout exactly.
-        """
-        if tick < self._now_tick:
-            raise ValueError(
-                f"tick {tick} is in the past (now={self._now_tick})"
-            )
-        if tick == self._now_tick and self._current is not None:
-            self._current.insert(self._pos, event)
-            return
-        buckets = self._buckets
-        got = buckets.get(tick)
-        if got is None:
-            buckets[tick] = event
-            heappush(self._ticks, tick)
-        elif type(got) is list:
-            got.insert(0, event)
-        else:
-            buckets[tick] = [event, got]
-
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now.
 

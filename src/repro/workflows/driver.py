@@ -387,8 +387,8 @@ class _IndependentSteady:
 class RunResult:
     """Everything one coupled run measured, as plain data.
 
-    The run's simulator dies with the run, so caches, pool workers, the
-    daemon and forked chaos children hold and ship the result as returned.
+    The run's simulator dies with the run, so caches, pool workers and
+    the daemon hold and ship the result as returned.
     """
 
     machine: str
@@ -429,10 +429,9 @@ class RunResult:
     recovery_events: int = 0
     #: simulated seconds spent inside recovery actions
     recovery_seconds: float = 0.0
-    #: how this result was produced when not simulated cold: "prefix:…"
-    #: (arithmetic resume from a steady-boundary snapshot) or
-    #: "chaos-trunk" (os.fork off a clean trunk at the fault trigger) —
-    #: see :mod:`repro.core.forkpoint`.  None for cold runs.
+    #: "prefix:…" when this result was resumed arithmetically from a
+    #: steady-boundary snapshot (see :mod:`repro.core.forkpoint`);
+    #: None for simulated runs
     forked: Optional[str] = None
 
     @property
@@ -486,7 +485,6 @@ def run_coupled(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    fork_host=None,
 ) -> RunResult:
     """Run one coupled workflow configuration end to end.
 
@@ -513,26 +511,15 @@ def run_coupled(
     :func:`~repro.workflows.fidelity.resolve_fidelity`;
     ``RunResult.fidelity_log`` records why it did not.
 
-    ``fork_host`` (a :class:`repro.core.forkpoint.ChaosForkHost`) runs
-    this configuration as a clean *trunk* that ``os.fork()``\\ s a child
-    process at each registered fault trigger; the children inject their
-    faults post-fork and ship their results back, so one clean prefix
-    serves every fault variant.  A trunk run requires ``fault_plan`` and
-    ``trace`` to be ``None`` and skips the cache read (it must actually
-    simulate) while still publishing its own clean result.
-
     Results are memoized in :mod:`repro.core.runcache` keyed on every
     input that determines the outcome; traced runs bypass the cache.
     Cache misses first consult the steady-boundary *prefix* entries
     (see :mod:`repro.core.forkpoint`): a sibling run differing only in
     ``steps`` may have published its certified orbit, in which case the
     divergent suffix is replayed arithmetically instead of simulated.
+    A faulted run has no prefix entry, so on a miss it simulates from
+    t=0.
     """
-    if fork_host is not None and (fault_plan is not None or trace is not None):
-        raise ValueError(
-            "fork_host runs a clean trunk: fault_plan and trace must be "
-            "None (forked children inject their own faults)"
-        )
     # locals() holds exactly the arguments: nothing is assigned above
     machine_spec, spec, point = _resolve_point(locals())
     cache_key = None if trace is not None else _cache_key(machine_spec, spec, point)
@@ -543,7 +530,7 @@ def run_coupled(
         # uncacheable calls are left for the serial replay.
         return _PLAN_RECORDER.intercept(cache_key, point)
 
-    if cache_key is not None and fork_host is None:
+    if cache_key is not None:
         from ..core import runcache
 
         cached = runcache.CACHE.get(cache_key)
@@ -576,26 +563,20 @@ def run_coupled(
         )
         env = Environment()
         cluster = Cluster(env, machine_spec)
-        if fault_plan is None and fork_host is None:
+        if fault_plan is None:
             # no injector armed -> no pipe can be degraded mid-run, so
             # every pipe (OSTs, NICs, memory buses) may run its
-            # eventless arithmetic chain.  Fork trunks keep rates
-            # mutable: a forked child degrades them mid-run.
+            # eventless arithmetic chain
             cluster.freeze_rates()
         library = None
         try:
             library = _build_library(cluster, point)
-            _execute(env, cluster, library, result, spec, run_point, trace,
-                     fork_host)
+            _execute(env, cluster, library, result, spec, run_point, trace)
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
-            if fault_plan is not None or (
-                fork_host is not None and fork_host.in_child
-            ):
+            if fault_plan is not None:
                 # Chaos runs keep their partial accounting: how far the
                 # clock got and what the libraries managed to recover.
-                # A forked child is a chaos run even though the trunk's
-                # fault_plan is None — it injected its own post-fork.
                 result.end_to_end = env.now
                 if library is not None:
                     result.versions_lost = library.versions_lost
@@ -613,32 +594,19 @@ def run_coupled(
     if was_enabled:
         gc.disable()
     try:
-        try:
-            result = _attempt(point)
-        except _SteadyDiverged as exc:
-            # Safety net: the confirmed orbit failed replay-time
-            # verification.  Rerun the whole configuration (fresh
-            # environment, cluster and library) without the fast-forward
-            # — a false engagement costs time, never correctness.
-            result = _attempt(dict(point, fidelity="exact"))
-            result.fidelity_log += (f"steady: {exc}",)
-    except BaseException as exc:
-        # A forked chaos child shares this stack with its parent: an
-        # exception escaping run_coupled inside the child would resume
-        # the *campaign loop* in a second process.  Convert it to a
-        # decline marker and exit the child instead.
-        if fork_host is not None and fork_host.in_child:
-            fork_host.child_abort(exc)
-        raise
+        result = _attempt(point)
+    except _SteadyDiverged as exc:
+        # Safety net: the confirmed orbit failed replay-time
+        # verification.  Rerun the whole configuration (fresh
+        # environment, cluster and library) without the fast-forward
+        # — a false engagement costs time, never correctness.
+        result = _attempt(dict(point, fidelity="exact"))
+        result.fidelity_log += (f"steady: {exc}",)
     finally:
         if was_enabled:
             gc.enable()
 
     snap = result.__dict__.pop("_forkpoint_snapshot", None)
-    if fork_host is not None:
-        # In a forked child this ships the result to the parent and
-        # never returns; in the parent it retires the trunk's triggers.
-        fork_host.finalize_run(result)
     if cache_key is not None:
         from ..core import runcache
 
@@ -664,7 +632,7 @@ _DEFAULTS = {name: p.default for name, p in _SIGNATURE.parameters.items()}
 
 #: ``run_coupled`` arguments that steer how a run executes, never what
 #: it computes: they stay out of the point
-_NOT_INPUTS = ("trace", "fork_host")
+_NOT_INPUTS = ("trace",)
 
 
 def _resolve_point(args: dict):
@@ -711,10 +679,8 @@ def point_key(**kwargs) -> Optional[str]:
     """The run-cache key ``run_coupled(**kwargs)`` would use.
 
     ``None`` when the configuration is uncacheable; ``ValueError`` for
-    a fidelity ``run_coupled`` would refuse.  The chaos fork pass uses
-    this to address forked-child results without simulating, and the
-    serve daemon to key point jobs (so it refuses a bad fidelity at
-    submit time).
+    a fidelity ``run_coupled`` would refuse.  The serve daemon uses this
+    to key point jobs (so it refuses a bad fidelity at submit time).
     """
     unknown = kwargs.keys() - _DEFAULTS.keys()
     if unknown:
@@ -762,7 +728,7 @@ def _build_library(cluster, point) -> Optional[StagingLibrary]:
 
 
 def _execute(env, cluster, library, result, spec, point,
-             trace: Optional[ActivityTrace], fork_host) -> None:
+             trace: Optional[ActivityTrace]) -> None:
     machine = cluster.spec
     nsim, nana, steps = point["nsim"], point["nana"], point["steps"]
     var, axis = point["variable"], point["app_axis"]
@@ -968,13 +934,6 @@ def _execute(env, cluster, library, result, spec, point,
                 f"-second watchdog after fault injection "
                 f"(injected: {injector.describe()})"
             )
-    elif fork_host is not None:
-        # Clean trunk: step manually (equivalent to env.run(until=done))
-        # so the host can os.fork() a child at each registered fault
-        # trigger.  In a child this returns once the child's own faulted
-        # run finished; the rest of this function then assembles the
-        # child's result exactly as a cold chaos run would.
-        fork_host.drive(env, done, library, cluster)
     else:
         env.run(until=done)
 

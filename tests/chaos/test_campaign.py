@@ -14,6 +14,13 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "results")
 
 OUTCOMES = {"completed", "degraded", "aborted", "hung-then-aborted"}
 
+#: every file ``run_campaign(export_dir=...)`` writes
+EXPORTS = tuple(
+    f"{table}.{ext}"
+    for table in ("chaos_matrix", "chaos_blast", "chaos_matrix_ext")
+    for ext in ("csv", "json")
+)
+
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
@@ -95,6 +102,15 @@ class TestCommittedGoldens:
                     worst = category
             assert row["blast_radius"] == worst
 
+    def test_serial_campaign_regenerates_the_goldens(self, tmp_path):
+        campaign.run_campaign(seed=7, export_dir=str(tmp_path))
+        for name in EXPORTS:
+            with open(os.path.join(RESULTS_DIR, name), "rb") as fh:
+                golden = fh.read()
+            assert (tmp_path / name).read_bytes() == golden, (
+                f"{name} differs from the committed golden"
+            )
+
 
 class TestChaosFindings:
     def test_every_chaos_finding_verifies(self):
@@ -126,11 +142,13 @@ class TestDeterminismAcrossJobs:
                 ),
             ),
         )
-        campaign.run_campaign(seed=11, jobs=1, export_dir=str(tmp_path / "serial"))
+        # the benchmark harness's recheck passes fork=False: the
+        # ignored keyword must keep being accepted
+        campaign.run_campaign(seed=11, jobs=1, fork=False,
+                              export_dir=str(tmp_path / "serial"))
         runcache.clear()
         campaign.run_campaign(seed=11, jobs=2, export_dir=str(tmp_path / "pool"))
-        for name in ("chaos_matrix.csv", "chaos_matrix.json",
-                     "chaos_blast.csv", "chaos_blast.json"):
+        for name in EXPORTS:
             serial = (tmp_path / "serial" / name).read_bytes()
             pool = (tmp_path / "pool" / name).read_bytes()
             assert serial == pool, f"{name} differs between job counts"

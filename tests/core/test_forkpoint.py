@@ -1,13 +1,13 @@
-"""Checkpoint-fork snapshots (:mod:`repro.core.forkpoint`).
+"""Steady-boundary prefix snapshots (:mod:`repro.core.forkpoint`).
 
-Three properties back the fork machinery:
+Three properties back the snapshots:
 
-* **byte-identity** — a prefix-restored steps variant and an
-  ``os.fork``-ed fault variant reproduce the cold run's RunResult
-  float for float (forking never changes bytes, only wall-clock);
-* **honest declines** — whenever the protocol cannot guarantee
-  identity it says why, in ``fidelity_log`` or the campaign's
-  decline map, and the run falls back cold;
+* **byte-identity** — a prefix-restored steps variant reproduces the
+  cold run's RunResult float for float (a resume never changes bytes,
+  only wall-clock);
+* **honest declines** — whenever a snapshot cannot guarantee identity
+  it says why, in ``fidelity_log`` or the decline counters, and the run
+  falls back cold;
 * **prefix addressing** — prefix entries are keyed by the spec minus
   (steps, fault plan, recovery) and never collide with full-run
   entries.
@@ -15,7 +15,7 @@ Three properties back the fork machinery:
 
 import math
 
-from repro.chaos.campaign import CELL, WATCHDOG
+from repro.chaos.campaign import WATCHDOG
 from repro.chaos.faults import FaultEvent, FaultPlan
 from repro.core import forkpoint, runcache
 from repro.core.forkpoint import PREFIX_EXCLUDES
@@ -84,9 +84,14 @@ class TestPrefixRestore:
         reason = snap.decline_reason(snap.cutoff + 1)
         assert reason is not None and reason.startswith("prefix:")
         assert "inside the warm-up prefix" in reason
-        # and the driver honors it: the short run simulates cold
-        short = run_coupled(steps=snap.cutoff + 1, **STEADY)
-        assert short.forked is None
+        # and the driver honors it: the short runs simulate cold, and
+        # their declines aggregate under one key whatever the steps
+        head = "prefix: steps end inside the warm-up prefix"
+        before = forkpoint.STATS.fork_declines.get(head, 0)
+        for steps in (snap.cutoff, snap.cutoff + 1):
+            short = run_coupled(steps=steps, **STEADY)
+            assert short.forked is None
+        assert forkpoint.STATS.fork_declines[head] == before + 2
 
     def test_restored_log_equals_cold_log(self):
         # only an engaged steady run with nothing to decline publishes a
@@ -183,95 +188,9 @@ class TestPrefixKeys:
         runcache.clear()
         result = run_coupled(steps=8, **STEADY)
         full_key = driver.point_key(**dict(STEADY, steps=8))
-        assert runcache.CACHE.contains(full_key)
+        assert runcache.CACHE.get(full_key) is result
         assert runcache.CACHE.get_prefix(full_key) is None
         prefix = forkpoint.prefix_key(_spec(steps=8))
         assert prefix != full_key
         assert runcache.CACHE.get(prefix) is None
         assert result is not None
-
-
-# ------------------------------------------------------ chaos fork host
-
-
-class TestChaosFork:
-    CELL_KW = dict(machine="titan", method="dataspaces", **CELL)
-
-    def _plan(self, kind, **event_kw):
-        return FaultPlan(events=(FaultEvent(kind, **event_kw),),
-                         watchdog=WATCHDOG)
-
-    def test_forked_cell_byte_identical_to_cold(self):
-        plan = self._plan("server_crash", after_puts=18, target=0)
-        runcache.clear()
-        baseline = run_coupled(**self.CELL_KW)
-        cold = run_coupled(fault_plan=plan, **self.CELL_KW)
-
-        runcache.clear()
-        key = driver.point_key(fault_plan=plan, **self.CELL_KW)
-        trigger, reason = forkpoint.plan_trigger(plan, key=key)
-        assert trigger is not None, reason
-        host = forkpoint.ChaosForkHost([trigger])
-        trunk = run_coupled(fork_host=host, **self.CELL_KW)
-        collected = host.collect()
-        assert not host.declines
-        assert collected[key].forked == "chaos-trunk"
-        assert_float_identical(trunk, baseline)
-        assert_float_identical(collected[key], cold)
-
-    def test_time_trigger_byte_identical_to_cold(self):
-        plan = self._plan("transport_degrade", at=42.5, factor=32.0)
-        runcache.clear()
-        cold = run_coupled(fault_plan=plan, **self.CELL_KW)
-
-        runcache.clear()
-        key = driver.point_key(fault_plan=plan, **self.CELL_KW)
-        trigger, reason = forkpoint.plan_trigger(plan, key=key)
-        assert trigger is not None, reason
-        host = forkpoint.ChaosForkHost([trigger])
-        run_coupled(fork_host=host, **self.CELL_KW)
-        collected = host.collect()
-        assert_float_identical(collected[key], cold)
-
-    def test_t0_fault_declines(self):
-        plan = self._plan("drc_reject", at=0.0, duration=40.0)
-        trigger, reason = forkpoint.plan_trigger(plan)
-        assert trigger is None
-        assert reason == "fork: fault fires at t=0 (no shared prefix exists)"
-
-    def test_multi_event_plan_declines(self):
-        plan = FaultPlan(
-            events=(
-                FaultEvent("server_crash", after_puts=10, target=0),
-                FaultEvent("ost_slow", at=30.0, target=1, factor=8.0),
-            ),
-            watchdog=WATCHDOG,
-        )
-        trigger, reason = forkpoint.plan_trigger(plan)
-        assert trigger is None
-        assert reason == "fork: multi-event plans interleave with the prefix"
-
-    def test_fork_pass_warms_cache_with_honest_declines(self):
-        from repro.chaos.campaign import _fork_pass, build_campaign
-
-        runcache.clear()
-        declines = _fork_pass(7)
-        # every drc_reject cell declined (t=0), everything else forked
-        assert set(declines) == {
-            f"drc_reject/{cell['library']}"
-            for cell in build_campaign(7) if cell["fault"] == "drc_reject"
-        }
-        for reason in declines.values():
-            assert reason.startswith("fork: fault fires at t=0")
-        served = 0
-        for cell in build_campaign(7):
-            if cell["fault"] == "drc_reject":
-                continue
-            key = driver.point_key(
-                machine=cell["machine"], method=cell["library"],
-                fault_plan=cell["plan"], **CELL,
-            )
-            assert runcache.CACHE.contains(key), (
-                cell["fault"], cell["library"])
-            served += 1
-        assert served == 20

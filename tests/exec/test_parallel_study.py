@@ -76,7 +76,7 @@ class TestParallelStudy:
         assert set(cache) >= {"hits", "misses", "stores", "seeds",
                               "disk_hits", "entries"}
         assert all(isinstance(v, int) for v in cache.values())
-        # schema 5: so do the checkpoint-fork counters
+        # schema 5: so do the prefix-snapshot counters
         fork = payload["forkpoint"]
         assert set(fork) >= {"snapshots_taken", "forks_served",
                              "fork_declines"}

@@ -52,6 +52,18 @@ FAULT_KINDS = (
 #: :data:`FAULT_KINDS` must never perturb their rng draw order.
 MATRIX_FAULTS = FAULT_KINDS[:5]
 
+#: the cluster part whose pipe rates each rate-changing kind degrades
+#: (see :meth:`repro.hpc.cluster.Cluster.freeze_rates`).  The other
+#: kinds change no rate: ``server_crash`` only clears ``Node.alive``,
+#: ``rank_death`` only edits library state and ``drc_reject`` only sets
+#: ``DrcService.reject_until``.  A kind missing here that does degrade a
+#: pipe fails loudly: ``BandwidthPipe.degrade`` refuses a frozen pipe.
+DEGRADES = {
+    "transport_degrade": "nic",
+    "ost_slow": "lustre",
+    "pmem_degrade": "pmem",
+}
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -156,6 +168,13 @@ class FaultPlan:
 
     def describe(self) -> str:
         return "; ".join(e.describe() for e in self.events) or "no events"
+
+    @property
+    def degraded_parts(self) -> frozenset:
+        """The cluster parts whose pipe rates this plan can change."""
+        return frozenset(
+            DEGRADES[e.kind] for e in self.events if e.kind in DEGRADES
+        )
 
 
 #: every class of the :mod:`repro.hpc.failures` taxonomy, mapped to the

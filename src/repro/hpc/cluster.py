@@ -14,7 +14,7 @@ and Cori refuses heterogeneous (MPMD) launches (Finding 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..sim import Environment
 from .drc import DrcService
@@ -27,13 +27,19 @@ from .pmem import PmemDevice
 from .topology import make_topology
 
 
+#: the parts of a machine whose pipe rates a fault can degrade: every
+#: node's NIC, the Lustre OSTs and the persistent-memory tier.  Memory
+#: buses are not among them; no fault degrades a memory bus.
+RATE_PARTS = frozenset({"nic", "lustre", "pmem"})
+
+
 class Cluster:
     """One booted machine inside a simulation environment.
 
     Nodes, the Lustre filesystem and the persistent-memory tier are
-    built lazily, on first touch, and frozen at birth once
-    :meth:`freeze_rates` has run: a run pays only for the parts of the
-    machine it uses.
+    built lazily, on first touch, and honour :meth:`freeze_rates` at
+    birth once it has run: a run pays only for the parts of the machine
+    it uses, and every part no fault can degrade runs frozen.
     """
 
     def __init__(self, env: Environment, spec: MachineSpec) -> None:
@@ -41,7 +47,9 @@ class Cluster:
         self.spec = spec
         self._nodes: Dict[int, Node] = {}
         self._links: Dict[tuple, Link] = {}
-        self._rates_frozen = False
+        # parts whose pipe rates may still change; all of them, memory
+        # buses included, until freeze_rates narrows the set
+        self._mutable = RATE_PARTS | {"membus"}
         self.topology = make_topology(spec.interconnect.topology, spec.num_nodes)
         self._lustre: Optional[LustreFilesystem] = None
         self._pmem: Optional[PmemDevice] = None
@@ -51,24 +59,30 @@ class Cluster:
             else None
         )
 
-    def freeze_rates(self) -> None:
-        """Promise no pipe rate changes for the rest of the run.
+    def freeze_rates(self, mutable: Iterable[str] = ()) -> None:
+        """Promise no pipe rate outside ``mutable`` changes for the run.
 
-        Freezes the Lustre OSTs and every node's NIC and memory-bus
-        pipe — including nodes, OSTs and the PMEM tier created later,
-        since they are built lazily on first touch.  The driver arms
-        this for every run without a fault plan: a
-        :class:`~repro.chaos.faults.FaultPlan` is the only mechanism
-        that can ``degrade()`` a rate mid-run, so everything else may
-        run the eventless arithmetic chains.
+        ``mutable`` names the parts of :data:`RATE_PARTS` a fault may
+        still degrade.  Every other part, and every memory bus, is
+        frozen and runs the eventless arithmetic chains; nodes, the OST
+        pool and the PMEM tier built later, on first touch, follow the
+        same rule.  The driver passes the fault plan's
+        :attr:`~repro.chaos.faults.FaultPlan.degraded_parts` (none for a
+        clean run); :meth:`BandwidthPipe.degrade` refuses a frozen pipe,
+        so a degrading fault the set misses fails loudly.
         """
-        self._rates_frozen = True
-        if self._lustre is not None:
+        self._mutable = frozenset(mutable)
+        if self._lustre is not None and "lustre" not in self._mutable:
             self._lustre.freeze_rates()
-        if self._pmem is not None:
+        if self._pmem is not None and "pmem" not in self._mutable:
             self._pmem.freeze_rates()
         for node in self._nodes.values():
+            self._freeze_node(node)
+
+    def _freeze_node(self, node: Node) -> None:
+        if "nic" not in self._mutable:
             node.nic.freeze_rate()
+        if "membus" not in self._mutable:
             node.membus.freeze_rate()
 
     @property
@@ -80,7 +94,7 @@ class Cluster:
         """
         if self._lustre is None:
             self._lustre = LustreFilesystem(self.env, self.spec.lustre)
-            if self._rates_frozen:
+            if "lustre" not in self._mutable:
                 self._lustre.freeze_rates()
         return self._lustre
 
@@ -95,7 +109,7 @@ class Cluster:
         """
         if self._pmem is None and self.spec.pmem is not None:
             self._pmem = PmemDevice(self.env, self.spec.pmem)
-            if self._rates_frozen:
+            if "pmem" not in self._mutable:
                 self._pmem.freeze_rates()
         return self._pmem
 
@@ -109,9 +123,7 @@ class Cluster:
         node = self._nodes.get(node_id)
         if node is None:
             node = Node(self.env, node_id, self.spec.node)
-            if self._rates_frozen:
-                node.nic.freeze_rate()
-                node.membus.freeze_rate()
+            self._freeze_node(node)
             self._nodes[node_id] = node
         return node
 

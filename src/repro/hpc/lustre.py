@@ -10,12 +10,13 @@ Two effects dominate the paper's MPI-IO results (Figure 2):
 
 We model the OST pool as a set of :class:`BandwidthPipe` objects and the
 MDS as a small :class:`Resource` through which every file open/create
-must pass.
+must pass.  A frozen pool (see :meth:`LustreFilesystem.freeze_rates`)
+never builds those pipes: its whole state is one end tick per OST.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -51,16 +52,14 @@ class LustreFilesystem:
     def __init__(self, env: Environment, spec: LustreSpec) -> None:
         self.env = env
         self.spec = spec
-        per_ost_bw = spec.peak_bandwidth / spec.num_osts
-        self._osts: List[BandwidthPipe] = [
-            BandwidthPipe(env, per_ost_bw, name=f"ost{i}")
-            for i in range(spec.num_osts)
-        ]
+        #: every OST's nominal rate, bytes/second
+        self._ost_rate = spec.peak_bandwidth / spec.num_osts
+        self._pipes: Optional[List[BandwidthPipe]] = None
         self._mds = Resource(env, capacity=spec.num_mds)
         self._next_ost = 0
         self._rates_frozen = False
-        # Frozen-mode chain end ticks, np.int64[num_osts] (authoritative
-        # once frozen; the per-pipe attributes go stale — see
+        # Frozen-mode chain end ticks, np.int64[num_osts]: the whole
+        # state of a frozen pool, which builds no OST pipes (see
         # freeze_rates)
         self._chain_ticks = None
         self._plan_memo: dict = {}
@@ -68,25 +67,46 @@ class LustreFilesystem:
         self.bytes_read = 0
         self.files_created = 0
 
+    @property
+    def _osts(self) -> List[BandwidthPipe]:
+        """The per-OST pipes, built on first use.
+
+        Only the chaos hooks and an unfrozen pool read them, so a frozen
+        pool never builds its 1,008 (Titan) or 248 (Cori) pipes.  Pipes
+        built for a frozen pool are frozen too: :meth:`degrade_ost`
+        still refuses.
+        """
+        if self._pipes is None:
+            self._pipes = [
+                BandwidthPipe(self.env, self._ost_rate, name=f"ost{i}")
+                for i in range(self.spec.num_osts)
+            ]
+            if self._rates_frozen:
+                for ost in self._pipes:
+                    ost.freeze_rate()
+        return self._pipes
+
     def freeze_rates(self) -> None:
         """Promise no OST is ever degraded: bursts become arithmetic.
 
-        The driver calls this for every run without a fault plan — the
-        OST pipes then resolve whole request bursts arithmetically,
-        without creating any events (see :meth:`_transfer`).  While
-        frozen, the pool's chain state lives in one numpy array (an end
-        tick per OST) so a request touching hundreds of OSTs updates it
-        with a handful of array operations; the per-pipe chain and
-        busy/bytes counters are left stale, and nothing reads them.
+        The cluster freezes the pool for every run whose fault plan
+        cannot slow an OST (see
+        :meth:`~repro.hpc.cluster.Cluster.freeze_rates`) — the pool
+        then resolves whole request bursts arithmetically, without
+        creating any events (see :meth:`_transfer`).  While frozen, the
+        pool's chain state lives in one numpy array (an end tick per
+        OST) so a request touching hundreds of OSTs updates it with a
+        handful of array operations, and every OST runs at the nominal
+        rate; no OST pipe is built.  The pool is frozen before its first
+        transfer, so every OST chain starts empty.
         """
         if self._rates_frozen:
             return
         self._rates_frozen = True
-        for ost in self._osts:
-            ost.freeze_rate()
-        self._chain_ticks = np.array(
-            [ost._chain_end_tick for ost in self._osts], dtype=np.int64
-        )
+        if self._pipes is not None:
+            for ost in self._pipes:
+                ost.freeze_rate()
+        self._chain_ticks = np.zeros(self.spec.num_osts, dtype=np.int64)
 
     def osts_steady_state(self) -> tuple:
         """Boundary fingerprint of the whole OST pool.
@@ -197,24 +217,26 @@ class LustreFilesystem:
     def _build_plan(self, handle: LustreFile, offset: int, nbytes: int) -> list:
         """Compile one request's stripe split into vectorized classes.
 
-        Groups the reference :meth:`_stripe_transfers` output by (run
-        sequence, rate): OSTs in one class receive the *same* chunk
-        duration sequence, so they share one burst length.  Each class
-        is ``(osts, ticks)``: the OST indices and the burst length in
+        Groups the reference :meth:`_stripe_transfers` output by run
+        sequence: every OST of a frozen pool runs at the nominal rate,
+        so OSTs in one class receive the *same* chunk duration
+        sequence and share one burst length.  Each class is
+        ``(osts, ticks)``: the OST indices and the burst length in
         ticks, folded from the per-chunk durations with the chunk-by-
         chunk reference additions bit for bit (np.add.accumulate is
         sequential left-to-right in double precision).
         """
         classes: dict = {}
         for ost, runs in self._stripe_transfers(handle, offset, nbytes):
-            key = (tuple(runs), self._osts[ost].rate)
+            key = tuple(runs)
             bucket = classes.get(key)
             if bucket is None:
                 classes[key] = [ost]
             else:
                 bucket.append(ost)
+        rate = self._ost_rate
         plan = []
-        for (runs, rate), ost_list in classes.items():
+        for runs, ost_list in classes.items():
             pieces = np.array([piece for piece, _ in runs], dtype=np.float64)
             counts = np.array([n for _, n in runs])
             fill = np.repeat(pieces / rate, counts)

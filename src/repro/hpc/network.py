@@ -74,10 +74,11 @@ class BandwidthPipe:
         Unlocks the arithmetic chain forms — :meth:`enqueue_runs_end`
         and the frozen fast paths of :meth:`transmit` /
         :meth:`transmit_many` — and :meth:`degrade` refuses afterwards.
-        The driver freezes *every* pipe of a run without a fault plan
-        (see :meth:`~repro.hpc.cluster.Cluster.freeze_rates`): a
-        :class:`~repro.chaos.faults.FaultPlan` is the only mechanism
-        that can change a rate mid-run.
+        The driver freezes every pipe the run's
+        :class:`~repro.chaos.faults.FaultPlan` cannot degrade — all of
+        them on a clean run (see
+        :meth:`~repro.hpc.cluster.Cluster.freeze_rates`): a fault plan
+        is the only mechanism that can change a rate mid-run.
         """
         self._rate_frozen = True
 

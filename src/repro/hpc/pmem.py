@@ -18,8 +18,9 @@ paper's five libraries cannot offer:
 
 The device is built lazily by :class:`~repro.hpc.cluster.Cluster`
 (machines without a :class:`~repro.hpc.machines.PmemSpec` never pay for
-one) and honors the frozen-rate contract: without a fault plan both
-channels resolve transfers arithmetically, event-free.
+one) and honors the frozen-rate contract: unless the run's fault plan
+has a ``pmem_degrade``, both channels resolve transfers arithmetically,
+event-free.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class PmemDevice:
     # -- rate contract --------------------------------------------------
 
     def freeze_rates(self) -> None:
-        """Promise neither channel is ever degraded (no fault plan)."""
+        """Promise neither channel is ever degraded (no ``pmem_degrade``)."""
         self.read_pipe.freeze_rate()
         self.write_pipe.freeze_rate()
 

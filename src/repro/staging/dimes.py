@@ -210,6 +210,8 @@ class Dimes(StagingLibrary):
         """Chaos: kill a metadata server node.  Data is unaffected (it
         lives in simulation memory), but every descriptor RPC routed to
         the dead server stalls its client."""
+        if not self.servers:
+            return  # crashed before bootstrap started any server
         self.servers[server_index % len(self.servers)].node.fail()
 
     def _meta_or_abort(self, server_id: int) -> Generator:

@@ -206,7 +206,11 @@ class MpiIo(StagingLibrary):
 
         # One open per real reader this actor represents.
         yield from self._mds_ops(self.topology.ana_scale)
-        handle = self._handles[version]
+        handle = self._handles.get(version)
+        if handle is None:
+            # Woken by the termination token before any writer opened
+            # the version's file: there is nothing to read.
+            return 0.0, None
         total = var.region_bytes(region)
         offset = region.lb[-1] * var.elem_size
         yield self.env.process(

@@ -563,11 +563,12 @@ def run_coupled(
         )
         env = Environment()
         cluster = Cluster(env, machine_spec)
-        if fault_plan is None:
-            # no injector armed -> no pipe can be degraded mid-run, so
-            # every pipe (OSTs, NICs, memory buses) may run its
-            # eventless arithmetic chain
-            cluster.freeze_rates()
+        # only the fault plan's injector can degrade a pipe mid-run, and
+        # only in the parts it names; every other pipe (all of them on a
+        # clean run) runs its eventless arithmetic chain
+        cluster.freeze_rates(
+            () if fault_plan is None else fault_plan.degraded_parts
+        )
         library = None
         try:
             library = _build_library(cluster, point)

@@ -219,6 +219,38 @@ class TestDegradations:
         assert bounded.end_to_end < forever.end_to_end
 
 
+class TestFaultsBeforeData:
+    """Faults that land before the first server or file exists."""
+
+    POINT = dict(machine="titan", nsim=8, nana=4, steps=3)
+
+    @pytest.mark.parametrize("method", ["dataspaces", "dimes"])
+    def test_server_crash_before_bootstrap_hits_nothing(self, method):
+        # Servers start after APP_INIT_SECONDS = 5 s: at t=4 there is
+        # no server to kill, so the run is the clean run.
+        faulted = run_coupled(
+            method=method,
+            fault_plan=FaultPlan(events=(FaultEvent("server_crash", at=4.0),)),
+            **self.POINT,
+        )
+        clean = run_coupled(method=method, **self.POINT)
+        assert faulted.ok
+        assert faulted.end_to_end == clean.end_to_end
+
+    def test_mpiio_reader_released_before_any_write_reads_nothing(self):
+        # The only analytics actor dies blocked on version 0; the
+        # termination token wakes it before any writer opened the file.
+        result = run_coupled(
+            method="mpiio",
+            fault_plan=FaultPlan(events=(
+                FaultEvent("rank_death", at=10.0, actor_kind="ana"),
+            )),
+            **self.POINT,
+        )
+        assert result.ok
+        assert result.get_time == 0.0
+
+
 class TestChaosTrace:
     def test_fault_and_abort_glyphs_in_the_gantt(self):
         trace = ActivityTrace()

@@ -79,12 +79,21 @@ def test_a_finished_run_is_garbage(envs, method, fidelity, fault_plan):
     assert envs[0]() is None, "a cached result pins its simulation"
 
 
+#: plans that cannot slow an OST: the pool stays frozen
+RANK_DEATH = FaultPlan((FaultEvent("rank_death", after_puts=2, target=1),))
+TRANSPORT_DEGRADE = FaultPlan((FaultEvent("transport_degrade", at=6.0,
+                                          factor=2.0, duration=1.0),))
+
+
 @pytest.mark.parametrize("method,fault_plan,frozen", [
     ("dataspaces", None, []),         # never touches the filesystem
     ("mpiio", None, [True]),          # one pool, frozen at birth
-    ("mpiio", OST_SLOW, [False]),     # a fault plan keeps rates mutable
+    ("mpiio", OST_SLOW, [False]),     # ost_slow keeps the OSTs mutable
     ("dataspaces", OST_SLOW, [False]),  # built when the fault fires
-], ids=["dataspaces", "mpiio", "mpiio-ost-slow", "dataspaces-ost-slow"])
+    ("mpiio", RANK_DEATH, [True]),    # a rate-neutral plan
+    ("mpiio", TRANSPORT_DEGRADE, [True]),  # degrades the NICs only
+], ids=["dataspaces", "mpiio", "mpiio-ost-slow", "dataspaces-ost-slow",
+        "mpiio-rank-death", "mpiio-transport-degrade"])
 def test_lustre_is_built_once_on_first_touch(lustres, method, fault_plan,
                                              frozen):
     result = run_coupled("titan", "lammps", method, nsim=32, nana=16,
@@ -92,4 +101,8 @@ def test_lustre_is_built_once_on_first_touch(lustres, method, fault_plan,
     assert result.ok
     assert [fs._rates_frozen for fs in lustres] == frozen
     for fs in lustres:
-        assert all(ost._rate_frozen is fs._rates_frozen for ost in fs._osts)
+        if fs._rates_frozen:
+            assert fs._pipes is None  # a frozen pool builds no OST pipes
+        else:
+            assert len(fs._pipes) == fs.spec.num_osts
+            assert not any(ost._rate_frozen for ost in fs._pipes)

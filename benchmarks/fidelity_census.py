@@ -2,7 +2,8 @@
 """Fidelity census: which tier each Figure 2 cell ran, and why not others.
 
 Sweeps every (machine, scale, method) cell of the Figure 2 grid at the
-study's small scales with ``fidelity="steady"`` and records, per cell,
+study's small scales with ``fidelity="steady"`` — the compute-only
+baseline (``method`` None) included — and records, per cell,
 the fidelity label the driver settled on (``steady`` or ``exact``) and
 its full ``fidelity_log`` — one verbatim ``"<tier>: <reason>"`` entry
 per requested tier that did not engage.  The summary counts cells per
@@ -34,7 +35,7 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
     cells = []
     for machine in ("titan", "cori"):
         for nsim, nana in SMALL_SCALES:
-            for method in FIG2_METHODS:
+            for method in [None] + FIG2_METHODS:
                 result = run_coupled(
                     machine, workflow, method, nsim=nsim, nana=nana,
                     steps=steps, fidelity="steady",

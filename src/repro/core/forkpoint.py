@@ -1,33 +1,31 @@
-"""Steady-boundary prefix snapshots.
+"""Steady-boundary prefix snapshots: the one orbit replay.
 
 Every steps variant of a point re-simulates an identical warm-up
-prefix before its step counts diverge.  When the driver certifies the
-first steady boundary (see ``_SteadyController``), the whole remaining
-effect of the run on its :class:`~repro.workflows.driver.RunResult` is
-closed-form: the boundary pair's record streams tile, the memory-series
-windows translate by exact tick multiples, and per-actor finish times
-are one integer shift each.  :func:`begin_capture`/:func:`finish_capture`
-serialize exactly that — the staging statistics, the put/get record
-windows, the memory-series tails and the per-actor boundary ticks —
-into a :class:`SimSnapshot`,
-content-addressed in the run cache as a *prefix entry* keyed by the
-point spec minus ``(steps, fault_plan, recovery)``.  Any later run
-sharing the prefix calls :meth:`SimSnapshot.resume` and replays only
-the divergent suffix, reproducing the cold run's floats bit for bit
-(the replay is the same arithmetic ``_SteadyController.finalize``
-performs, folded in the same order).  Faulted runs share no prefix:
-:func:`prefix_key` is None for any fault plan or recovery policy, so
-every chaos cell simulates cold.
+prefix before its step counts diverge.  When the driver certifies a
+steady orbit (see ``_SteadyController``) it stops the actors at a
+cutoff, and the whole remaining effect of the run on its
+:class:`~repro.workflows.driver.RunResult` is closed-form: the boundary
+pair's record streams tile, the memory-series windows translate by
+exact tick multiples, and per-actor finish times are one integer shift
+each.  :func:`capture` verifies the stopped run against the certified
+orbit and serializes exactly that — the staging statistics, the put/get
+record windows, the memory-series tails and the per-actor boundary
+ticks — into a :class:`SimSnapshot`.  :meth:`SimSnapshot.resume` is the
+only code that turns an orbit into a result: the cold run returns its
+own snapshot's ``resume(steps)``, and publishes the snapshot in the run
+cache as a *prefix entry* keyed by the point spec minus ``(steps,
+fault_plan, recovery)``, so any later run sharing the prefix replays
+only its own suffix, float for float what a cold run produces.
+Faulted runs share no prefix: :func:`prefix_key` is None for any fault
+plan or recovery policy, so every chaos cell simulates cold.
 
 Decline taxonomy: a snapshot that cannot serve a steps count (steps
 that end inside the prefix, fast-forward horizons past the
 exact-arithmetic window) counts its reason in :data:`STATS`, and the
-run simulates cold; an engaged steady run that cannot publish a
-snapshot (compute-only baselines, whose per-actor fast-forward has no
-shared boundary; boundary data that is not periodic; unkeyable points)
-says why in ``RunResult.fidelity_log``.  A run whose steady orbit never
-certifies (covers discard-mode SST) publishes nothing, and its steady
-entry already explains why.
+run simulates cold.  A stopped run that fails :func:`capture`'s checks
+reruns exact with a ``steady:`` entry in ``RunResult.fidelity_log``.  A
+run whose steady orbit never certifies (covers discard-mode SST)
+publishes nothing, and its steady entry already explains why.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
     :func:`repro.core.runcache.config_key` (catalog names resolved,
     overrides merged).  Returns None when the spec cannot share a
     prefix: chaos/recovery runs diverge inside it, compute-only
-    baselines fast-forward per actor (no shared boundary), and only the
-    steady fidelity ever certifies one.
+    baselines never engage steady, and only the steady fidelity ever
+    certifies one.
     """
     if spec.get("fault_plan") is not None or spec.get("recovery") is not None:
         return None
@@ -135,11 +133,10 @@ def can_serve(spec: Dict[str, Any]) -> bool:
 class SimSnapshot:
     """Everything needed to replay a steady-prefix run at any steps count.
 
-    Captured at the moment the event loop of an engaged steady run
-    returns, *before* ``_SteadyController.finalize`` mutates the stats
-    and series in place.  ``resume(steps)`` performs finalize's exact
-    arithmetic for the new steps count and assembles a full
-    ``RunResult`` — float for float what the cold run produces.
+    Built by :func:`capture` once the event loop of an engaged steady
+    run returns.  ``resume(steps)`` replays the skipped steps for the
+    requested steps count and assembles a full ``RunResult`` — float
+    for float what an exact run produces.
     """
 
     # -- identity / steps-independent result template -------------------
@@ -152,15 +149,16 @@ class SimSnapshot:
     nservers: int
     server_memory_peaks: List[int]
     server_memory_breakdown: Dict[str, int]
-    versions_lost: int
-    recovery_events: int
-    recovery_seconds: float
     # -- steady-boundary replay data ------------------------------------
     cutoff: int
-    confirm: int
     delta: int
     confirm_close_tick: int
-    stats: Dict[str, Any]
+    #: staging totals of the stopped run, before any replayed record
+    bytes_staged: float
+    put_time: float
+    get_time: float
+    #: (nbytes, elapsed) records of the periodic window and of the
+    #: cutoff window, which is a prefix of it
     put_full: List[Tuple[float, float]]
     put_part: List[Tuple[float, float]]
     get_full: List[Tuple[float, float]]
@@ -197,13 +195,16 @@ class SimSnapshot:
     def resume(self, steps: int):
         """A full RunResult for ``steps``, or None when declining.
 
-        The replay mirrors ``_SteadyController.finalize`` exactly: the
-        same record-stream tiling folded through the same additions, the
-        same series windows translated by the same exact seconds
-        projections, the same per-actor integer shifts.  Only an engaged
-        steady run with an empty decision record publishes a snapshot,
-        so the restored result is labelled ``"steady"`` with an empty
-        ``fidelity_log``, exactly like a cold run of the same point.
+        The one orbit replay: the cold run that captured the snapshot
+        ends with it, and so does every prefix hit.  Per stream it
+        appends the rest of the cutoff window, ``skipped - 1`` full
+        periodic windows and the final partial window — the exact run's
+        addition/sample order fold for fold.  Everything translates by
+        integer multiples of the tick Δ, and only the final values are
+        projected to seconds, one exact multiply each.  Only an engaged
+        steady run with an empty decision record captures a snapshot,
+        so the result is labelled ``"steady"`` with an empty
+        ``fidelity_log``.
         """
         if self.decline_reason(steps) is not None:
             return None
@@ -212,23 +213,16 @@ class SimSnapshot:
         skipped = steps - 1 - self.cutoff
         delta = self.delta
 
-        # Statistics: fold each kind's tiled stream in the exact
-        # addition order of StagingLibrary._record_put/_get, one
-        # addition per record.
-        st = dict(self.stats)
-        for full, part, bkey, tkey, ckey in (
-            (self.put_full, self.put_part, "bytes_staged", "put_time", "puts"),
-            (self.get_full, self.get_part, "bytes_retrieved", "get_time", "gets"),
-        ):
-            stream = full[len(part):] + full * (skipped - 1) + full[:len(part)]
-            total_b = st[bkey]
-            total_t = st[tkey]
-            for nbytes, elapsed in stream:
-                total_b += nbytes
-                total_t += elapsed
-            st[bkey] = total_b
-            st[tkey] = total_t
-            st[ckey] += len(stream)
+        # Statistics: put and get records feed disjoint accumulators,
+        # so each kind's tiled stream folds on its own, one addition per
+        # record in the order StagingLibrary._record_put/_get adds them.
+        bytes_staged = self.bytes_staged
+        put_time, get_time = self.put_time, self.get_time
+        for nbytes, elapsed in _tile(self.put_full, self.put_part, skipped):
+            bytes_staged += nbytes
+            put_time += elapsed
+        for _, elapsed in _tile(self.get_full, self.get_part, skipped):
+            get_time += elapsed
 
         # Memory series: prefix verbatim, then the periodic window tiled
         # with per-tile exact seconds offsets.
@@ -256,6 +250,8 @@ class SimSnapshot:
                 obj.record(t + offset, v)
             rebuilt.append(obj)
 
+        # Per-actor completion: one integer shift per actor, projected
+        # to seconds with a single exact multiply.
         finish = {"sim": 0.0, "ana": 0.0}
         for actor, last_tick in self.actors.items():
             t = (last_tick + skipped * delta) * _TICK
@@ -274,9 +270,9 @@ class SimSnapshot:
         result.end_to_end = max(finish["sim"], finish["ana"])
         result.sim_finish = finish["sim"]
         result.ana_finish = finish["ana"]
-        result.put_time = st["put_time"]
-        result.get_time = st["get_time"]
-        result.bytes_staged = st["bytes_staged"]
+        result.put_time = put_time
+        result.get_time = get_time
+        result.bytes_staged = bytes_staged
         result.fidelity = "steady"
         result.nservers = self.nservers
         result.sim_memory = rebuilt[0]
@@ -285,80 +281,76 @@ class SimSnapshot:
             result.server_memory = rebuilt[2]
         result.server_memory_peaks = list(self.server_memory_peaks)
         result.server_memory_breakdown = dict(self.server_memory_breakdown)
-        result.versions_lost = self.versions_lost
-        result.recovery_events = self.recovery_events
-        result.recovery_seconds = self.recovery_seconds
         return result
 
 
-def begin_capture(steady, library) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-    """Phase A: capture the pre-finalize boundary state of an engaged run.
+def _tile(full: list, part: list, skipped: int) -> list:
+    """The skipped steps' records: the rest of the cutoff window,
+    ``skipped - 1`` full periodic windows, the final partial window."""
+    return full[len(part):] + full * (skipped - 1) + full[:len(part)]
 
-    Called immediately before ``steady.finalize`` replays the skipped
-    steps in place.  Returns ``(partial, None)`` on success or
-    ``(None, reason)`` when the boundary data is not in the shape
-    finalize's own verification demands — finalize will then raise
-    ``_SteadyDiverged`` and the run falls back anyway.
+
+def capture(steady, result) -> SimSnapshot:
+    """Verify a stopped steady run and snapshot its certified orbit.
+
+    Called once the event loop of an engaged run returns, with
+    ``result`` holding what the stopped run measured.  The stopped run
+    is isomorphic to an exact run of ``cutoff + 1`` steps: its last
+    window lacks exactly the spill-over of the steps it never began,
+    the same truncation an exact run's *final* window has.  So every
+    boundary pair up to ``cutoff - 1`` must still repeat the confirmed
+    orbit with full windows, the cutoff boundary must translate every
+    phase by the same Δ, and every record stream and memory series must
+    end on a *prefix* of its periodic window — the shape
+    :meth:`SimSnapshot.resume` completes.  Any failed check raises
+    ``_SteadyDiverged``: the replay would not be bit-identical, and
+    ``run_coupled`` reruns the point exact.
     """
-    boundaries = steady.boundaries
-    cutoff = steady.cutoff
-    try:
-        j0 = boundaries[cutoff - 2]["tap"]
-        j1 = boundaries[cutoff - 1]["tap"]
-        j2 = boundaries[cutoff]["tap"]
-    except KeyError:
-        return None, "prefix: boundary records incomplete at the cutoff"
-    tap = library._steady_tap
-    if tap is None:
-        return None, "prefix: record tap already retired"
-    streams: Dict[str, Tuple[list, list]] = {}
+    from ..workflows.driver import _SteadyDiverged
+
+    cutoff, delta, confirm = steady.cutoff, steady.delta, steady.confirm
+    for b in range(confirm + 1, cutoff):
+        if steady._match(b - 1, b, strict=False) != delta:
+            raise _SteadyDiverged(
+                f"boundary {b} diverged from the orbit confirmed at "
+                f"step {confirm}"
+            )
+    if steady._phase_delta(cutoff - 1, cutoff) != delta:
+        raise _SteadyDiverged(
+            f"cutoff boundary {cutoff} left the orbit confirmed at step "
+            f"{confirm}"
+        )
+    fp0, fp1, fp2 = (steady.boundaries[b]
+                     for b in (cutoff - 2, cutoff - 1, cutoff))
+    tap = steady.library._steady_tap
+    records: Dict[str, list] = {}
     for kind in ("put", "get"):
-        full = [(r[1], r[2]) for r in tap[j0:j1] if r[0] == kind]
-        part = [(r[1], r[2]) for r in tap[j1:j2] if r[0] == kind]
+        full = [r[1:] for r in tap[fp0["tap"]:fp1["tap"]] if r[0] == kind]
+        part = [r[1:] for r in tap[fp1["tap"]:fp2["tap"]] if r[0] == kind]
         if part != full[:len(part)]:
-            return None, "prefix: record streams not periodic at the cutoff"
-        streams[kind] = (full, part)
-    series_data: List[Dict[str, Any]] = []
+            raise _SteadyDiverged(
+                f"{kind}-record stream at the cutoff is not a prefix of "
+                f"the periodic window"
+            )
+        records[f"{kind}_full"], records[f"{kind}_part"] = full, part
+    # Series timestamps are on-grid floats, so adding Δ's exact seconds
+    # projection decides the same predicate as its tick-domain twin.
+    delta_f = delta * _TICK
+    series: List[Dict[str, Any]] = []
     for k, s_obj in enumerate(steady.series):
-        i0 = boundaries[cutoff - 2]["series"][k]
-        i1 = boundaries[cutoff - 1]["series"][k]
-        i2 = boundaries[cutoff]["series"][k]
-        if len(s_obj) != i2 or i2 - i1 > i1 - i0:
-            return None, "prefix: memory-series windows not periodic"
-        series_data.append(dict(
-            name=s_obj.name,
-            times=list(s_obj._times),
-            values=list(s_obj._values),
-            i0=i0, i1=i1, i2=i2,
-        ))
-    stats = library.stats
-    partial = dict(
-        cutoff=cutoff,
-        confirm=steady.confirm,
-        delta=steady.delta,
-        confirm_close_tick=boundaries[steady.confirm]["close"],
-        stats=dict(
-            bytes_staged=stats.bytes_staged,
-            bytes_retrieved=stats.bytes_retrieved,
-            put_time=stats.put_time,
-            get_time=stats.get_time,
-            puts=stats.puts,
-            gets=stats.gets,
-        ),
-        put_full=streams["put"][0], put_part=streams["put"][1],
-        get_full=streams["get"][0], get_part=streams["get"][1],
-        series=series_data,
-        actors={a: plist[cutoff][-1] for a, plist in steady.phases.items()},
-    )
-    return partial, None
-
-
-def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
-    """Phase B: fold the steps-independent result scalars in.
-
-    Runs after the driver's result-tail assembly (peaks and breakdown
-    read), none of which the finalize replay between the phases touches.
-    """
+        i0, i1, i2 = (fp["series"][k] for fp in (fp0, fp1, fp2))
+        n = i2 - i1
+        times, values = s_obj._times, s_obj._values
+        if (len(s_obj) != i2 or n > i1 - i0
+                or values[i1:i2] != values[i0:i0 + n]
+                or any(t + delta_f != u
+                       for t, u in zip(times[i0:i0 + n], times[i1:i2]))):
+            raise _SteadyDiverged(
+                f"series {k} cutoff window is not a prefix of the "
+                f"periodic window"
+            )
+        series.append(dict(name=s_obj.name, times=times, values=values,
+                           i0=i0, i1=i1, i2=i2))
     return SimSnapshot(
         machine=result.machine,
         workflow=result.workflow,
@@ -367,10 +359,15 @@ def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
         nana=result.nana,
         variable_nbytes=result.variable_nbytes,
         nservers=result.nservers,
-        server_memory_peaks=list(result.server_memory_peaks),
-        server_memory_breakdown=dict(result.server_memory_breakdown),
-        versions_lost=result.versions_lost,
-        recovery_events=result.recovery_events,
-        recovery_seconds=result.recovery_seconds,
-        **partial,
+        server_memory_peaks=result.server_memory_peaks,
+        server_memory_breakdown=result.server_memory_breakdown,
+        cutoff=cutoff,
+        delta=delta,
+        confirm_close_tick=steady.boundaries[confirm]["close"],
+        bytes_staged=result.bytes_staged,
+        put_time=result.put_time,
+        get_time=result.get_time,
+        series=series,
+        actors={a: plist[cutoff][-1] for a, plist in steady.phases.items()},
+        **records,
     )

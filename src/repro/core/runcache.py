@@ -67,8 +67,12 @@ from typing import Any, Dict, Optional
 #: prefix snapshots drop the staging/event state records.
 #: 9 -> 10: the representative-group tier is gone — its composed
 #: spelling keys as "steady", and prefix snapshots drop their replica
-#: count, label and decision record)
-SCHEMA_VERSION = 10
+#: count, label and decision record.
+#: 10 -> 11: one orbit replay — prefix snapshots drop the confirm step
+#: and the always-zero chaos counters and keep only the staging totals
+#: the replay reads, and a compute-only steady request now runs exact
+#: with a ``steady:`` decline)
+SCHEMA_VERSION = 11
 
 
 def _canonical(value: Any) -> Any:

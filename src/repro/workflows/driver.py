@@ -55,10 +55,10 @@ def set_plan_recorder(recorder):
 
 
 class _SteadyDiverged(Exception):
-    """A confirmed steady orbit failed replay-time verification.
+    """A stopped steady run failed its replay-time verification.
 
-    Raised after the event loop returns when the boundary pair ending at
-    the cutoff step no longer matches the engagement pair — the
+    Raised by :func:`repro.core.forkpoint.capture` when the boundaries
+    the stopped run closed no longer repeat the engagement pair — the
     fast-forward would not have been bit-identical.  :func:`run_coupled`
     catches it and reruns the configuration without the fast-forward, so
     a false engagement can only ever cost time, never correctness.
@@ -83,8 +83,9 @@ class _SteadyController:
     :data:`~repro.sim.engine.EXACT_TICK_LIMIT`) reproduces the floats
     an un-fast-forwarded run would have produced bit for bit.  The
     controller then stops the actors one step past the furthest actor's
-    progress and the remaining iterations are replayed as exact
-    translates.
+    progress; :func:`repro.core.forkpoint.capture` snapshots the orbit,
+    and the snapshot's ``resume`` replays the remaining iterations as
+    exact translates.
     """
 
     def __init__(self, env, library, steps, warmup, n_actors,
@@ -103,7 +104,6 @@ class _SteadyController:
         self.boundaries: Dict[int, dict] = {}
         self.cutoff: Optional[int] = None
         self.delta: Optional[int] = None      # period, in integer ticks
-        self._delta_f: float = 0.0            # exact seconds projection of delta
         self.confirm: Optional[int] = None    # step s of the matched pair (s-1, s)
         self.fail: Optional[str] = None       # permanent decline reason
 
@@ -111,7 +111,7 @@ class _SteadyController:
     def engaged(self) -> bool:
         return self.cutoff is not None
 
-    def stop(self, actor: str, step: int) -> bool:
+    def stop(self, step: int) -> bool:
         """Polled at the top of each actor step: past the cutoff?"""
         return self.cutoff is not None and step > self.cutoff
 
@@ -156,7 +156,6 @@ class _SteadyController:
             return
         self.confirm = step
         self.delta = delta
-        self._delta_f = delta * _TICK
         self.cutoff = cutoff
 
     def _match(self, a: int, b: int, strict: bool = True) -> Optional[int]:
@@ -170,25 +169,10 @@ class _SteadyController:
         equals the periodic one (nothing the exact run would interleave
         there is missing), which is exactly what the replay tiles.
         """
-        fpa = self.boundaries.get(a)
-        fpb = self.boundaries.get(b)
-        if fpa is None or fpb is None:
+        delta = self._phase_delta(a, b)
+        if delta is None:
             return None
-        delta = fpb["close"] - fpa["close"]
-        if delta <= 0:
-            return None
-        # One global Δ across every actor and phase: per-actor periods
-        # that merely pair up per actor still drift relative to each
-        # other and eventually collide at shared resources.
-        for plist in self.phases.values():
-            if len(plist) <= b:
-                return None
-            pa, pb = plist[a], plist[b]
-            if len(pa) != len(pb):
-                return None
-            for ta, tb in zip(pa, pb):
-                if ta + delta != tb:
-                    return None
+        fpa, fpb = self.boundaries[a], self.boundaries[b]
         if strict and (fpa["snapshot"] != fpb["snapshot"]
                        or fpa["state"] != fpb["state"]
                        or fpa["totals"] != fpb["totals"]):
@@ -227,6 +211,9 @@ class _SteadyController:
         delta = fpb["close"] - fpa["close"]
         if delta <= 0:
             return None
+        # One global Δ across every actor and phase: per-actor periods
+        # that merely pair up per actor still drift relative to each
+        # other and eventually collide at shared resources.
         for plist in self.phases.values():
             if len(plist) <= b or len(plist[a]) != len(plist[b]):
                 return None
@@ -234,153 +221,6 @@ class _SteadyController:
                 if ta + delta != tb:
                     return None
         return delta
-
-    def finalize(self, finish: dict, library) -> float:
-        """Replay the skipped steps; returns the end-to-end time.
-
-        The stopped run is isomorphic to an exact run of ``cutoff + 1``
-        steps: its last window lacks exactly the spill-over of steps it
-        never began, the same truncation the exact run's *final* window
-        has.  So verification demands full periodic windows for the
-        boundary pairs up to ``cutoff - 1`` and a per-stream *prefix* of
-        the periodic window at the cutoff, and the replay appends, per
-        stream: the rest of the cutoff window, ``skipped - 1`` full
-        periodic windows, and the final partial window — reproducing
-        the exact run's addition/sample order fold for fold.  Everything
-        translates by integer multiples of the tick Δ — a plain 64-bit
-        shift — and only the final values are projected to seconds, one
-        exact multiply each.
-        """
-        for b in range(self.confirm + 1, self.cutoff):
-            if self._match(b - 1, b, strict=False) != self.delta:
-                raise _SteadyDiverged(
-                    f"boundary {b} diverged from the orbit confirmed at "
-                    f"step {self.confirm}"
-                )
-        if self._phase_delta(self.cutoff - 1, self.cutoff) != self.delta:
-            raise _SteadyDiverged(
-                f"cutoff boundary {self.cutoff} left the orbit confirmed "
-                f"at step {self.confirm}"
-            )
-        skipped = self.steps - 1 - self.cutoff
-        delta = self.delta
-        # Statistics: put and get records feed disjoint accumulators,
-        # so each kind's stream replays independently in its own exact
-        # order, through the same _record_* additions.
-        tap = library._steady_tap
-        j0 = self.boundaries[self.cutoff - 2]["tap"]
-        j1 = self.boundaries[self.cutoff - 1]["tap"]
-        j2 = self.boundaries[self.cutoff]["tap"]
-        library._steady_tap = None
-        for kind, record in (("put", library._record_put),
-                             ("get", library._record_get)):
-            full = [r for r in tap[j0:j1] if r[0] == kind]
-            part = [r for r in tap[j1:j2] if r[0] == kind]
-            if part != full[:len(part)]:
-                raise _SteadyDiverged(
-                    f"{kind}-record stream at the cutoff is not a prefix "
-                    f"of the periodic window"
-                )
-            stream = full[len(part):] + full * (skipped - 1) + full[:len(part)]
-            for _, nbytes, elapsed in stream:
-                record(nbytes, elapsed)
-        # Memory series: same shape, with timestamps translated by the
-        # exact seconds projection of each accumulated tick shift.
-        delta_f = self._delta_f
-        for k, s_obj in enumerate(self.series):
-            i0 = self.boundaries[self.cutoff - 2]["series"][k]
-            i1 = self.boundaries[self.cutoff - 1]["series"][k]
-            i2 = self.boundaries[self.cutoff]["series"][k]
-            times, values = s_obj._times, s_obj._values
-            part_n = i2 - i1
-            if part_n > i1 - i0:
-                raise _SteadyDiverged(
-                    f"series {k} cutoff window exceeds the periodic window"
-                )
-            for off in range(part_n):
-                if (times[i0 + off] + delta_f != times[i1 + off]
-                        or values[i0 + off] != values[i1 + off]):
-                    raise _SteadyDiverged(
-                        f"series {k} cutoff window is not a prefix of the "
-                        f"periodic window"
-                    )
-            w_times = times[i0:i1]
-            w_values = values[i0:i1]
-            shift = delta
-            offset = shift * _TICK
-            for t, v in zip(w_times[part_n:], w_values[part_n:]):
-                s_obj.record(t + offset, v)
-            for _ in range(skipped - 1):
-                shift += delta
-                offset = shift * _TICK
-                for t, v in zip(w_times, w_values):
-                    s_obj.record(t + offset, v)
-            shift += delta
-            offset = shift * _TICK
-            for t, v in zip(w_times[:part_n], w_values[:part_n]):
-                s_obj.record(t + offset, v)
-        # Per-actor completion: one integer shift per actor, projected
-        # to seconds with a single exact multiply.
-        finish["sim"] = finish["ana"] = 0.0
-        for actor, plist in self.phases.items():
-            t = (plist[self.cutoff][-1] + skipped * delta) * _TICK
-            key = "sim" if actor.startswith("sim") else "ana"
-            finish[key] = max(finish[key], t)
-        return max(finish["sim"], finish["ana"])
-
-
-class _IndependentSteady:
-    """Per-actor fast-forward for compute-only runs.
-
-    Without a staging library the actors share nothing: each loop is a
-    fixed compute timeout, so an actor's own period — two consecutive
-    equal step durations past the warm-up — proves its orbit without a
-    global cut, and sim/ana may fast-forward with different tick Δs.
-    """
-
-    fail: Optional[str] = None
-
-    def __init__(self, steps: int, warmup: int = 1) -> None:
-        self.steps = steps
-        self.warmup = warmup
-        self.ends: Dict[str, list] = {}       # actor -> end tick per step
-        self.cutoffs: Dict[str, int] = {}
-        self.deltas: Dict[str, int] = {}      # actor -> period in ticks
-        self.engaged = False
-
-    def stop(self, actor: str, step: int) -> bool:
-        cutoff = self.cutoffs.get(actor)
-        return cutoff is not None and step > cutoff
-
-    def record(self, actor: str, step: int, phases: tuple) -> None:
-        ends = self.ends.setdefault(actor, [])
-        ends.append(phases[-1])
-        if actor in self.cutoffs or step < self.warmup + 1:
-            return
-        d1 = ends[step] - ends[step - 1]
-        d0 = ends[step - 1] - ends[step - 2]
-        if d1 != d0 or d1 <= 0 or step + 1 > self.steps - 2:
-            return
-        if ends[step] + (self.steps - step) * d1 >= EXACT_TICK_LIMIT:
-            return
-        self.cutoffs[actor] = step + 1
-        self.deltas[actor] = d1
-        self.engaged = True
-
-    def finalize(self, finish: dict, library) -> float:
-        finish["sim"] = finish["ana"] = 0.0
-        for actor, ends in self.ends.items():
-            cutoff = self.cutoffs.get(actor)
-            if cutoff is None:
-                t = ends[-1] * _TICK
-            else:
-                delta = self.deltas[actor]
-                if len(ends) <= cutoff or ends[cutoff] - ends[cutoff - 1] != delta:
-                    raise _SteadyDiverged(f"{actor} period drifted after confirmation")
-                t = (ends[cutoff] + (self.steps - 1 - cutoff) * delta) * _TICK
-            key = "sim" if actor.startswith("sim") else "ana"
-            finish[key] = max(finish[key], t)
-        return max(finish["sim"], finish["ana"])
 
 
 @dataclass
@@ -429,9 +269,9 @@ class RunResult:
     recovery_events: int = 0
     #: simulated seconds spent inside recovery actions
     recovery_seconds: float = 0.0
-    #: "prefix:…" when this result was resumed arithmetically from a
-    #: steady-boundary snapshot (see :mod:`repro.core.forkpoint`);
-    #: None for simulated runs
+    #: "prefix:…" when this result was resumed from another run's
+    #: steady-boundary snapshot (see :mod:`repro.core.forkpoint`); None
+    #: when this call simulated
     forked: Optional[str] = None
 
     @property
@@ -517,6 +357,10 @@ def run_coupled(
     (see :mod:`repro.core.forkpoint`): a sibling run differing only in
     ``steps`` may have published its certified orbit, in which case the
     divergent suffix is replayed arithmetically instead of simulated.
+    An engaged steady run ends the same way: it captures its certified
+    orbit into a snapshot, returns that snapshot's ``resume(steps)``
+    and publishes the snapshot as the prefix entry — or, for an
+    uncacheable ad-hoc spec, logs the one ``prefix:`` entry instead.
     A faulted run has no prefix entry, so on a miss it simulates from
     t=0.
     """
@@ -551,7 +395,8 @@ def run_coupled(
                     return restored
                 forkpoint.STATS.decline(snap.decline_reason(steps))
 
-    def _attempt(run_point: dict) -> RunResult:
+    def _attempt(run_point: dict):
+        """One simulation: its result, and its snapshot if steady engaged."""
         result = RunResult(
             machine=machine_spec.name,
             workflow=spec.name,
@@ -569,10 +414,11 @@ def run_coupled(
         cluster.freeze_rates(
             () if fault_plan is None else fault_plan.degraded_parts
         )
-        library = None
+        library = snap = None
         try:
             library = _build_library(cluster, point)
-            _execute(env, cluster, library, result, spec, run_point, trace)
+            snap = _execute(env, cluster, library, result, spec, run_point,
+                            trace)
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
             if fault_plan is not None:
@@ -583,7 +429,11 @@ def run_coupled(
                     result.versions_lost = library.versions_lost
                     result.recovery_events = library.recovery_events
                     result.recovery_seconds = library.recovery_seconds
-        return result
+        if snap is not None:
+            # The stopped run only certified the orbit: it ends the way
+            # a prefix hit does, by resuming its own snapshot.
+            result = snap.resume(steps)
+        return result, snap
 
     # The event loop allocates millions of short-lived objects whose
     # lifetimes end by refcount alone; the cycle collector's generation
@@ -595,36 +445,30 @@ def run_coupled(
     if was_enabled:
         gc.disable()
     try:
-        result = _attempt(point)
+        result, snap = _attempt(point)
     except _SteadyDiverged as exc:
         # Safety net: the confirmed orbit failed replay-time
         # verification.  Rerun the whole configuration (fresh
         # environment, cluster and library) without the fast-forward
         # — a false engagement costs time, never correctness.
-        result = _attempt(dict(point, fidelity="exact"))
+        result, snap = _attempt(dict(point, fidelity="exact"))
         result.fidelity_log += (f"steady: {exc}",)
     finally:
         if was_enabled:
             gc.enable()
 
-    snap = result.__dict__.pop("_forkpoint_snapshot", None)
-    if cache_key is not None:
-        from ..core import runcache
-
+    if cache_key is None:
         if snap is not None:
-            from ..core import forkpoint
-
-            pkey = forkpoint.prefix_key(point)
-            if pkey is not None:
-                runcache.CACHE.put_prefix(pkey, snap)
-                forkpoint.STATS.snapshots_taken += 1
-            else:
-                result.fidelity_log += ("prefix: point is not prefix-keyable",)
-        runcache.CACHE.put(cache_key, result)
-    elif snap is not None:
-        result.fidelity_log += (
-            "prefix: uncacheable configuration (ad-hoc spec)",
-        )
+            result.fidelity_log += (
+                "prefix: uncacheable configuration (ad-hoc spec)",
+            )
+        return result
+    if snap is not None:
+        # Steady engages only on clean, staged, steady-fidelity points:
+        # exactly the ones prefix_key addresses.
+        runcache.CACHE.put_prefix(pkey, snap)
+        forkpoint.STATS.snapshots_taken += 1
+    runcache.CACHE.put(cache_key, result)
     return result
 
 
@@ -729,7 +573,12 @@ def _build_library(cluster, point) -> Optional[StagingLibrary]:
 
 
 def _execute(env, cluster, library, result, spec, point,
-             trace: Optional[ActivityTrace]) -> None:
+             trace: Optional[ActivityTrace]):
+    """Simulate one run into ``result``.
+
+    Returns the run's prefix snapshot when steady engaged (``result``
+    then holds the stopped run, the snapshot's template), else None.
+    """
     machine = cluster.spec
     nsim, nana, steps = point["nsim"], point["nana"], point["steps"]
     var, axis = point["variable"], point["app_axis"]
@@ -792,11 +641,10 @@ def _execute(env, cluster, library, result, spec, point,
         for j, tracker in enumerate(ana_trackers):
             library.register_client_tracker("ana", j, tracker)
 
-    # Steady-state fast-forward: temporal memoization of the step loop.
+    # Steady-state fast-forward: temporal memoization of the staged step
+    # loop (a compute-only baseline never gets a certificate).
     steady = None
-    if decision.steady is not None and library is None:
-        steady = _IndependentSteady(steps, decision.steady.warmup)
-    elif decision.steady is not None:
+    if decision.steady is not None:
         def _steady_series():
             tracked = [sim_trackers[0].series, ana_trackers[0].series]
             if library.servers:
@@ -840,7 +688,7 @@ def _execute(env, cluster, library, result, spec, point,
                     "staging-lib",
                 )
         for step in range(steps):
-            if steady is not None and steady.stop(name, step):
+            if steady is not None and steady.stop(step):
                 return  # remaining steps are replayed by translation
             if (library is not None and library.dead_ranks
                     and ("sim", i) in library.dead_ranks):
@@ -877,13 +725,12 @@ def _execute(env, cluster, library, result, spec, point,
         if library is not None:
             tracker.allocate(cal.CLIENT_LIB_BASE, "staging-lib")
         for step in range(steps):
-            if steady is not None and steady.stop(name, step):
+            if steady is not None and steady.stop(step):
                 return  # remaining steps are replayed by translation
             if (library is not None and library.dead_ranks
                     and ("ana", j) in library.dead_ranks):
                 mark(name, "fault", env.now)
                 break
-            get_end = None
             if library is not None:
                 buffer = tracker.allocate(
                     library.client_buffer_mult * bytes_per_ana_proc,
@@ -898,11 +745,7 @@ def _execute(env, cluster, library, result, spec, point,
             yield env.pause(ana_compute)
             mark(name, "compute", t0)
             if steady is not None:
-                phases = (
-                    (env._now_tick,) if get_end is None
-                    else (get_end, env._now_tick)
-                )
-                steady.record(name, step, phases)
+                steady.record(name, step, (get_end, env._now_tick))
         finish["ana"] = max(finish["ana"], env.now)
 
     procs = [env.process(booter(env))]
@@ -938,34 +781,7 @@ def _execute(env, cluster, library, result, spec, point,
     else:
         env.run(until=done)
 
-    steady_end = None
-    fork_partial = None
-    if steady is not None and steady.engaged:
-        # Capture the certified boundary *before* finalize mutates the
-        # library stats and series in place: the snapshot wants the
-        # orbit as simulated, the replayed tail is per-steps.
-        if library is None:
-            result.fidelity_log += (
-                "prefix: compute-only fast-forward has no boundary state",
-            )
-        else:
-            from ..core import forkpoint
-
-            fork_partial, decline = forkpoint.begin_capture(steady, library)
-            if fork_partial is None:
-                result.fidelity_log += (decline,)
-        # Replay mutates the library stats and memory series in place,
-        # so it must run before the result assembly below; on
-        # divergence _SteadyDiverged propagates to run_coupled, which
-        # reruns the configuration without the fast-forward.
-        steady_end = steady.finalize(finish, library)
-        result.fidelity = "steady"
-    elif steady is not None:
-        if library is not None:
-            library._steady_tap = None
-        result.fidelity_log += (steady.fail or "steady: no boundary pair matched",)
-
-    result.end_to_end = env.now if steady_end is None else steady_end
+    result.end_to_end = env.now
     result.sim_finish = finish["sim"]
     result.ana_finish = finish["ana"]
     result.sim_memory = sim_trackers[0].series
@@ -982,11 +798,13 @@ def _execute(env, cluster, library, result, spec, point,
         result.recovery_events = library.recovery_events
         result.recovery_seconds = library.recovery_seconds
         library.shutdown()
-    if fork_partial is not None:
-        from ..core import forkpoint
+    if steady is None:
+        return None
+    if not steady.engaged:
+        result.fidelity_log += (steady.fail or "steady: no boundary pair matched",)
+        return None
+    from ..core import forkpoint
 
-        # Fold the steps-independent result scalars into the snapshot
-        # now that they are assembled; run_coupled publishes it.
-        result._forkpoint_snapshot = forkpoint.finish_capture(
-            fork_partial, result
-        )
+    # On divergence _SteadyDiverged propagates to run_coupled, which
+    # reruns the configuration without the fast-forward.
+    return forkpoint.capture(steady, result)

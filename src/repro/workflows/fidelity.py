@@ -17,10 +17,12 @@ requested tier that did not engage, in tier order:
 * ``prefix`` — publishing a reusable steady-boundary snapshot (see
   :mod:`repro.core.forkpoint`).  A steady decline already explains the
   missing snapshot, so ``prefix`` only gets an entry when steady
-  engaged and the snapshot still could not be published.
+  engaged on a configuration the run cache cannot key (an ad-hoc
+  spec), whose snapshot has nowhere to go.
 
 The driver appends the declines only a run can discover (an orbit that
-never matched or diverged, a boundary capture refusal) and stores the
+never matched, or one that failed its replay-time verification and
+reran exact, and the ad-hoc-spec ``prefix`` entry) and stores the
 result in ``RunResult.fidelity_log``.
 """
 
@@ -55,7 +57,9 @@ def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
 
     Traced runs need every step; fault injection breaks periodicity; a
     recovery policy can arm mid-run behaviour (e.g. DRC credential
-    retries) the orbit fingerprint does not vouch for.
+    retries) the orbit fingerprint does not vouch for; a compute-only
+    baseline has no staging library to certify an orbit, so it runs
+    exact.
     """
     if point["fidelity"] != "steady":
         return FidelityDecision()
@@ -68,8 +72,9 @@ def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
     if point["recovery"] is not None:
         return FidelityDecision(log=("steady: recovery policy armed",))
     if library is None:
-        # Compute-only actors fast-forward independently.
-        return FidelityDecision(steady=SteadyPlan(warmup=1))
+        return FidelityDecision(log=(
+            "steady: compute-only baseline has no staging orbit to certify",
+        ))
     steady = library.steady_plan()
     if steady is None:
         return FidelityDecision(log=(

@@ -3,8 +3,9 @@
 Three properties back the snapshots:
 
 * **byte-identity** — a prefix-restored steps variant reproduces the
-  cold run's RunResult float for float (a resume never changes bytes,
-  only wall-clock);
+  exact run's RunResult float for float (a resume never changes bytes,
+  only wall-clock).  A cold steady run ends by resuming its own
+  snapshot, so only ``fidelity="exact"`` is an independent reference;
 * **honest declines** — whenever a snapshot cannot guarantee identity
   it says why, in ``fidelity_log`` or the decline counters, and the run
   falls back cold;
@@ -13,14 +14,18 @@ Three properties back the snapshots:
   entries.
 """
 
-import math
+import dataclasses
+
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos.campaign import WATCHDOG
 from repro.chaos.faults import FaultEvent, FaultPlan
 from repro.core import forkpoint, runcache
 from repro.core.forkpoint import PREFIX_EXCLUDES
-from repro.sim.monitor import TimeSeries
+from repro.hpc.machines import get_machine
 from repro.workflows import driver, run_coupled
+
+from ..workflows.test_fidelity import assert_same_physics
 
 #: a config whose steady certificate engages (cori certifies every
 #: library at this scale), so prefix snapshots actually publish
@@ -33,24 +38,9 @@ def fresh_run(**kwargs):
     return run_coupled(**kwargs)
 
 
-def assert_float_identical(a, b):
-    """Field-by-field RunResult equality, NaN-aware, fork-metadata blind."""
-    import dataclasses
-
-    for f in dataclasses.fields(a):
-        if f.name == "forked":
-            continue
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):
-            assert (x is None) == (y is None), f.name
-            if x is not None:
-                assert list(x.times) == list(y.times), f.name
-                assert list(x.values) == list(y.values), f.name
-        elif isinstance(x, float) and isinstance(y, float):
-            assert x == y or (math.isnan(x) and math.isnan(y)), (
-                f.name, x, y)
-        else:
-            assert x == y, (f.name, x, y)
+def exact_run(**kwargs):
+    """The independent reference: every step simulated, no snapshot."""
+    return fresh_run(**dict(kwargs, fidelity="exact"))
 
 
 # ------------------------------------------------ prefix-restored variants
@@ -58,15 +48,16 @@ def assert_float_identical(a, b):
 
 class TestPrefixRestore:
     def test_steps_variant_float_identical_to_cold(self):
-        cold = {s: fresh_run(steps=s, **STEADY) for s in (8, 16, 32)}
+        exact = {s: exact_run(steps=s, **STEADY) for s in (8, 16, 32)}
         runcache.clear()
         first = run_coupled(steps=8, **STEADY)
         assert first.forked is None  # nothing resident yet: simulated
         assert first.fidelity == "steady"
+        assert_same_physics(first, exact[8])
         for steps in (16, 32):
             restored = run_coupled(steps=steps, **STEADY)
             assert (restored.forked or "").startswith("prefix:")
-            assert_float_identical(restored, cold[steps])
+            assert_same_physics(restored, exact[steps])
 
     def test_restore_counts_in_stats(self):
         runcache.clear()
@@ -88,10 +79,12 @@ class TestPrefixRestore:
         # their declines aggregate under one key whatever the steps
         head = "prefix: steps end inside the warm-up prefix"
         before = forkpoint.STATS.fork_declines.get(head, 0)
-        for steps in (snap.cutoff, snap.cutoff + 1):
-            short = run_coupled(steps=steps, **STEADY)
-            assert short.forked is None
+        shorts = {s: run_coupled(steps=s, **STEADY)
+                  for s in (snap.cutoff, snap.cutoff + 1)}
         assert forkpoint.STATS.fork_declines[head] == before + 2
+        for steps, short in shorts.items():
+            assert short.forked is None
+            assert_same_physics(short, exact_run(steps=steps, **STEADY))
 
     def test_restored_log_equals_cold_log(self):
         # only an engaged steady run with nothing to decline publishes a
@@ -106,6 +99,18 @@ class TestPrefixRestore:
         assert (restored.forked or "").startswith("prefix:")
         assert restored.fidelity_log == cold.fidelity_log == ()
         assert restored.fidelity == cold.fidelity == "steady"
+
+    def test_adhoc_spec_resumes_but_logs_its_prefix(self):
+        # an uncacheable spec still ends by resuming its own snapshot;
+        # with no cache to publish to, it logs the one prefix entry left
+        kwargs = dict(STEADY, machine=dataclasses.replace(get_machine("cori")),
+                      steps=32)
+        result = run_coupled(**kwargs)
+        assert result.fidelity == "steady" and result.forked is None
+        assert result.fidelity_log == (
+            "prefix: uncacheable configuration (ad-hoc spec)",
+        )
+        assert_same_physics(result, exact_run(**kwargs))
 
     def test_uncertified_orbit_recorded_in_fidelity_log(self):
         # titan/dimes never certifies steady at this scale: no snapshot
@@ -129,6 +134,30 @@ class TestPrefixRestore:
         assert result.forked is None
         assert_steady_entry_only(result)
         assert "no boundary pair matched" in result.fidelity_log[0]
+
+
+@given(
+    method=st.sampled_from(["mpiio", "dataspaces", "dimes", "flexpath",
+                            "decaf"]),
+    machine=st.sampled_from(["titan", "cori"]),
+    scale=st.sampled_from([(4, 2), (8, 4), (16, 8), (32, 16)]),
+    base=st.integers(6, 20),
+    steps=st.integers(2, 128),
+)
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_prefix_resume_matches_exact(method, machine, scale, base, steps):
+    # a base run publishes its orbit (when steady engages); the variant
+    # resumes from it (when the snapshot serves its steps) or simulates
+    # cold — either way it must equal the exact run field for field
+    nsim, nana = scale
+    kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana,
+                  fidelity="steady")
+    runcache.clear()
+    run_coupled(steps=base, **kwargs)
+    variant = run_coupled(steps=steps, **kwargs)
+    if variant.forked is not None:
+        assert variant.fidelity == "steady" and variant.fidelity_log == ()
+    assert_same_physics(variant, exact_run(steps=steps, **kwargs))
 
 
 def assert_steady_entry_only(result):

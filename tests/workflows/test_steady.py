@@ -44,14 +44,18 @@ class TestSteadyEquivalence:
             assert steady_entry(steady).startswith("steady:")
         assert_identical(exact, steady, ignore=("fidelity",))
 
-    def test_compute_only_baseline_fast_forwards(self):
+    def test_compute_only_baseline_declines(self):
+        # no staging library certifies an orbit: the baseline runs
+        # exact and says so with its one steady entry
         kwargs = dict(machine="titan", method=None, nsim=32, nana=16,
                       steps=8)
         exact = fresh_run(fidelity="exact", **kwargs)
         steady = fresh_run(fidelity="steady", **kwargs)
-        assert steady.fidelity == "steady"
-        assert steady_entry(steady) is None
-        assert_identical(exact, steady, ignore=("fidelity",))
+        assert steady.fidelity == "exact"
+        assert steady.fidelity_log == (
+            "steady: compute-only baseline has no staging orbit to certify",
+        )
+        assert_identical(exact, steady)
 
     def test_engaged_run_simulates_fewer_events(self):
         # the point of the mode: once the orbit is proven, the tail is

@@ -503,7 +503,6 @@ def _results_identical(a, b) -> bool:
 _FORK_COLUMN_STEPS = (8, 16, 32, 64, 128)
 _FORK_COLUMN_CONFIG = dict(
     machine="cori", method="dataspaces", nsim=32, nana=16,
-    fidelity="steady",
 )
 
 

@@ -2,15 +2,15 @@
 """Fidelity census: which tier each Figure 2 cell ran, and why not others.
 
 Sweeps every (machine, scale, method) cell of the Figure 2 grid at the
-study's small scales with ``fidelity="steady"`` — the compute-only
-baseline (``method`` None) included — and records, per cell,
-the fidelity label the driver settled on (``steady`` or ``exact``) and
-its full ``fidelity_log`` — one verbatim ``"<tier>: <reason>"`` entry
-per requested tier that did not engage.  The summary counts cells per
-label and per log entry.  The output JSON is uploaded as a CI artifact
-so tier regressions (a certificate that silently stops firing, or a
-decline string that drifts) are visible per run without digging
-through test output.
+study's small scales — the compute-only baseline (``method`` None)
+included — and records, per cell, the fidelity label the driver
+settled on (``steady`` or ``exact``) and its full ``fidelity_log`` —
+one verbatim ``"<tier>: <reason>"`` entry per tier that did not
+engage, so every exact cell has one ``steady:`` entry.  The summary
+counts cells per label and per log entry.  The output JSON is uploaded
+as a CI artifact so tier regressions (a certificate that silently stops
+firing, or a decline string that drifts) are visible per run without
+digging through test output.
 
 The census is *descriptive*, not a gate: the per-cell labels that must
 hold are pinned in ``tests/workflows/test_fidelity.py``.
@@ -38,7 +38,7 @@ def census(workflow: str = "lammps", steps: int = 5) -> Dict[str, object]:
             for method in [None] + FIG2_METHODS:
                 result = run_coupled(
                     machine, workflow, method, nsim=nsim, nana=nana,
-                    steps=steps, fidelity="steady",
+                    steps=steps,
                 )
                 cells.append({
                     "machine": machine,

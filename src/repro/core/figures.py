@@ -70,7 +70,6 @@ def fig2_end_to_end(
         for nsim, nana in scales:
             baseline = run_coupled(
                 machine, workflow, None, nsim=nsim, nana=nana, steps=steps,
-                fidelity="steady",
             )
             row: Dict[str, object] = {
                 "machine": machine,
@@ -81,7 +80,6 @@ def fig2_end_to_end(
             for method in methods:
                 result = run_coupled(
                     machine, workflow, method, nsim=nsim, nana=nana, steps=steps,
-                    fidelity="steady",
                 )
                 if (
                     not result.ok
@@ -95,14 +93,12 @@ def fig2_end_to_end(
                         result = run_coupled(
                             machine, workflow, method, nsim=nsim, nana=nana,
                             steps=steps, num_servers=max(1, nana // 4),
-                            fidelity="steady",
                         )
                     elif method.startswith("dimes"):
                         result = run_coupled(
                             machine, workflow, method, nsim=nsim, nana=nana,
                             steps=steps,
                             topology_overrides=dict(sim_ranks_per_node=8),
-                            fidelity="steady",
                         )
                     if result.ok:
                         table.note(
@@ -148,7 +144,6 @@ def fig3_problem_size(
                 nsim=nsim, nana=nana, steps=steps, variable=var,
                 sim_step_seconds=laplace_sim_step_for_size(size),
                 ana_step_seconds=laplace_ana_step_for_size(size),
-                fidelity="steady",
             )
             result = run_coupled("titan", "laplace", method, **kwargs)
             if not result.ok and remediate and "OutOfRdma" in result.failure:
@@ -514,7 +509,6 @@ def fig11_decaf_servers(
             # Pack 2 dflow ranks per node so the 8-server point fits in
             # Titan's 32 GB nodes despite the 7x data expansion.
             topology_overrides=dict(servers_per_node=2),
-            fidelity="steady",
         )
         table.add(
             servers=count,
@@ -559,7 +553,6 @@ def fig12_dataspaces_servers(
             num_servers=count, transport="tcp", variable=var,
             sim_step_seconds=laplace_sim_step_for_size(bytes_per_proc),
             ana_step_seconds=laplace_ana_step_for_size(bytes_per_proc),
-            fidelity="steady",
         )
         e2e_gain = staging_gain = None
         if result.ok and prev is not None:
@@ -682,7 +675,6 @@ def fig_sst_streaming(
                     config=StagingConfig(
                         transport=transport, use_adios=True, **knobs
                     ),
-                    fidelity="steady",
                 )
                 table.add(
                     machine=f"{machine}/{transport}",
@@ -703,7 +695,6 @@ def fig_sst_streaming(
             "titan", workflow, "sst", nsim=32, nana=16, steps=steps,
             sim_step_seconds=2.0, ana_step_seconds=6.0,
             config=StagingConfig(transport="ugni", use_adios=True, **knobs),
-            fidelity="steady",
         )
         table.add(
             machine="titan/ugni",
@@ -759,7 +750,6 @@ def fig_pmem_tier(
                     machine, workflow, library, nsim=nsim, nana=nana,
                     steps=steps,
                     config=StagingConfig(transport=transport, use_adios=True),
-                    fidelity="steady",
                 )
                 mirrored = run_coupled(
                     machine, workflow, library, nsim=nsim, nana=nana,
@@ -768,7 +758,6 @@ def fig_pmem_tier(
                         transport=transport, use_adios=True,
                         pmem_checkpoint=True,
                     ),
-                    fidelity="steady",
                 )
                 premium = None
                 if plain.ok and mirrored.ok:

@@ -88,16 +88,13 @@ def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
 
     ``spec`` is the same normalized kwargs dict the driver feeds
     :func:`repro.core.runcache.config_key` (catalog names resolved,
-    overrides merged).  Returns None when the spec cannot share a
-    prefix: chaos/recovery runs diverge inside it, compute-only
-    baselines never engage steady, and only the steady fidelity ever
-    certifies one.
+    overrides merged).  Every clean staged point has one; None when the
+    spec cannot share a prefix: chaos/recovery runs diverge inside it,
+    and compute-only baselines never engage steady.
     """
     if spec.get("fault_plan") is not None or spec.get("recovery") is not None:
         return None
     if spec.get("method") is None:
-        return None
-    if spec.get("fidelity") != "steady":
         return None
     from . import runcache
 
@@ -106,23 +103,6 @@ def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
         return runcache.config_key(prefix=PREFIX_TAG, **base)
     except TypeError:
         return None
-
-
-def can_serve(spec: Dict[str, Any]) -> bool:
-    """Whether a resident prefix entry can serve this spec outright.
-
-    The planner (:class:`repro.exec.plan.Recorder`) consults this
-    before scheduling a full run on the worker pool: a serveable point
-    costs microseconds in the serial replay, so shipping it to a worker
-    would only pay process overhead.
-    """
-    key = prefix_key(spec)
-    if key is None:
-        return False
-    from . import runcache
-
-    snap = runcache.CACHE.get_prefix(key)
-    return snap is not None and snap.serves(spec["steps"])
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,12 @@ argument that feeds the simulation:
 * per-step compute seconds, ``topology_overrides``, ``app_axis``;
 * every :class:`~repro.staging.base.StagingConfig` field.
 
-Deliberately **not** hashed: the ``trace`` argument — tracing mutates an
-external object per event, so traced runs bypass the cache entirely —
-and anything about the host (wall-clock, paths, library versions).
+Deliberately **not** hashed: the ``trace`` argument (tracing mutates an
+external object per event, so traced runs bypass the cache entirely),
+the ignored ``fidelity`` keyword (whether the steady fast-forward
+engages is the code's decision, and it never changes a result's
+physics) and anything about the host (wall-clock, paths, library
+versions).
 
 Layers:
 
@@ -71,8 +74,11 @@ from typing import Any, Dict, Optional
 #: 10 -> 11: one orbit replay — prefix snapshots drop the confirm step
 #: and the always-zero chaos counters and keep only the staging totals
 #: the replay reads, and a compute-only steady request now runs exact
-#: with a ``steady:`` decline)
-SCHEMA_VERSION = 11
+#: with a ``steady:`` decline.
+#: 11 -> 12: steady is offered to every run — ``fidelity`` left the key
+#: inputs, and a result stored under a key carries the label and log
+#: the code chose, not those a request asked for)
+SCHEMA_VERSION = 12
 
 
 def _canonical(value: Any) -> Any:

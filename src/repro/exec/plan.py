@@ -74,16 +74,12 @@ class WorkPlan:
     unplanned: int
     #: experiment id -> error message for planning passes that raised
     errors: Dict[str, str]
-    #: calls a resident steady-prefix entry can serve outright — the
-    #: serial replay restores them in microseconds, so shipping them to
-    #: a worker would only pay process overhead (not planned)
-    prefix_hits: int = 0
 
     @property
     def deduped_refs(self) -> int:
         """Calls saved purely by cross-experiment sharing."""
         return (self.total_refs - self.cache_hits - self.unplanned
-                - self.prefix_hits - len(self.tasks))
+                - len(self.tasks))
 
 
 def placeholder_result(spec: Dict[str, Any]) -> RunResult:
@@ -124,7 +120,6 @@ class Recorder:
         self.cache_hits = 0
         self.total_refs = 0
         self.unplanned = 0
-        self.prefix_hits = 0
         self.current: Optional[str] = None
 
     def intercept(self, cache_key: Optional[str], spec: Dict[str, Any]):
@@ -132,15 +127,12 @@ class Recorder:
         if cache_key is None:
             self.unplanned += 1
             return placeholder_result(spec)
-        from ..core import forkpoint, runcache
+        from ..core import runcache
 
         cached = runcache.CACHE.get(cache_key)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        if forkpoint.can_serve(spec):
-            self.prefix_hits += 1
-            return placeholder_result(spec)
         task = self.tasks.get(cache_key)
         if task is None:
             task = self.tasks[cache_key] = PlannedTask(key=cache_key, spec=spec)
@@ -177,5 +169,4 @@ def build_plan(experiments: Mapping[str, Callable[[], Any]]) -> WorkPlan:
         total_refs=recorder.total_refs,
         unplanned=recorder.unplanned,
         errors=errors,
-        prefix_hits=recorder.prefix_hits,
     )

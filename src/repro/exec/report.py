@@ -25,7 +25,9 @@ from typing import Any, Dict, List, Optional, TextIO
 #:         prefix declines by reason as ``fork_declines``) and
 #:         per-round ``prefix_hits`` (points a resident steady-prefix
 #:         entry serves, kept off the pool)
-SCHEMA = 5
+#: 5 -> 6: rounds drop ``prefix_hits``: the planning parent never
+#:         simulates, so it never holds a prefix entry to serve from
+SCHEMA = 6
 
 
 class ProgressPrinter:
@@ -97,7 +99,6 @@ class RunReport:
                 cache_hits=plan.cache_hits,
                 deduped_refs=plan.deduped_refs,
                 unplanned=plan.unplanned,
-                prefix_hits=plan.prefix_hits,
                 plan_errors=dict(plan.errors),
                 batch_sizes=list(batch_sizes or []),
             )

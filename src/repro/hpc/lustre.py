@@ -325,8 +325,3 @@ class LustreFilesystem:
             raise ValueError(f"negative read size {nbytes}")
         yield from self._transfer(handle, offset, nbytes)
         self.bytes_read += nbytes
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Peak bandwidth of the whole OST pool, bytes/second."""
-        return self.spec.peak_bandwidth

@@ -71,9 +71,9 @@ class BandwidthPipe:
     def freeze_rate(self) -> None:
         """Promise the rate never changes for the rest of the run.
 
-        Unlocks the arithmetic chain forms — :meth:`enqueue_runs_end`
-        and the frozen fast paths of :meth:`transmit` /
-        :meth:`transmit_many` — and :meth:`degrade` refuses afterwards.
+        Unlocks the arithmetic chain form of :meth:`transmit` — the FIFO
+        queue collapses into the chain's end tick — and :meth:`degrade`
+        refuses afterwards.
         The driver freezes every pipe the run's
         :class:`~repro.chaos.faults.FaultPlan` cannot degrade — all of
         them on a clean run (see
@@ -162,46 +162,6 @@ class BandwidthPipe:
             # so the trailing sleep delays only this caller.
             yield env.timeout_at_tick(env._now_tick + tail_ticks)
 
-    def transmit_many(self, chunks) -> Generator:
-        """Process: occupy the pipe for several transfers back to back.
-
-        Timing-identical to consecutive :meth:`transmit` calls enqueued
-        at one instant — the FIFO pipe serves them contiguously anyway —
-        but holds the pipe once and sleeps once: a burst of N chunks
-        costs a single timeout instead of N full request/grant/release
-        cycles.  The total duration accumulates chunk by chunk *without*
-        touching the absolute clock, so the burst length is a pure
-        function of the chunk sizes — step-invariant, which the
-        steady-state fast-forward relies on.  Frozen pipes skip the
-        request cycle entirely (same argument as :meth:`transmit`).
-        """
-        if self._rate_frozen:
-            total = 0.0
-            for nbytes in chunks:
-                duration = self.transfer_time(nbytes)
-                total += duration
-                self.bytes_moved += nbytes
-                self.busy_time += duration
-            start = self._chain_end_tick
-            env = self.env
-            now_tick = env._now_tick
-            if start < now_tick:
-                start = now_tick
-            end = start + round(total * _TICK_SCALE)
-            self._chain_end_tick = end
-            yield env.timeout_at_tick(end)
-            return
-        with self._res.request() as req:
-            yield req
-            total = 0.0
-            for nbytes in chunks:
-                duration = self.transfer_time(nbytes)
-                total += duration
-                self.bytes_moved += nbytes
-                self.busy_time += duration
-            env = self.env
-            yield env.timeout_at_tick(env._now_tick + round(total * _TICK_SCALE))
-
     def enqueue_runs(self, runs) -> Event:
         """FIFO-queue a burst of run-length chunks; its completion event.
 
@@ -218,10 +178,10 @@ class BandwidthPipe:
         termination.
 
         Bursts queued here form their own FIFO chain; do not mix with
-        :meth:`transmit`/:meth:`transmit_many` on the same pipe.  The
-        rate is read when the burst *starts* (matching the grant-time
-        read of the process path), so :meth:`degrade` only affects
-        bursts granted afterwards.
+        :meth:`transmit` on the same pipe.  The rate is read when the
+        burst *starts* (matching the grant-time read of the process
+        path), so :meth:`degrade` only affects bursts granted
+        afterwards.
         """
         env = self.env
         done = Event(env)
@@ -249,33 +209,6 @@ class BandwidthPipe:
         else:
             prev.callbacks.append(_start)
         return done
-
-    def enqueue_runs_end(self, runs) -> int:
-        """Arithmetic :meth:`enqueue_runs`: the absolute completion tick.
-
-        Valid only after :meth:`freeze_rate` — with the rate constant,
-        the burst-start rate read is the enqueue-time rate read, so the
-        whole FIFO chain collapses into one integer per pipe (its end
-        tick) and the burst needs *no events at all*.  Same duration
-        accumulation (one addition per chunk, in order) as the event
-        chain; the completion arithmetic ``max(chain end, now) +
-        round(total * 2**32)`` is the tick form of the event chain's
-        ``max + quantize`` — grid multiples add exactly in double, so
-        projecting the tick back to seconds gives the event chain's
-        float bit for bit.
-        """
-        total, busy, moved = _accumulate_runs(
-            0.0, self.busy_time, self.rate, runs
-        )
-        self.bytes_moved += moved
-        self.busy_time = busy
-        start = self._chain_end_tick
-        now_tick = self.env._now_tick
-        if start < now_tick:
-            start = now_tick
-        end = start + round(total * _TICK_SCALE)
-        self._chain_end_tick = end
-        return end
 
 
 class Link:

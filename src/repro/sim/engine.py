@@ -178,14 +178,6 @@ class Environment:
                 bucket = [got, event]
             buckets[tick] = bucket
 
-    def schedule_at_tick(self, event: Event, tick: int) -> None:
-        """Queue ``event`` at the absolute tick ``tick`` (hot-path form)."""
-        if tick < self._now_tick:
-            raise ValueError(
-                f"tick {tick} is in the past (now={self._now_tick})"
-            )
-        self._insert(tick, event)
-
     def process(self, generator: Generator) -> Process:
         """Spawn a new process executing ``generator``."""
         return Process(self, generator)

@@ -29,7 +29,7 @@ from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
 from .catalog import WorkflowSpec, get_workflow
-from .fidelity import FIDELITIES, resolve_fidelity
+from .fidelity import FidelityDecision, resolve_fidelity
 from .trace import ActivityTrace
 
 #: simulated seconds of application initialization before the staging
@@ -246,12 +246,12 @@ class RunResult:
     failure: Optional[str] = None
     #: "exact" ran every actor every step; "steady" stopped simulating
     #: once the step loop provably entered a periodic orbit and replayed
-    #: the rest by exact translation (requested via ``fidelity`` and
-    #: engaged only when the fingerprint checks proved it bit-identical)
+    #: the rest by exact translation (offered to every run, engaged only
+    #: when the fingerprint checks proved it bit-identical)
     fidelity: str = "exact"
-    #: one ``"<tier>: <reason>"`` entry per requested tier that did not
-    #: engage (see :mod:`repro.workflows.fidelity`); empty when the
-    #: request engaged as asked, or nothing was requested
+    #: one ``"<tier>: <reason>"`` entry per tier that did not engage
+    #: (see :mod:`repro.workflows.fidelity`): an exact run carries
+    #: exactly one ``steady:`` entry, an engaged run none
     fidelity_log: Tuple[str, ...] = ()
     #: inputs echoed into the result (the run's library does not outlive it)
     variable_nbytes: int = 0
@@ -322,7 +322,7 @@ def run_coupled(
     config=None,
     app_axis: Optional[int] = None,
     trace: Optional[ActivityTrace] = None,
-    fidelity: str = "exact",
+    fidelity: Optional[str] = None,
     fault_plan=None,
     recovery=None,
 ) -> RunResult:
@@ -338,18 +338,21 @@ def run_coupled(
     overrides the library's default failure reaction.  Both are part of
     the run-cache key, so chaos runs never collide with clean ones.
 
-    ``fidelity`` is one of :data:`~repro.workflows.fidelity.FIDELITIES`;
-    anything else raises ``ValueError``.  ``fidelity="steady"`` asks the
-    run to stop simulating once the coupled step loop provably enters a
-    periodic orbit — two consecutive step boundaries matching in the
-    full observable fingerprint modulo one exact clock translation Δ —
-    and fast-forward the remaining iterations by exact translation (see
-    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).  It falls
-    back to exact whenever the library declines a certificate or no
-    boundary pair matches; check ``RunResult.fidelity`` for what
-    actually ran.  Whether steady engages is decided by
-    :func:`~repro.workflows.fidelity.resolve_fidelity`;
-    ``RunResult.fidelity_log`` records why it did not.
+    Every run is offered the steady fast-forward: it stops simulating
+    once the coupled step loop provably enters a periodic orbit — two
+    consecutive step boundaries matching in the full observable
+    fingerprint modulo one exact clock translation Δ — and
+    fast-forwards the remaining iterations by exact translation (see
+    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).  The
+    result is bit-identical to simulating every step, so the choice is
+    the code's, not the caller's: it runs exact whenever the library
+    declines a certificate or no boundary pair matches.
+    ``RunResult.fidelity`` says what ran; whether steady engages is
+    decided by :func:`~repro.workflows.fidelity.resolve_fidelity`, and
+    ``RunResult.fidelity_log`` records why it did not.  A traced run
+    always simulates every step, so it is the exact reference.
+    ``fidelity`` is accepted and ignored, for callers that still pass
+    it.
 
     Results are memoized in :mod:`repro.core.runcache` keyed on every
     input that determines the outcome; traced runs bypass the cache.
@@ -395,8 +398,11 @@ def run_coupled(
                     return restored
                 forkpoint.STATS.decline(snap.decline_reason(steps))
 
-    def _attempt(run_point: dict):
-        """One simulation: its result, and its snapshot if steady engaged."""
+    def _attempt(declined: Optional[str] = None):
+        """One simulation: its result, and its snapshot if steady engaged.
+
+        ``declined`` forces the run exact, with that ``steady:`` entry.
+        """
         result = RunResult(
             machine=machine_spec.name,
             workflow=spec.name,
@@ -417,10 +423,14 @@ def run_coupled(
         library = snap = None
         try:
             library = _build_library(cluster, point)
-            snap = _execute(env, cluster, library, result, spec, run_point,
-                            trace)
+            snap = _execute(env, cluster, library, result, spec, point,
+                            trace, declined)
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
+            if not result.fidelity_log:
+                result.fidelity_log = (
+                    "steady: run failed before any orbit was replayed",
+                )
             if fault_plan is not None:
                 # Chaos runs keep their partial accounting: how far the
                 # clock got and what the libraries managed to recover.
@@ -445,14 +455,13 @@ def run_coupled(
     if was_enabled:
         gc.disable()
     try:
-        result, snap = _attempt(point)
+        result, snap = _attempt()
     except _SteadyDiverged as exc:
         # Safety net: the confirmed orbit failed replay-time
         # verification.  Rerun the whole configuration (fresh
         # environment, cluster and library) without the fast-forward
         # — a false engagement costs time, never correctness.
-        result, snap = _attempt(dict(point, fidelity="exact"))
-        result.fidelity_log += (f"steady: {exc}",)
+        result, snap = _attempt(declined=f"steady: {exc}")
     finally:
         if was_enabled:
             gc.enable()
@@ -464,8 +473,8 @@ def run_coupled(
             )
         return result
     if snap is not None:
-        # Steady engages only on clean, staged, steady-fidelity points:
-        # exactly the ones prefix_key addresses.
+        # Steady engages only on clean, staged points: exactly the ones
+        # prefix_key addresses.
         runcache.CACHE.put_prefix(pkey, snap)
         forkpoint.STATS.snapshots_taken += 1
     runcache.CACHE.put(cache_key, result)
@@ -477,7 +486,7 @@ _DEFAULTS = {name: p.default for name, p in _SIGNATURE.parameters.items()}
 
 #: ``run_coupled`` arguments that steer how a run executes, never what
 #: it computes: they stay out of the point
-_NOT_INPUTS = ("trace",)
+_NOT_INPUTS = ("trace", "fidelity")
 
 
 def _resolve_point(args: dict):
@@ -485,11 +494,9 @@ def _resolve_point(args: dict):
 
     The point dict carries every input that determines the outcome,
     with machine/workflow reduced to catalog names and workflow-spec
-    defaults applied, and its fidelity checked against
-    :data:`~repro.workflows.fidelity.FIDELITIES`.  The cache key, the
-    planning recorder, the forkpoint prefix key and the fidelity
-    resolver all derive from it, so they always agree on what "the same
-    configuration" means.
+    defaults applied.  The cache key, the planning recorder, the
+    forkpoint prefix key and the fidelity resolver all derive from it,
+    so they always agree on what "the same configuration" means.
     """
     point = {k: args[k] for k in _SIGNATURE.parameters if k not in _NOT_INPUTS}
     workflow, machine = point["workflow"], point["machine"]
@@ -505,16 +512,6 @@ def _resolve_point(args: dict):
     for name in ("sim_step_seconds", "ana_step_seconds", "app_axis"):
         if point[name] is None:
             point[name] = getattr(spec, name)
-    # Legacy spelling of "steady", still sent by the benchmark's whatif
-    # request stream (benchmarks/e2e/stream.py); delete this alias once
-    # that stream drops the spelling.
-    if point["fidelity"] == "steady+clustered":
-        point["fidelity"] = "steady"
-    if point["fidelity"] not in FIDELITIES:
-        raise ValueError(
-            f"fidelity must be one of {', '.join(map(repr, FIDELITIES))}, "
-            f"got {point['fidelity']!r}"
-        )
     point.update(machine=machine_spec.name, workflow=spec.name,
                  topology_overrides=overrides)
     return machine_spec, spec, point
@@ -523,9 +520,9 @@ def _resolve_point(args: dict):
 def point_key(**kwargs) -> Optional[str]:
     """The run-cache key ``run_coupled(**kwargs)`` would use.
 
-    ``None`` when the configuration is uncacheable; ``ValueError`` for
-    a fidelity ``run_coupled`` would refuse.  The serve daemon uses this
-    to key point jobs (so it refuses a bad fidelity at submit time).
+    ``None`` when the configuration is uncacheable; ``TypeError`` for
+    an argument ``run_coupled`` does not take.  The serve daemon uses
+    this to key point jobs (so it refuses a bad point at submit time).
     """
     unknown = kwargs.keys() - _DEFAULTS.keys()
     if unknown:
@@ -573,11 +570,13 @@ def _build_library(cluster, point) -> Optional[StagingLibrary]:
 
 
 def _execute(env, cluster, library, result, spec, point,
-             trace: Optional[ActivityTrace]):
+             trace: Optional[ActivityTrace], declined: Optional[str]):
     """Simulate one run into ``result``.
 
     Returns the run's prefix snapshot when steady engaged (``result``
     then holds the stopped run, the snapshot's template), else None.
+    ``declined`` skips the fidelity decision: the run is exact and
+    logs that one entry.
     """
     machine = cluster.spec
     nsim, nana, steps = point["nsim"], point["nana"], point["steps"]
@@ -624,7 +623,10 @@ def _execute(env, cluster, library, result, spec, point,
     bytes_per_sim_proc = var.nbytes / nsim
     bytes_per_ana_proc = var.nbytes / nana
 
-    decision = resolve_fidelity(point, library, traced=trace is not None)
+    decision = (
+        resolve_fidelity(point, library, traced=trace is not None)
+        if declined is None else FidelityDecision(log=(declined,))
+    )
     result.fidelity_log = decision.log
 
     sim_trackers = [

@@ -1,19 +1,18 @@
 """Which speed-up tiers a coupled run engages, decided before it runs.
 
-A ``run_coupled`` request names a fidelity, one of :data:`FIDELITIES`:
-``"exact"`` simulates every step, ``"steady"`` asks for the
-periodic-orbit fast-forward, which engages only when its certificate
-proves the result bit-identical to the exact run.
-:func:`resolve_fidelity` makes that whole decision from the resolved
-point and the freshly built (not yet bootstrapped) staging library, and
-returns the engaged certificate together with one ordered record of why
-every other requested tier did not engage.
+Every run is offered the periodic-orbit fast-forward (``steady``); it
+engages only when its certificate proves the result bit-identical to
+simulating every step, and the run is exact otherwise.  No caller picks
+the tier.  :func:`resolve_fidelity` makes that whole decision from the
+resolved point and the freshly built (not yet bootstrapped) staging
+library, and returns the engaged certificate together with one ordered
+record of why every tier that did not engage declined.
 
 The record is a tuple of ``"<tier>: <reason>"`` strings, one entry per
-requested tier that did not engage, in tier order:
+tier that did not engage, in tier order:
 
-* ``steady`` — the periodic-orbit fast-forward, requested by
-  ``"steady"``;
+* ``steady`` — the periodic-orbit fast-forward.  Every run that ends
+  exact carries exactly one ``steady:`` entry;
 * ``prefix`` — publishing a reusable steady-boundary snapshot (see
   :mod:`repro.core.forkpoint`).  A steady decline already explains the
   missing snapshot, so ``prefix`` only gets an entry when steady
@@ -21,9 +20,9 @@ requested tier that did not engage, in tier order:
   spec), whose snapshot has nowhere to go.
 
 The driver appends the declines only a run can discover (an orbit that
-never matched, or one that failed its replay-time verification and
-reran exact, and the ad-hoc-spec ``prefix`` entry) and stores the
-result in ``RunResult.fidelity_log``.
+never matched, one that failed its replay-time verification and reran
+exact, a run that failed first, and the ad-hoc-spec ``prefix`` entry)
+and stores the result in ``RunResult.fidelity_log``.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ from typing import Optional, Tuple
 
 from ..staging.base import SteadyPlan
 
-#: every fidelity ``run_coupled`` accepts
-FIDELITIES = ("exact", "steady")
-
 
 @dataclass(frozen=True)
 class FidelityDecision:
@@ -43,7 +39,7 @@ class FidelityDecision:
 
     #: steady fast-forward certificate (None: no orbit is sought)
     steady: Optional[SteadyPlan] = None
-    #: ``"<tier>: <reason>"`` for every requested tier that declined
+    #: ``"<tier>: <reason>"`` for every tier that declined
     log: Tuple[str, ...] = ()
 
 
@@ -61,8 +57,6 @@ def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
     baseline has no staging library to certify an orbit, so it runs
     exact.
     """
-    if point["fidelity"] != "steady":
-        return FidelityDecision()
     if traced:
         return FidelityDecision(log=("steady: traced run records every step",))
     if point["fault_plan"] is not None:

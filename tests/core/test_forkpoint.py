@@ -5,7 +5,8 @@ Three properties back the snapshots:
 * **byte-identity** — a prefix-restored steps variant reproduces the
   exact run's RunResult float for float (a resume never changes bytes,
   only wall-clock).  A cold steady run ends by resuming its own
-  snapshot, so only ``fidelity="exact"`` is an independent reference;
+  snapshot, so only a traced run, which simulates every step, is an
+  independent reference;
 * **honest declines** — whenever a snapshot cannot guarantee identity
   it says why, in ``fidelity_log`` or the decline counters, and the run
   falls back cold;
@@ -26,21 +27,11 @@ from repro.hpc.machines import get_machine
 from repro.workflows import driver, run_coupled
 
 from ..workflows.test_fidelity import assert_same_physics
+from ..workflows.test_perf_modes import exact_run, fresh_run
 
 #: a config whose steady certificate engages (cori certifies every
 #: library at this scale), so prefix snapshots actually publish
-STEADY = dict(machine="cori", method="dataspaces", nsim=32, nana=16,
-              fidelity="steady")
-
-
-def fresh_run(**kwargs):
-    runcache.clear()
-    return run_coupled(**kwargs)
-
-
-def exact_run(**kwargs):
-    """The independent reference: every step simulated, no snapshot."""
-    return fresh_run(**dict(kwargs, fidelity="exact"))
+STEADY = dict(machine="cori", method="dataspaces", nsim=32, nana=16)
 
 
 # ------------------------------------------------ prefix-restored variants
@@ -90,8 +81,7 @@ class TestPrefixRestore:
         # only an engaged steady run with nothing to decline publishes a
         # snapshot, so a restored result carries exactly the label and
         # (empty) log a cold run of the same steps records
-        kwargs = dict(machine="cori", method="flexpath", nsim=32, nana=16,
-                      fidelity="steady")
+        kwargs = dict(machine="cori", method="flexpath", nsim=32, nana=16)
         cold = fresh_run(steps=16, **kwargs)
         runcache.clear()
         run_coupled(steps=8, **kwargs)
@@ -116,8 +106,7 @@ class TestPrefixRestore:
         # titan/dimes never certifies steady at this scale: no snapshot
         # publishes, and the library's own steady decline explains it
         runcache.clear()
-        kwargs = dict(machine="titan", method="dimes", nsim=32, nana=16,
-                      fidelity="steady")
+        kwargs = dict(machine="titan", method="dimes", nsim=32, nana=16)
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None
@@ -128,7 +117,7 @@ class TestPrefixRestore:
         # matches: the steady entry says so, and no prefix entry repeats it
         runcache.clear()
         kwargs = dict(machine="titan", method="dataspaces", nsim=32,
-                      nana=16, fidelity="steady")
+                      nana=16)
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None
@@ -150,8 +139,7 @@ def test_prefix_resume_matches_exact(method, machine, scale, base, steps):
     # resumes from it (when the snapshot serves its steps) or simulates
     # cold — either way it must equal the exact run field for field
     nsim, nana = scale
-    kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana,
-                  fidelity="steady")
+    kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana)
     runcache.clear()
     run_coupled(steps=base, **kwargs)
     variant = run_coupled(steps=steps, **kwargs)
@@ -173,7 +161,7 @@ def _spec(**overrides):
         nana=16, steps=8, transport=None, num_servers=None,
         shared_nodes=False, variable=None, sim_step_seconds=None,
         ana_step_seconds=None, topology_overrides=None, config=None,
-        app_axis=None, fidelity="steady", fault_plan=None, recovery=None,
+        app_axis=None, fault_plan=None, recovery=None,
     )
     kw.update(overrides)
     _machine_spec, _spec_obj, point = driver._resolve_point(kw)
@@ -195,9 +183,6 @@ class TestPrefixKeys:
             watchdog=WATCHDOG,
         )
         assert forkpoint.prefix_key(_spec(fault_plan=plan)) is None
-
-    def test_non_steady_fidelity_has_no_key(self):
-        assert forkpoint.prefix_key(_spec(fidelity="exact")) is None
 
     def test_put_get_round_trip(self):
         runcache.clear()

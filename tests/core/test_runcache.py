@@ -153,11 +153,11 @@ class TestDriverIntegration:
         assert second is first
         assert runcache.CACHE.hits == hits + 1
 
-    def test_fidelity_in_key(self):
-        exact = run_coupled(machine="titan", method=None, nsim=32, nana=16)
-        steady = run_coupled(machine="titan", method=None, nsim=32, nana=16,
-                             fidelity="steady")
-        assert steady is not exact
+    def test_fidelity_not_in_key(self):
+        # the ignored keyword keys and answers as the run without it
+        first = run_coupled(**self.KW)
+        again = run_coupled(fidelity="steady", **self.KW)
+        assert again is first
 
     def test_traced_runs_bypass(self):
         cached = run_coupled(**self.KW)

@@ -61,7 +61,7 @@ class TestParallelStudy:
             {"fig8": Study().experiments()["fig8"]}, jobs=2, report_path=path
         )
         payload = json.loads(open(path).read())
-        assert payload["schema"] == 5
+        assert payload["schema"] == 6
         assert payload["jobs"] == 2
         assert payload["requested_jobs"] == 2
         # clamped to os.cpu_count() on small hosts, never above request
@@ -71,6 +71,8 @@ class TestParallelStudy:
         assert all(
             isinstance(r["batch_sizes"], list) for r in payload["rounds"]
         )
+        # schema 6: the planner keeps no prefix accounting
+        assert not any("prefix_hits" in r for r in payload["rounds"])
         # schema 4: the run cache's counters ride along
         cache = payload["runcache"]
         assert set(cache) >= {"hits", "misses", "stores", "seeds",

@@ -173,14 +173,13 @@ class TestPointServing:
 
     def test_point_spellings_share_the_driver_key(self, served):
         # two spellings of one point, an omitted default and its explicit
-        # spelling, then the legacy composed fidelity and the one it
-        # aliases: each second submission is answered from the daemon's
-        # own cache
+        # spelling, then two values of the ignored fidelity keyword: each
+        # second submission is answered from the daemon's own cache
         spec = point_spec(nsim=12, nana=6)
         with client(served) as c:
             for first_extra, second_extra in (
-                ({}, {"fidelity": "exact"}),
-                ({"fidelity": "steady+clustered"}, {"fidelity": "steady"}),
+                ({}, {"num_servers": None}),
+                ({"fidelity": "exact"}, {"fidelity": "steady"}),
             ):
                 first = c.wait(
                     c.submit_point(dict(spec, **first_extra))["job"]
@@ -230,8 +229,9 @@ class TestPointServing:
             with pytest.raises(ServeError, match="missing keys"):
                 c.submit_point({"machine": "titan"})
             # refused at submit time, not failed later in a worker
-            with pytest.raises(ServeError, match="bad submission: fidelity"):
-                c.submit_point(point_spec(fidelity="clustered"))
+            with pytest.raises(ServeError,
+                               match="bad submission: not run_coupled"):
+                c.submit_point(point_spec(fidelty="steady"))
 
 
 class TestStudyOverService:

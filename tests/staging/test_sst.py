@@ -22,6 +22,8 @@ from repro.staging import (
 )
 from repro.workflows import run_coupled
 
+from ..workflows.test_perf_modes import exact_run
+
 SMALL_ACTORS = dict(sim_ranks_per_node=1, ana_ranks_per_node=1)
 
 CELL = dict(
@@ -149,16 +151,15 @@ class TestStreamingSemantics:
         assert all(data is not None for _, data in results.values())
 
 
-def _coupled(machine, fidelity, **overrides):
-    kwargs = dict(CELL)
-    config_knobs = overrides.pop("config_knobs", {})
+def _cell(machine, **config_knobs):
+    """The coupled SST cell's run_coupled arguments on ``machine``."""
     transport = "mpi" if machine == "cori" else "ugni"
-    kwargs.update(overrides)
-    return run_coupled(
-        machine=machine, method="sst",
-        config=_config(transport=transport, **config_knobs),
-        fidelity=fidelity, **kwargs,
-    )
+    return dict(CELL, machine=machine, method="sst",
+                config=_config(transport=transport, **config_knobs))
+
+
+def _coupled(machine, **config_knobs):
+    return run_coupled(**_cell(machine, **config_knobs))
 
 
 class TestFidelityCertificates:
@@ -167,15 +168,15 @@ class TestFidelityCertificates:
         """Under reader pacing the step loop is version-periodic on both
         machines, so the steady fast-forward engages with nothing to
         decline."""
-        result = _coupled(machine, "steady")
+        result = _coupled(machine)
         assert result.ok
         assert result.fidelity == "steady"
         assert result.fidelity_log == ()
 
     @pytest.mark.parametrize("machine", ["cori", "titan"])
     def test_engagement_is_bit_identical_to_exact(self, machine):
-        reduced = _coupled(machine, "steady")
-        exact = _coupled(machine, "exact")
+        reduced = _coupled(machine)
+        exact = exact_run(**_cell(machine))
         assert reduced.end_to_end == exact.end_to_end
         assert reduced.put_time == exact.put_time
         assert reduced.get_time == exact.get_time
@@ -184,29 +185,21 @@ class TestFidelityCertificates:
     def test_discard_declines_steady_with_a_recorded_reason(self):
         """Which steps get dropped depends on the absolute writer/reader
         phase: hidden aperiodic state no fingerprint can vouch for."""
-        result = _coupled(
-            "cori", "steady", config_knobs=dict(sst_discard=True)
-        )
+        result = _coupled("cori", sst_discard=True)
         assert result.ok
         assert result.fidelity == "exact"
         assert any("aperiodic hidden state" in e
                    for e in result.fidelity_log)
 
     def test_discard_decline_falls_back_bit_identically(self):
-        declined = _coupled(
-            "cori", "steady", config_knobs=dict(sst_discard=True)
-        )
-        exact = _coupled(
-            "cori", "exact", config_knobs=dict(sst_discard=True)
-        )
+        declined = _coupled("cori", sst_discard=True)
+        exact = exact_run(**_cell("cori", sst_discard=True))
         assert declined.end_to_end == exact.end_to_end
         assert declined.put_time == exact.put_time
 
     def test_short_runs_record_the_warmup_decline(self):
         """steps=5 under queue_size=4 leaves no room past the warm-up."""
-        result = _coupled(
-            "cori", "steady", config_knobs=dict(queue_size=4)
-        )
+        result = _coupled("cori", queue_size=4)
         assert result.ok
         assert result.fidelity == "exact"
         assert any(e.startswith("steady:") and "warm-up" in e

@@ -1,11 +1,12 @@
 """The fidelity resolver against exact simulation, on drawn configurations.
 
-A ``steady`` request must reproduce ``fidelity="exact"`` float for
-float whether or not the fast-forward engages, and every requested tier
-that did not engage must say why with exactly one
-``"<tier>: <reason>"`` entry in ``RunResult.fidelity_log``.  Hypothesis
-draws the configurations; the hand-picked Figure 2 cells pin where
-steady engages, so a certificate that silently stops firing fails here.
+Every run is offered the steady fast-forward, and must reproduce the
+exact reference (a traced run, which simulates every step) float for
+float whether or not the fast-forward engages; every tier that did not
+engage must say why with exactly one ``"<tier>: <reason>"`` entry in
+``RunResult.fidelity_log``.  Hypothesis draws the configurations; the
+hand-picked Figure 2 cells pin where steady engages, so a certificate
+that silently stops firing fails here.
 """
 
 import dataclasses
@@ -17,15 +18,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.figures import FIG2_METHODS
 from repro.sim.monitor import TimeSeries
 
-from .test_perf_modes import fresh_run
+from .test_perf_modes import exact_run, fresh_run
 
 #: fields that record how a result was computed, not what it computed
 HOW = ("fidelity", "fidelity_log", "forked")
 
 TIERS = ("steady", "prefix")
 
-#: the tier every Figure 2 LAMMPS (32,16) ``steady`` cell engages; the
-#: cells missing here run exact
+#: the tier every Figure 2 LAMMPS (32,16) cell engages; the cells
+#: missing here run exact
 FIG2_LABELS = {
     ("titan", "mpiio"): "steady",
     ("cori", "mpiio"): "steady",
@@ -55,17 +56,19 @@ def assert_same_physics(a, b):
         [None, "dataspaces", "dimes", "mpiio", "flexpath", "decaf"]
     ),
     machine=st.sampled_from(["titan", "cori"]),
+    workflow=st.sampled_from(["lammps", "laplace"]),
     scale=st.sampled_from([(4, 2), (4, 4), (8, 4), (16, 8), (32, 16)]),
     steps=st.integers(6, 12),
 )
 @settings(max_examples=25, derandomize=True, deadline=None)
-def test_steady_matches_exact_or_logs_why(method, machine, scale, steps):
+def test_steady_matches_exact_or_logs_why(method, machine, workflow, scale,
+                                          steps):
     nsim, nana = scale
-    kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana,
-                  steps=steps)
-    exact = fresh_run(fidelity="exact", **kwargs)
-    reduced = fresh_run(fidelity="steady", **kwargs)
-    assert exact.fidelity_log == ()
+    kwargs = dict(machine=machine, workflow=workflow, method=method,
+                  nsim=nsim, nana=nana, steps=steps)
+    exact = exact_run(**kwargs)
+    reduced = fresh_run(**kwargs)
+    assert exact.fidelity_log == ("steady: traced run records every step",)
     assert_same_physics(exact, reduced)
 
     log = reduced.fidelity_log
@@ -83,8 +86,7 @@ def test_steady_matches_exact_or_logs_why(method, machine, scale, steps):
 @pytest.mark.parametrize("method", FIG2_METHODS)
 def test_fig2_cell_fidelity_labels(machine, method):
     result = fresh_run(machine=machine, method=method, workflow="lammps",
-                       nsim=32, nana=16, steps=5,
-                       fidelity="steady")
+                       nsim=32, nana=16, steps=5)
     assert result.fidelity == FIG2_LABELS.get((machine, method), "exact"), (
         result.fidelity_log
     )

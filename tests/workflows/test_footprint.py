@@ -57,16 +57,15 @@ def test_run_result_has_no_library_field():
     assert "library" not in {f.name for f in dataclasses.fields(RunResult)}
 
 
-@pytest.mark.parametrize("method,fidelity,fault_plan", [
-    ("dataspaces", "exact", None),
-    ("mpiio", "exact", None),
-    ("mpiio", "steady", None),  # also publishes a prefix snapshot
-    (None, "exact", None),
-    ("mpiio", "exact", OST_SLOW),
-], ids=["dataspaces", "mpiio", "mpiio-steady", "compute-only", "ost-slow"])
-def test_a_finished_run_is_garbage(envs, method, fidelity, fault_plan):
+@pytest.mark.parametrize("method,fault_plan,fidelity", [
+    ("dataspaces", None, "exact"),  # no boundary pair matches on titan
+    ("mpiio", None, "steady"),  # also publishes a prefix snapshot
+    (None, None, "exact"),
+    ("mpiio", OST_SLOW, "exact"),
+], ids=["dataspaces", "mpiio", "compute-only", "ost-slow"])
+def test_a_finished_run_is_garbage(envs, method, fault_plan, fidelity):
     point = dict(machine="titan", workflow="lammps", method=method, nsim=32,
-                 nana=16, steps=6, fidelity=fidelity, fault_plan=fault_plan)
+                 nana=16, steps=6, fault_plan=fault_plan)
     result = run_coupled(**point)
     assert result.ok
     assert result.fidelity == fidelity

@@ -1,17 +1,19 @@
-"""Determinism of the driver and its fidelity vocabulary.
+"""Determinism of the driver, and fidelity as no input.
 
 * **determinism** — the simulation breaks time ties by event id, so the
   same configuration always produces bit-identical results (this is
   what makes the run cache and the golden files sound);
-* **fidelity requests** — a run is exact unless it asks otherwise, and
-  a fidelity outside :data:`repro.workflows.fidelity.FIDELITIES` is
-  refused with an error that names the valid ones.
+* **fidelity is the code's decision** — whether the steady fast-forward
+  engages is decided per run, so the ``fidelity`` keyword is accepted,
+  ignored and kept out of the run key.  The exact reference every
+  equivalence test compares against is a traced run (:func:`exact_run`).
 """
 
 import pytest
 
 from repro.core import runcache
-from repro.workflows import run_coupled
+from repro.workflows import driver, run_coupled
+from repro.workflows.trace import ActivityTrace
 
 SCALAR_FIELDS = (
     "end_to_end", "sim_finish", "ana_finish", "put_time", "get_time",
@@ -23,6 +25,12 @@ def fresh_run(**kwargs):
     """A run that cannot be served from the in-process cache."""
     runcache.clear()
     return run_coupled(**kwargs)
+
+
+def exact_run(**kwargs):
+    """The exact reference: a traced run simulates every step and
+    bypasses the run cache, so it shares no snapshot with any run."""
+    return run_coupled(trace=ActivityTrace(), **kwargs)
 
 
 def assert_identical(a, b, ignore=()):
@@ -58,7 +66,7 @@ class TestDeterminism:
         assert titan.end_to_end != cori.end_to_end
 
 
-# --------------------------------------------------- fidelity requests
+# ------------------------------------------------ fidelity is no input
 
 
 class TestFidelityRequests:
@@ -66,7 +74,8 @@ class TestFidelityRequests:
         result = fresh_run(machine="titan", method=None, nsim=32, nana=16)
         assert result.fidelity == "exact"
 
-    def test_invalid_fidelity_rejected(self):
-        for fidelity in ("fast", "clustered"):
-            with pytest.raises(ValueError, match="'exact', 'steady'"):
-                run_coupled(fidelity=fidelity)
+    def test_fidelity_is_not_an_input(self):
+        # every spelling a caller may still send, valid or not, keys as
+        # the run without it
+        for fidelity in ("exact", "steady", "steady+clustered"):
+            assert driver.point_key() == driver.point_key(fidelity=fidelity)

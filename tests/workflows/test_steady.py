@@ -1,20 +1,21 @@
-"""Steady-state fast-forward equivalence (``fidelity="steady"``).
+"""Steady-state fast-forward equivalence.
 
-The temporal memoization must be invisible in the numbers: whenever the
-driver fast-forwards a periodic tail it has to reproduce the exact
-run's :class:`RunResult` float for float, and whenever it cannot prove
-periodicity it has to fall back to the stricter mode and say why with
-a ``steady:`` entry in ``RunResult.fidelity_log``.
+Every run is offered the fast-forward, and the temporal memoization
+must be invisible in the numbers: whenever the driver fast-forwards a
+periodic tail it has to reproduce the exact run's :class:`RunResult`
+float for float, and whenever it cannot prove periodicity it has to
+simulate every step and say why with one ``steady:`` entry in
+``RunResult.fidelity_log``.  The exact reference is a traced run.
 """
 
 import pytest
 
 from repro.chaos.faults import FaultEvent, FaultPlan, RecoveryPolicy
-from repro.core import runcache
-from repro.workflows import run_coupled
+from repro.core import forkpoint, runcache
+from repro.workflows import driver, run_coupled
 from repro.workflows.trace import ActivityTrace
 
-from .test_perf_modes import assert_identical, fresh_run
+from .test_perf_modes import assert_identical, exact_run, fresh_run
 
 METHODS = ["mpiio", "dataspaces", "dimes", "flexpath", "decaf"]
 
@@ -35,8 +36,8 @@ class TestSteadyEquivalence:
     def test_bitwise_equal_to_exact(self, machine, method):
         kwargs = dict(machine=machine, method=method, nsim=32, nana=16,
                       steps=8)
-        exact = fresh_run(fidelity="exact", **kwargs)
-        steady = fresh_run(fidelity="steady", **kwargs)
+        exact = exact_run(**kwargs)
+        steady = fresh_run(**kwargs)
         assert exact.fidelity == "exact"
         assert steady.fidelity in ("steady", "exact")
         if steady.fidelity == "exact":
@@ -49,8 +50,8 @@ class TestSteadyEquivalence:
         # exact and says so with its one steady entry
         kwargs = dict(machine="titan", method=None, nsim=32, nana=16,
                       steps=8)
-        exact = fresh_run(fidelity="exact", **kwargs)
-        steady = fresh_run(fidelity="steady", **kwargs)
+        exact = exact_run(**kwargs)
+        steady = fresh_run(**kwargs)
         assert steady.fidelity == "exact"
         assert steady.fidelity_log == (
             "steady: compute-only baseline has no staging orbit to certify",
@@ -71,10 +72,10 @@ class TestSteadyEquivalence:
 
         Environment.step = counting
         try:
-            for fidelity in ("exact", "steady"):
+            for run in (exact_run, fresh_run):
                 counts.append(0)
-                fresh_run(machine="cori", method="flexpath",
-                          nsim=32, nana=16, steps=64, fidelity=fidelity)
+                run(machine="cori", method="flexpath", nsim=32, nana=16,
+                    steps=64)
         finally:
             Environment.step = orig
         exact_events, steady_events = counts
@@ -85,8 +86,8 @@ class TestSteadyEquivalence:
         # steps, not just one
         kwargs = dict(machine="cori", method="dataspaces", nsim=32,
                       nana=16, steps=64)
-        exact = fresh_run(fidelity="exact", **kwargs)
-        steady = fresh_run(fidelity="steady", **kwargs)
+        exact = exact_run(**kwargs)
+        steady = fresh_run(**kwargs)
         assert steady.fidelity == "steady"
         assert steady_entry(steady) is None
         assert_identical(exact, steady, ignore=("fidelity",))
@@ -99,14 +100,13 @@ class TestSteadyFallbackReasons:
     KW = dict(machine="titan", method="dataspaces", nsim=32, nana=16)
 
     def test_traced_run_falls_back(self):
-        result = fresh_run(fidelity="steady", trace=ActivityTrace(),
-                           **self.KW)
+        result = fresh_run(trace=ActivityTrace(), **self.KW)
         assert result.fidelity == "exact"
         assert steady_entry(result) == "steady: traced run records every step"
 
     def test_faulted_run_falls_back(self):
         plan = FaultPlan(events=(FaultEvent("ost_slow", at=1.0),))
-        result = fresh_run(fidelity="steady", fault_plan=plan, **self.KW)
+        result = fresh_run(fault_plan=plan, **self.KW)
         assert result.fidelity == "exact"
         assert steady_entry(result) == (
             "steady: fault injection breaks periodicity"
@@ -114,7 +114,6 @@ class TestSteadyFallbackReasons:
 
     def test_recovery_policy_falls_back(self):
         result = fresh_run(
-            fidelity="steady",
             recovery=RecoveryPolicy("timeout-abort", timeout=20.0),
             **self.KW,
         )
@@ -122,17 +121,41 @@ class TestSteadyFallbackReasons:
         assert steady_entry(result) == "steady: recovery policy armed"
 
     def test_too_few_steps_falls_back(self):
-        result = fresh_run(fidelity="steady", steps=2, **self.KW)
+        result = fresh_run(steps=2, **self.KW)
         assert result.fidelity == "exact"
         assert "steps leave no room" in steady_entry(result)
 
     def test_fallback_is_cached_like_any_run(self):
         runcache.clear()
         plan = FaultPlan(events=(FaultEvent("ost_slow", at=1.0),))
-        run_coupled(fidelity="steady", fault_plan=plan, **self.KW)
+        run_coupled(fault_plan=plan, **self.KW)
         hits_before = runcache.CACHE.hits
-        again = run_coupled(fidelity="steady", fault_plan=plan, **self.KW)
+        again = run_coupled(fault_plan=plan, **self.KW)
         assert runcache.CACHE.hits == hits_before + 1
         assert steady_entry(again) == (
             "steady: fault injection breaks periodicity"
         )
+
+    def test_failed_run_logs_its_steady_entry(self):
+        # the run dies before any orbit could certify: still one entry
+        result = fresh_run(machine="titan", method="flexpath", nsim=8,
+                           nana=4, shared_nodes=True)
+        assert not result.ok and result.fidelity == "exact"
+        assert steady_entry(result) == (
+            "steady: run failed before any orbit was replayed"
+        )
+
+    def test_diverged_orbit_reruns_exact(self, monkeypatch):
+        # a stopped run that fails its replay-time checks reruns with
+        # the fast-forward off, logging the divergence as its one entry
+        kwargs = dict(machine="cori", method="dataspaces", nsim=32,
+                      nana=16, steps=16)
+
+        def diverge(steady, result):
+            raise driver._SteadyDiverged("orbit broke")
+
+        monkeypatch.setattr(forkpoint, "capture", diverge)
+        rerun = fresh_run(**kwargs)
+        assert rerun.fidelity == "exact"
+        assert rerun.fidelity_log == ("steady: orbit broke",)
+        assert_identical(exact_run(**kwargs), rerun)

@@ -306,7 +306,7 @@ class WorkerPool:
         #: waits for in-flight tasks before terminating their workers
         self.drain_seconds = drain_seconds
         #: size of every batch the latest :meth:`run` call shipped (its
-        #: own tasks only: batches never mix submitters' tasks)
+        #: own tasks only: a batch never mixes two batch logs)
         self.batch_sizes: List[int] = []
         self.flight = SingleFlight()
 
@@ -484,6 +484,8 @@ class WorkerPool:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             alive = sum(1 for w in self._workers if w.proc.is_alive())
+            ready = sum(1 for w in self._workers
+                        if w.ready and w.proc.is_alive())
             queued = len(self._queue) + len(self._delayed)
             inflight = sum(len(w.busy or ()) for w in self._workers)
         busy = self.busy_seconds
@@ -491,6 +493,8 @@ class WorkerPool:
             requested_jobs=self.jobs,
             effective_jobs=self.effective,
             workers_alive=alive,
+            #: alive and done importing: what assignment waits for
+            workers_ready=ready,
             workers_spawned=self.workers_spawned,
             workers_crashed=self.workers_crashed,
             workers_recycled=self.workers_recycled,
@@ -616,8 +620,10 @@ class WorkerPool:
                 if not self._queue:
                     return
                 # A long task ships alone; consecutive short tasks of
-                # one submitter ship together (the plan is sorted
+                # one batch log ship together (the plan is sorted
                 # big-first, so the cheap tail batches naturally).
+                # Tasks submitted one by one (daemon points) share the
+                # None log, so cheap ones batch whoever sent them.
                 batch = [self._queue[0]]
                 log = batch[0][0].batch_log
                 if _task_cost(batch[0][0].task) < BATCH_COST_THRESHOLD:

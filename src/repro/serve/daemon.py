@@ -16,8 +16,10 @@ accepts three kinds of work from any number of concurrent clients:
 Execution model
 ---------------
 
-The asyncio loop only shuffles bytes and bookkeeping; simulation work
-lands in two places.  Points go straight to the daemon's
+The asyncio loop only shuffles bytes and bookkeeping, and answers the
+points the run cache already holds (each cached result is pickled for
+the wire once, however often it is asked for); simulation work lands
+in two places.  Other points go straight to the daemon's
 :class:`~repro.exec.pool.WorkerPool`, started once and kept resident.
 Figure and chaos jobs run on a dedicated single **replay thread**:
 planning and serial replay mutate process globals (the plan-recorder
@@ -29,15 +31,17 @@ progress events are mirrored to any number of streaming subscribers.
 
 Duplicate concurrent submissions **single-flight** at job granularity
 (same figure/full, same chaos seed, same point key -> one underlying
-job, ``coalesced`` counted in ``stats``) and again at point
-granularity inside the pool.  Completed results are *not* reused at
-the job level — re-submitting a finished figure makes a new job whose
-points all hit the shared run cache, which is the cheaper and more
-observable path.  Finished jobs linger for late ``status``/``stream``
-readers and are then evicted at submission time — oldest-finished
-first past ``job_cap`` total jobs, unconditionally once
-``job_ttl_seconds`` past their finish — so a resident daemon's job
-registry stays bounded (``evicted`` in ``stats``).
+job, ``coalesced`` counted in ``stats``; live jobs are indexed by key,
+so the check is one lookup) and again at point granularity inside the
+pool.  Completed results are *not* reused at the job level —
+re-submitting a finished figure makes a new job whose points all hit
+the shared run cache, which is the cheaper and more observable path.
+Finished jobs linger for late ``status``/``stream`` readers and are
+then evicted at submission time — oldest-finished first past
+``job_cap`` total jobs, unconditionally once ``job_ttl_seconds`` past
+their finish — so a resident daemon's job registry stays bounded
+(``evicted`` in ``stats``).  Finished jobs are kept in finish order, so
+eviction stops at the first job it keeps.
 
 SIGINT/SIGTERM (or the ``shutdown`` op) trigger the graceful sequence:
 stop accepting, cancel queued jobs, drain in-flight pool tasks up to
@@ -53,9 +57,10 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core import runcache
 from ..exec.plan import PlannedTask
@@ -87,6 +92,10 @@ class Job:
     error: Optional[str] = None
     cancel_requested: bool = False
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
+    #: called on the loop thread once the job reaches a terminal state
+    on_finish: Optional[Callable[["Job"], None]] = field(
+        default=None, repr=False
+    )
 
     def emit(self, event: Dict[str, Any]) -> None:
         """Record + fan out one progress event (any thread)."""
@@ -116,6 +125,8 @@ class Job:
         self.result = result
         self.error = error
         self.finished = time.monotonic()
+        if self.on_finish is not None:
+            self.on_finish(self)
         self.done_event.set()
         for queue in self.subscribers:
             queue.put_nowait(None)  # stream sentinel
@@ -166,6 +177,10 @@ class ServeDaemon:
         if cache_dir:
             runcache.enable_disk(cache_dir)
         self.jobs: Dict[str, Job] = {}
+        #: queued and running jobs by key: the single-flight index
+        self._live: Dict[str, Job] = {}
+        #: finished jobs in finish order, the order eviction reads
+        self._finished: Deque[Job] = deque()
         #: retention for finished jobs (done/failed/cancelled): kept for
         #: late status/stream readers, then evicted oldest-finished
         #: first past ``job_cap`` total jobs, and unconditionally once
@@ -176,6 +191,8 @@ class ServeDaemon:
         self._uncached_seq = itertools.count(1)
         #: point-spec spelling -> the driver's run-cache key
         self._point_keys: Dict[str, str] = {}
+        #: run-cache key -> (cached result, its cache-hit payload)
+        self._hit_payloads: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
         #: figure/chaos plan+replay mutate process globals -> one thread
         self._replay = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-replay"
@@ -356,33 +373,33 @@ class ServeDaemon:
 
     # -- submission ----------------------------------------------------
 
+    def _retire(self, job: Job) -> None:
+        """A job reached a terminal state (loop thread): it leaves the
+        single-flight index and joins the finish order."""
+        del self._live[job.key]
+        self._finished.append(job)
+
     def _evict_finished(self) -> None:
         """Drop finished jobs past the TTL or the retention cap.
 
         Runs on the loop thread at submission time, so the registry is
         bounded by how fast work arrives.  Only terminal jobs
-        (done/failed/cancelled) are candidates — the single-flight scan
-        in :meth:`_submit` only matches queued/running jobs, so an
-        eviction can never break coalescing — and the oldest-finished
-        go first (LRU on finish time).  A later ``status``/``stream``
-        for an evicted ident gets the same "unknown job" a restart
-        would produce.
+        (done/failed/cancelled) are candidates — they have already left
+        the single-flight index, so an eviction can never break
+        coalescing — and the oldest-finished go first (LRU on finish
+        time).  A later ``status``/``stream`` for an evicted ident gets
+        the same "unknown job" a restart would produce.
         """
         now = time.monotonic()
-        finished = sorted(
-            (
-                job for job in self.jobs.values()
-                if job.state in ("done", "failed", "cancelled")
-            ),
-            key=lambda job: job.finished or 0.0,
-        )
-        for job in finished:
+        while self._finished:
+            job = self._finished[0]
             expired = (
                 job.finished is not None
                 and now - job.finished > self.job_ttl_seconds
             )
             if not expired and len(self.jobs) <= self.job_cap:
                 break  # oldest survivor: everything newer survives too
+            self._finished.popleft()
             del self.jobs[job.ident]
             self.jobs_evicted += 1
 
@@ -417,16 +434,17 @@ class ServeDaemon:
             return protocol.error(f"bad submission: {exc}")
 
         # job-level single-flight: attach to a queued/running duplicate
-        for job in self.jobs.values():
-            if job.key == key and job.state in ("queued", "running"):
-                job.refs += 1
-                self.jobs_coalesced += 1
-                return dict(ok=True, job=job.ident, coalesced=True)
+        job = self._live.get(key)
+        if job is not None:
+            job.refs += 1
+            self.jobs_coalesced += 1
+            return dict(ok=True, job=job.ident, coalesced=True)
         job = Job(
             ident=f"j{next(self._job_seq)}", kind=kind, key=key,
-            params=params, loop=self._loop,
+            params=params, loop=self._loop, on_finish=self._retire,
         )
         self.jobs[job.ident] = job
+        self._live[key] = job
         self.jobs_submitted += 1
         if kind == "point":
             asyncio.ensure_future(self._run_point_job(job))
@@ -480,7 +498,7 @@ class ServeDaemon:
         if cacheable:
             cached = runcache.CACHE.get(key)
             if cached is not None:
-                job._finish_on_loop("done", self._point_payload(cached, True, 0), None)
+                job._finish_on_loop("done", self._hit_payload(key, cached), None)
                 self.jobs_completed += 1
                 return
         task = PlannedTask(key=key, spec=spec, experiments=["point"], refs=1)
@@ -511,6 +529,21 @@ class ServeDaemon:
         else:
             job.finish("failed", None, outcome.error or "quarantined")
             self.jobs_failed += 1
+
+    def _hit_payload(self, key: str, result) -> Dict[str, Any]:
+        """A cache hit's payload, built once per cached result.
+
+        Repeats of earlier points are most of a what-if stream, and
+        pickling plus base64-encoding the result (20-45 us on a 2-vCPU
+        x86 host) was a hit's largest cost on the loop.  The memo holds
+        the result it was built from, so a re-seeded entry is packed
+        anew; no job mutates its result payload.
+        """
+        memo = self._hit_payloads.get(key)
+        if memo is None or memo[0] is not result:
+            memo = (result, self._point_payload(result, True, 0))
+            self._hit_payloads[key] = memo
+        return memo[1]
 
     @staticmethod
     def _point_payload(result, cache_hit: bool, attempts: int) -> Dict[str, Any]:

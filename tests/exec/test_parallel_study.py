@@ -60,7 +60,8 @@ class TestParallelStudy:
         execute_parallel(
             {"fig8": Study().experiments()["fig8"]}, jobs=2, report_path=path
         )
-        payload = json.loads(open(path).read())
+        with open(path) as fh:
+            payload = json.load(fh)
         assert payload["schema"] == 6
         assert payload["jobs"] == 2
         assert payload["requested_jobs"] == 2

@@ -232,6 +232,15 @@ class TestPoolExecution:
         assert all(o.status == "ok" for o in outcomes.values())
         assert sum(pool.batch_sizes) == 3
 
+    def test_stats_tell_ready_workers_from_alive_ones(self, make_pool):
+        pool = make_pool(jobs=1).start()
+        # just spawned: alive, still importing
+        assert pool.stats()["workers_ready"] == 0
+        # a task goes only to a ready worker
+        pool.run([task("k2", baseline_spec(2))])
+        stats = pool.stats()
+        assert stats["workers_ready"] == stats["workers_alive"] == 1
+
 
 class TestExecuteParallel:
     def test_rounds_record_batch_sizes_on_a_started_pool(self, make_pool):

@@ -5,6 +5,8 @@ warm workers are real spawn processes), so the serial golden for fig6
 is rendered *first*, against a clean cache, before the daemon exists.
 """
 
+import asyncio
+import copy
 import os
 import tempfile
 import threading
@@ -16,8 +18,9 @@ import pytest
 from repro.core import runcache
 from repro.core.export import to_csv, to_json
 from repro.core.study import Study
+from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import Job, ServeDaemon
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -128,6 +131,8 @@ class TestFigureServing:
             stats = c.stats()
         assert stats["cache"]["job_coalesced"] >= 1
         assert stats["jobs"]["coalesced"] >= 1
+        assert 0 <= stats["pool"]["workers_ready"] \
+            <= stats["pool"]["workers_alive"]
 
     def test_resubmission_is_a_new_job_served_from_cache(self, served):
         with client(served) as c:
@@ -164,12 +169,43 @@ class TestPointServing:
     def test_duplicate_point_hits_the_shared_store(self, served):
         spec = point_spec(nsim=4, nana=2)
         with client(served) as c:
-            first = c.wait(c.submit_point(spec)["job"])
-            second = c.wait(c.submit_point(spec)["job"])
+            submitted = c.submit_point(spec)
+            first = c.wait(submitted["job"])
+            coalesced = served.daemon.jobs_coalesced
+            again = c.submit_point(spec)
+            second = c.wait(again["job"])
+        # the finished job left the single-flight index: a new job
+        assert again["coalesced"] is False
+        assert again["job"] != submitted["job"]
+        assert served.daemon.jobs_coalesced == coalesced
         assert first["state"] == second["state"] == "done"
         assert second["result"]["cache_hit"] is True
         assert (second["result"]["summary"]["end_to_end"]
                 == first["result"]["summary"]["end_to_end"])
+
+    def test_repeated_hits_pickle_the_result_once(self, served, monkeypatch):
+        spec = point_spec(nsim=14, nana=7)
+        packed = []
+        pack = protocol.pack_pickle
+
+        def counting(obj):
+            if not isinstance(obj, dict):  # a result, not a point spec
+                packed.append(obj)
+            return pack(obj)
+
+        monkeypatch.setattr(protocol, "pack_pickle", counting)
+        with client(served) as c:
+            c.wait(c.submit_point(spec)["job"])  # from the pool
+            hits = [c.wait(c.submit_point(spec)["job"]) for _ in range(3)]
+            assert len(packed) == 2  # the pool's answer, then the first hit
+            # a re-seeded entry is packed anew
+            key = served.daemon._point_key(spec)
+            runcache.CACHE.seed(key, copy.deepcopy(runcache.CACHE.get(key)))
+            hits.append(c.wait(c.submit_point(spec)["job"]))
+        assert len(packed) == 3
+        assert {hit["result"]["result_b64"] for hit in hits} == {pack(packed[1])}
+        assert all(hit["result"]["cache_hit"] for hit in hits)
+        assert all(hit["result"]["attempts"] == 0 for hit in hits)
 
     def test_point_spellings_share_the_driver_key(self, served):
         # two spellings of one point, an omitted default and its explicit
@@ -256,13 +292,19 @@ class TestJobEviction:
             socket_path=str(tmp_path / "evict.sock"), **kwargs
         )
 
-    def _job(self, loop, ident, state="done", finished_ago=0.0):
-        from repro.serve.daemon import Job
-
+    def _add(self, daemon, loop, ident, state="done", finished_ago=0.0):
+        """Register a job as ``_submit`` does; a terminal state goes
+        through the job's own finish hook, so the daemon decides what
+        eviction may read (add them oldest-finished first)."""
         job = Job(ident=ident, kind="figure", key=f"figure:{ident}",
-                  params={}, loop=loop, state=state)
+                  params={}, loop=loop, on_finish=daemon._retire)
+        daemon.jobs[ident] = job
+        daemon._live[job.key] = job
         if state in ("done", "failed", "cancelled"):
+            job._finish_on_loop(state, None, None)
             job.finished = time.monotonic() - finished_ago
+        else:
+            job.state = state
         return job
 
     @pytest.fixture()
@@ -277,25 +319,24 @@ class TestJobEviction:
         daemon = self._daemon(tmp_path)
         # j0 finished longest ago; cap=3 keeps the 3 newest.
         for i in range(5):
-            job = self._job(loop, f"j{i}", finished_ago=50.0 - 10 * i)
-            daemon.jobs[job.ident] = job
+            self._add(daemon, loop, f"j{i}", finished_ago=50.0 - 10 * i)
         daemon._evict_finished()
         assert sorted(daemon.jobs) == ["j2", "j3", "j4"]
         assert daemon.jobs_evicted == 2
 
     def test_ttl_evicts_even_under_the_cap(self, tmp_path, loop):
         daemon = self._daemon(tmp_path, job_ttl_seconds=30.0)
-        daemon.jobs["old"] = self._job(loop, "old", finished_ago=31.0)
-        daemon.jobs["new"] = self._job(loop, "new", finished_ago=1.0)
+        self._add(daemon, loop, "old", finished_ago=31.0)
+        self._add(daemon, loop, "new", finished_ago=1.0)
         daemon._evict_finished()
         assert sorted(daemon.jobs) == ["new"]
         assert daemon.jobs_evicted == 1
 
     def test_live_jobs_are_never_evicted(self, tmp_path, loop):
         daemon = self._daemon(tmp_path, job_cap=1)
-        daemon.jobs["run"] = self._job(loop, "run", state="running")
-        daemon.jobs["que"] = self._job(loop, "que", state="queued")
-        daemon.jobs["fin"] = self._job(loop, "fin", finished_ago=1.0)
+        self._add(daemon, loop, "run", state="running")
+        self._add(daemon, loop, "que", state="queued")
+        self._add(daemon, loop, "fin", finished_ago=1.0)
         daemon._evict_finished()
         # Over the cap, but only the finished job is eligible.
         assert sorted(daemon.jobs) == ["que", "run"]
@@ -303,9 +344,37 @@ class TestJobEviction:
 
     def test_evicted_counter_reaches_the_stats_payload(self, tmp_path, loop):
         daemon = self._daemon(tmp_path, job_ttl_seconds=0.0)
-        daemon.jobs["gone"] = self._job(loop, "gone", finished_ago=1.0)
+        self._add(daemon, loop, "gone", finished_ago=1.0)
         daemon._evict_finished()
         assert daemon.stats()["jobs"]["evicted"] == 1
+
+    def test_cancelling_a_queued_job_leaves_the_index(self, tmp_path, loop):
+        daemon = self._daemon(tmp_path)
+        daemon._loop = loop
+        request = dict(op="submit", kind="point",
+                       spec_b64=protocol.pack_pickle(point_spec()))
+
+        async def submit_cancel_resubmit():
+            # the point tasks only run at the await: both jobs are
+            # still queued when they are cancelled
+            first = daemon.jobs[daemon._submit(request)["job"]]
+            live = (dict(daemon._live), list(daemon._finished))
+            daemon._cancel(first)
+            again = daemon._submit(request)
+            daemon._cancel(daemon.jobs[again["job"]])
+            await asyncio.sleep(0)
+            return first, live, again
+
+        first, live, again = loop.run_until_complete(submit_cancel_resubmit())
+        # submitted: indexed for single-flight, not in the finish order
+        assert live == ({first.key: first}, [])
+        assert first.state == "cancelled"
+        assert again["coalesced"] is False
+        assert again["job"] != first.ident
+        assert daemon._live == {}
+        assert daemon.jobs_coalesced == 0
+        # both left through the finish hook, in finish order
+        assert list(daemon._finished) == [first, daemon.jobs[again["job"]]]
 
 
 class TestStopDuringFigureJob:

@@ -33,9 +33,9 @@ optimizations move.  Modes:
   figures, the chaos campaign and the ``--fork-ab`` A/B, exit
   non-zero if a figure regresses more than 25 % in wall time, coupled
   events/sec drops more than 25 % (figures or chaos) against the
-  committed baseline at ``PATH``, ``fig2a_full`` falls below the
-  absolute :data:`COUPLED_EPS_FLOOR`, or the A/B misses its
-  absolute :data:`FORK_GATE_FLOORS`;
+  committed baseline at ``PATH``, a figure or the chaos campaign
+  simulates more events than that baseline records, or the A/B misses
+  its absolute :data:`FORK_GATE_FLOORS`;
 * ``--profile FIG`` — run one figure (any ``--full`` or study
   experiment name) under :mod:`cProfile` and write the top 25
   functions by cumulative time to ``profile-<fig>.txt`` next to the
@@ -609,15 +609,6 @@ def fork_ab_bench(seed: int = 7, repeats: int = 3) -> Dict[str, object]:
 GATE_TOLERANCE = 0.25
 GATED_FIGURES = ("fig2a_full", "fig2b_full", "fig_sst", "fig_pmem")
 
-#: absolute coupled-throughput floor for fig2a_full (ev/s).  The
-#: figure's contended N-to-1 cells (DataSpaces fan-in, FlexPath fan-out
-#: notification graphs, shared metadata and MDS queues) run the exact
-#: per-rank event machinery or its steady fast-forward, so the floor
-#: gates the per-event cost of that machinery (188-222k ev/s observed
-#: across runs when it was set).
-COUPLED_EPS_FLOOR = 185_000
-
-
 def perf_gate(
     baseline_path: str,
     measured: Dict[str, Dict],
@@ -626,10 +617,10 @@ def perf_gate(
     """Compare measured perf against the committed baseline.
 
     Figures gate on wall time (must not grow past the tolerance) and
-    on coupled events/sec (must not drop past it, and ``fig2a_full``
-    must additionally clear the absolute :data:`COUPLED_EPS_FLOOR`);
-    the chaos campaign gates on events/sec.  Returns the number of
-    regressions beyond :data:`GATE_TOLERANCE`.  A missing baseline
+    on coupled events/sec (must not drop past it); the chaos campaign
+    gates on events/sec.  Every figure and the chaos campaign must also
+    simulate no more events than the baseline records (an exact
+    ceiling).  Returns the number of failed checks.  A missing baseline
     entry is a hard failure too — the gate must never pass vacuously.
     """
     with open(baseline_path) as fh:
@@ -650,6 +641,8 @@ def perf_gate(
               f"{1.0 + GATE_TOLERANCE:.0%})")
         if ratio > 1.0 + GATE_TOLERANCE:
             failures += 1
+        failures += _event_ceiling(ident, measured[ident], baseline[ident],
+                                   baseline_path)
         base_eps = baseline[ident].get("events_per_second")
         if not base_eps:
             print(f"GATE FAIL {ident}: no events_per_second baseline in "
@@ -664,13 +657,8 @@ def perf_gate(
               f"{1.0 - GATE_TOLERANCE:.0%})")
         if eps_ratio < 1.0 - GATE_TOLERANCE:
             failures += 1
-    if COUPLED_EPS_FLOOR is not None:
-        now_eps = measured["fig2a_full"]["events_per_second"]
-        verdict = "ok" if now_eps >= COUPLED_EPS_FLOOR else "GATE FAIL"
-        print(f"{verdict:9s} fig2a_full: {now_eps:,.0f} ev/s vs absolute "
-              f"floor {COUPLED_EPS_FLOOR:,.0f} ev/s")
-        if now_eps < COUPLED_EPS_FLOOR:
-            failures += 1
+    failures += _event_ceiling("chaos", measured_chaos,
+                               payload.get("chaos", {}), baseline_path)
     base_eps = payload.get("chaos", {}).get("events_per_second")
     if not base_eps:
         print(f"GATE FAIL chaos: no events_per_second baseline in "
@@ -686,6 +674,26 @@ def perf_gate(
         if ratio < 1.0 - GATE_TOLERANCE:
             failures += 1
     return failures
+
+
+def _event_ceiling(ident: str, measured: Dict, baseline: Dict,
+                   baseline_path: str) -> int:
+    """1 when ``ident`` simulated more events than its baseline, else 0.
+
+    A gated run's event count is deterministic (a cleared run cache and
+    the same code give the same count on any host), so the baseline's
+    ``events`` is an exact ceiling: a rise is a change to the
+    simulation, never noise, and fails until the baseline is
+    re-recorded with its reason.
+    """
+    ceiling = baseline.get("events")
+    if not ceiling:
+        print(f"GATE FAIL {ident}: no events baseline in {baseline_path}")
+        return 1
+    now = measured["events"]
+    verdict = "ok" if now <= ceiling else "GATE FAIL"
+    print(f"{verdict:9s} {ident}: {now:,} events vs ceiling {ceiling:,}")
+    return 0 if now <= ceiling else 1
 
 
 #: absolute resident-state gate floors (not baseline-relative: the

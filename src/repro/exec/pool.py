@@ -28,6 +28,10 @@ results come back as the :class:`RunResult` objects the workers'
   exponential backoff on a replacement worker; a task that keeps
   failing is **quarantined** — recorded and skipped — instead of
   killing the campaign.
+* A scheduling pass that raises does not end the pool thread: the
+  queued submissions it could not cost or ship resolve ``failed`` with
+  the traceback (``stats()["loop_errors"]`` counts such passes), and
+  the thread goes on serving the rest.
 * A worker that has completed ``recycle_after`` tasks is retired at its
   next idle moment and replaced fresh, bounding any slow leak a
   long-lived simulator process could accumulate; a crashed worker is
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -132,6 +137,16 @@ def _task_cost(task: PlannedTask) -> float:
     return float(nbytes) * task.spec.get("steps", 1)
 
 
+def _shippable(task: PlannedTask) -> bool:
+    """Whether the pool can cost ``task`` and pickle it for a worker."""
+    try:
+        _task_cost(task)
+        pickle.dumps(task.spec)
+    except Exception:
+        return False
+    return True
+
+
 @dataclass
 class TaskOutcome:
     """What happened to one planned task across all its attempts."""
@@ -139,7 +154,7 @@ class TaskOutcome:
     key: str
     label: str
     experiments: List[str]
-    status: str = "pending"  # -> "ok" | "quarantined" | "cancelled"
+    status: str = "pending"  # -> "ok" | "quarantined" | "cancelled" | "failed"
     attempts: int = 0
     #: simulation seconds summed over attempts that reported back
     seconds: float = 0.0
@@ -331,6 +346,10 @@ class WorkerPool:
         self.retries = 0
         self.quarantined = 0
         self.cancelled = 0
+        self.failed = 0
+        #: scheduling passes that raised, and the last one's traceback
+        self.loop_errors = 0
+        self.last_loop_error: Optional[str] = None
         self.worker_cache_hits = 0
         self.events_total = 0
         self.busy_seconds = 0.0
@@ -506,6 +525,8 @@ class WorkerPool:
             retries=self.retries,
             quarantined=self.quarantined,
             cancelled=self.cancelled,
+            failed=self.failed,
+            loop_errors=self.loop_errors,
             worker_cache_hits=self.worker_cache_hits,
             events_total=self.events_total,
             busy_seconds=round(busy, 3),
@@ -520,21 +541,56 @@ class WorkerPool:
 
     def _loop(self) -> None:
         while True:
-            draining = self._stop.is_set()
-            now = time.monotonic()
-            with self._lock:
-                if not draining:
-                    for entry in [d for d in self._delayed if d[0] <= now]:
-                        self._delayed.remove(entry)
-                        self._queue.append((entry[1], entry[2]))
-            self._reap_dead()
-            if draining:
-                if self._finish_draining():
+            try:
+                if self._pass():
                     return
-            else:
-                self._assign()
-                self._recycle_idle()
-            self._wait(timeout=0.05 if self._delayed else 1.0)
+            except Exception:
+                # Every later submission waits on this thread: a pass
+                # that raises must not end it.
+                self._contain(traceback.format_exc())
+
+    def _pass(self) -> bool:
+        """One scheduling pass; True once a drain has finished."""
+        draining = self._stop.is_set()
+        now = time.monotonic()
+        with self._lock:
+            if not draining:
+                for entry in [d for d in self._delayed if d[0] <= now]:
+                    self._delayed.remove(entry)
+                    self._queue.append((entry[1], entry[2]))
+        self._reap_dead()
+        if draining:
+            if self._finish_draining():
+                return True
+        else:
+            self._assign()
+            self._recycle_idle()
+        self._wait(timeout=0.05 if self._delayed else 1.0)
+        return False
+
+    def _contain(self, error: str) -> None:
+        """Record a pass's traceback and fail the submissions it choked on.
+
+        A pass reads a queued task only to cost it (:func:`_task_cost`)
+        and to ship it to a worker, so the culprits are the queued
+        submissions one of those raises on: they resolve ``failed`` with
+        the traceback, and the next pass serves the rest.
+        """
+        self.loop_errors += 1
+        self.last_loop_error = error
+        bad = []
+        with self._lock:
+            queued = list(self._queue)
+            self._queue.clear()
+            for entry in queued:
+                if _shippable(entry[0].task):
+                    self._queue.append(entry)
+                else:
+                    bad.append(entry[0])
+        for submission in bad:
+            self._resolve_failed(submission, error)
+        if not bad:
+            time.sleep(0.05)  # nothing to drop: do not spin on the error
 
     def _wake(self) -> None:
         with self._lock:
@@ -787,6 +843,14 @@ class WorkerPool:
         submission.outcome = outcome
         submission.resolved = True
         submission.on_done(outcome)
+
+    def _resolve_failed(self, submission: Submission, error: str) -> None:
+        submission.outcome.status = "failed"
+        submission.outcome.error = error
+        submission.resolved = True
+        self.failed += 1
+        self.flight.settle(submission.task.key, submission.outcome)
+        submission.on_done(submission.outcome)
 
     def _resolve_cancelled(self, submission: Submission, leader: bool = True) -> None:
         if submission.resolved:

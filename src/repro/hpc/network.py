@@ -124,12 +124,9 @@ class BandwidthPipe:
         """Process: occupy the pipe for ``nbytes`` worth of time.
 
         With the rate frozen the FIFO queue collapses into one integer
-        (the chain's end tick): the caller's grant instant is forced —
-        ``max(chain end, now)`` — and its duration is grant-invariant,
-        so claiming the slot arithmetically at call time reproduces the
-        request/grant path's completion tick and stats additions (FIFO
-        claim order *is* call order) with a single completion event in
-        place of the request, grant and timeout machinery.
+        (the chain's end tick, see :meth:`_claim`) and the transfer is a
+        single completion event in place of the request, grant and
+        timeout machinery.
 
         ``tail_ticks`` folds a fixed post-transfer latency (e.g. a
         completion RPC the caller would otherwise sleep on separately)
@@ -137,20 +134,12 @@ class BandwidthPipe:
         end exactly as before — only the caller's wake-up moves — so a
         queued next transfer still starts on time.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
         env = self.env
         if self._rate_frozen:
-            duration = nbytes / self.rate
-            self.bytes_moved += nbytes
-            self.busy_time += duration
-            start = self._chain_end_tick
-            if start < env._now_tick:
-                start = env._now_tick
-            end = start + round(duration * _TICK_SCALE)
-            self._chain_end_tick = end
-            yield env.timeout_at_tick(end + tail_ticks)
+            yield env.timeout_at_tick(self._claim(nbytes) + tail_ticks)
             return
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
         with self._res.request() as req:
             yield req
             duration = self.transfer_time(nbytes)
@@ -161,6 +150,27 @@ class BandwidthPipe:
             # After the with-block: the pipe slot is already released,
             # so the trailing sleep delays only this caller.
             yield env.timeout_at_tick(env._now_tick + tail_ticks)
+
+    def _claim(self, nbytes: float) -> int:
+        """Claim the frozen chain's next slot now; its end tick.
+
+        The caller's grant instant is forced — ``max(chain end, now)``
+        — and its duration is grant-invariant, so claiming the slot
+        arithmetically at call time reproduces the request/grant path's
+        completion tick and stats additions (FIFO claim order *is* call
+        order).
+        """
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        duration = nbytes / self.rate
+        self.bytes_moved += nbytes
+        self.busy_time += duration
+        start = self._chain_end_tick
+        if start < self.env._now_tick:
+            start = self.env._now_tick
+        end = start + round(duration * _TICK_SCALE)
+        self._chain_end_tick = end
+        return end
 
     def enqueue_runs(self, runs) -> Event:
         """FIFO-queue a burst of run-length chunks; its completion event.
@@ -235,20 +245,52 @@ class Link:
         self.src = src
         self.dst = dst
         self.latency = latency
+        self._latency_ticks = round(latency * _TICK_SCALE)
         self.overhead_factor = overhead_factor
 
-    def send(self, nbytes: float, tail_ticks: int = 0) -> Generator:
+    def send(self, nbytes: float, tail_ticks: int = 0,
+             head_ticks: int = 0) -> Generator:
         """Process: move ``nbytes`` from src to dst.
 
-        ``tail_ticks`` rides on the *last* pipe crossing (see
-        :meth:`BandwidthPipe.transmit`): pipe hold times and release
-        instants are unchanged; only the sender's wake-up is delayed.
+        ``head_ticks`` is a fixed latency ahead of the transfer, e.g. a
+        transport's per-operation software latency
+        (:meth:`~repro.transport.base.Transport.move`): the caller sleeps
+        it before the wire latency and the first pipe crossing, as if it
+        had slept it itself.  ``tail_ticks`` rides on the *last* pipe
+        crossing (see :meth:`BandwidthPipe.transmit`): pipe hold times
+        and release instants are unchanged; only the sender's wake-up is
+        delayed.
+
+        A link whose two NIC pipes are frozen is tick arithmetic and
+        spawns no process: one timeout covers head and wire latency, each
+        chain is claimed inline, and two zero-delay hops — one before the
+        destination claim, one before the caller resumes — keep the claims
+        and the wake-up in the same-tick order the wrapped-process form
+        gives them (``docs/ARCHITECTURE.md``, "The DES fast path").  A
+        hop is taken only while another event is due at the current
+        tick.  A pipe a fault may degrade keeps the wrapped form.
         """
+        env = self.env
+        src, dst = self.src, self.dst
         effective = nbytes * self.overhead_factor
-        if self.src is self.dst:
-            # Intra-node: only one pipe crossing (a local memory copy).
-            yield from self.src.transmit(effective, tail_ticks)
+        if src is not dst and src._rate_frozen and dst._rate_frozen:
+            yield env.timeout_at_tick(
+                env._now_tick + head_ticks + self._latency_ticks)
+            yield env.timeout_at_tick(src._claim(effective))
+            # A hop only matters while another event is due at this tick:
+            # with none, the hop's event would run next anyway.
+            if env.peek() == env._now:
+                yield env.pause(0.0)
+            yield env.timeout_at_tick(dst._claim(effective) + tail_ticks)
+            if env.peek() == env._now:
+                yield env.pause(0.0)
             return
-        yield self.env.pause(self.latency)
-        yield self.env.process(self.src.transmit(effective))
-        yield self.env.process(self.dst.transmit(effective, tail_ticks))
+        if head_ticks:
+            yield env.timeout_at_tick(env._now_tick + head_ticks)
+        if src is dst:
+            # Intra-node: only one pipe crossing (a local memory copy).
+            yield from src.transmit(effective, tail_ticks)
+            return
+        yield env.pause(self.latency)
+        yield env.process(src.transmit(effective))
+        yield env.process(dst.transmit(effective, tail_ticks))

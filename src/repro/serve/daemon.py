@@ -197,6 +197,11 @@ class ServeDaemon:
         self._replay = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-replay"
         )
+        #: held while a queued figure/chaos job takes one of its two
+        #: exits, so each is finished and counted once: the replay thread
+        #: claims it (queued -> running), or a cancel or the stop
+        #: sequence finishes it on the loop
+        self._claim = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping = False
         self._stop_requested: Optional[asyncio.Event] = None
@@ -261,11 +266,13 @@ class ServeDaemon:
             for server in servers:
                 server.close()
                 await server.wait_closed()
-            for job in self.jobs.values():
-                if job.state == "queued":
-                    job.cancel_requested = True
-                    job._finish_on_loop("cancelled", None, "daemon stopping")
-                    self.jobs_cancelled += 1
+            with self._claim:
+                for job in self.jobs.values():
+                    if job.state == "queued":
+                        job.cancel_requested = True
+                        job._finish_on_loop("cancelled", None,
+                                            "daemon stopping")
+                        self.jobs_cancelled += 1
             await self._loop.run_in_executor(None, self.pool.shutdown)
             self._replay.shutdown(wait=True, cancel_futures=True)
             if self.socket_path is not None and os.path.exists(self.socket_path):
@@ -454,10 +461,11 @@ class ServeDaemon:
         return dict(ok=True, job=job.ident, coalesced=False)
 
     def _cancel(self, job: Job) -> Dict[str, Any]:
-        job.cancel_requested = True
-        if job.state == "queued":
-            job._finish_on_loop("cancelled", None, "cancelled by client")
-            self.jobs_cancelled += 1
+        with self._claim:
+            job.cancel_requested = True
+            if job.state == "queued":
+                job._finish_on_loop("cancelled", None, "cancelled by client")
+                self.jobs_cancelled += 1
         submission = job.params.get("__submission__")
         if submission is not None:
             self.pool.cancel(submission)
@@ -562,11 +570,14 @@ class ServeDaemon:
     # -- figure / chaos jobs (replay thread) ---------------------------
 
     def _run_replay_job(self, job: Job) -> None:
+        with self._claim:
+            if job.state != "queued":
+                return  # cancelled while it waited for this thread: counted
+            job.state = "running"
         if job.cancel_requested or self._stopping:
             job.finish("cancelled", None, "cancelled before start")
             self.jobs_cancelled += 1
             return
-        job.state = "running"
         try:
             from ..core.export import to_csv, to_json
             from ..exec import execute_parallel

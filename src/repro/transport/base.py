@@ -75,6 +75,13 @@ class Transport:
         release instants, connection-pool returns and registration
         lifetimes stay exactly where the unfolded two-event form put
         them; only the caller's resume moves.
+
+        A transport that crosses a :class:`~repro.hpc.network.Link`
+        does not sleep its per-operation latency (:attr:`op_latency`)
+        itself: it hands it to :meth:`~repro.hpc.network.Link.send` as
+        ``head_ticks``, which the caller sleeps first all the same, and
+        which a link of frozen NIC pipes folds into its wire-latency
+        timeout.
         """
         raise NotImplementedError
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from ..sim.engine import _TICK_SCALE
 from .base import Endpoint, Transport
 
 
@@ -30,9 +31,11 @@ class MpiMsgTransport(Transport):
         dst_registered: bool = False,
         tail_ticks: int = 0,
     ) -> Generator:
-        yield self.env.pause(self.op_latency)
         link = self.cluster.link(
             src.node, dst.node, overhead_factor=self.overhead_factor
         )
-        yield from link.send(nbytes, tail_ticks)
+        yield from link.send(
+            nbytes, tail_ticks,
+            head_ticks=round(self.op_latency * _TICK_SCALE),
+        )
         self._account(nbytes)

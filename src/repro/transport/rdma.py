@@ -15,6 +15,7 @@ from typing import Dict, Generator, Tuple
 
 from ..hpc.cluster import Cluster
 from ..hpc.failures import CredentialRejected
+from ..sim.engine import _TICK_SCALE
 from .base import Endpoint, Transport
 
 
@@ -106,11 +107,12 @@ class RdmaTransport(Transport):
                 handles.append(src.node.rdma.register(nbytes))
             if not dst_registered and dst.node is not src.node:
                 handles.append(dst.node.rdma.register(nbytes))
-            yield self.env.pause(self.op_latency)
             link = self.cluster.link(
                 src.node, dst.node, overhead_factor=self.overhead_factor
             )
-            yield from link.send(nbytes, fold)
+            yield from link.send(
+                nbytes, fold, head_ticks=round(self.op_latency * _TICK_SCALE)
+            )
         finally:
             for handle in handles:
                 handle.pool.deregister(handle)

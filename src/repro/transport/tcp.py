@@ -22,6 +22,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..hpc.cluster import Cluster
 from ..hpc.sockets import Connection
+from ..sim.engine import _TICK_SCALE
 from .base import Endpoint, Transport
 
 
@@ -102,11 +103,10 @@ class TcpTransport(Transport):
             # Sharing a descriptor serializes framing/demux in software
             # — the efficiency compromise Table IV warns about.
             latency += self.mux_latency
-        yield self.env.pause(latency)
         link = self.cluster.link(
             src.node, dst.node, overhead_factor=self.overhead_factor
         )
-        yield from link.send(nbytes)
+        yield from link.send(nbytes, head_ticks=round(latency * _TICK_SCALE))
         self._account(nbytes)
         if tail_ticks:
             # After all connection bookkeeping: pooled-descriptor reuse

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -499,6 +500,10 @@ def _resolve_point(args: dict):
     so they always agree on what "the same configuration" means.
     """
     point = {k: args[k] for k in _SIGNATURE.parameters if k not in _NOT_INPUTS}
+    for name in ("nsim", "nana", "steps"):
+        value = point[name]
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     workflow, machine = point["workflow"], point["machine"]
     spec = get_workflow(workflow) if isinstance(workflow, str) else workflow
     machine_spec = get_machine(machine) if isinstance(machine, str) else machine

@@ -11,6 +11,7 @@ import pytest
 from repro.core import runcache
 from repro.core.study import Study
 from repro.exec import execute_parallel
+from repro.exec import pool as pool_module
 from repro.exec.plan import PlannedTask
 from repro.exec.pool import WorkerPool, effective_jobs
 from repro.workflows import run_coupled
@@ -240,6 +241,30 @@ class TestPoolExecution:
         pool.run([task("k2", baseline_spec(2))])
         stats = pool.stats()
         assert stats["workers_ready"] == stats["workers_alive"] == 1
+
+    def test_a_pass_that_raises_fails_its_submission_not_the_pool(
+            self, make_pool, monkeypatch):
+        cost = pool_module._task_cost
+
+        def costly(planned):
+            if planned.key == "bad":
+                raise TypeError("cannot cost this spec")
+            return cost(planned)
+
+        monkeypatch.setattr(pool_module, "_task_cost", costly)
+        pool = make_pool(jobs=1).start()
+        resolved = threading.Event()
+        outcomes = []
+        pool.submit(task("bad", baseline_spec(2)),
+                    lambda outcome: (outcomes.append(outcome), resolved.set()))
+        assert resolved.wait(60), "the bad submission never resolved"
+        assert [o.status for o in outcomes] == ["failed"]
+        assert "cannot cost this spec" in outcomes[0].error
+        # the pool thread lives on and serves later submissions
+        assert pool.run([task("fine", baseline_spec(3))])["fine"].status == "ok"
+        stats = pool.stats()
+        assert stats["failed"] == 1
+        assert stats["loop_errors"] == 1
 
 
 class TestExecuteParallel:

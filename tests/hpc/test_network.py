@@ -4,6 +4,7 @@ import pytest
 
 from repro.hpc import BandwidthPipe, Link, MB
 from repro.sim import Environment
+from repro.sim.engine import tick_of
 
 
 def test_pipe_rate_must_be_positive():
@@ -71,6 +72,49 @@ def test_link_crosses_both_pipes_plus_latency():
     env.run()
     # 0.25 latency + 1.0 through src + 2.0 through dst
     assert env.now == pytest.approx(3.25)
+
+
+class CountingEnvironment(Environment):
+    """Counts processed events and spawned processes."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+        self.processes = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+    def process(self, generator):
+        self.processes += 1
+        return super().process(generator)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_link_send_sleeps_head_then_crosses_both_pipes(frozen):
+    env = CountingEnvironment()
+    src = BandwidthPipe(env, rate=100.0)
+    dst = BandwidthPipe(env, rate=50.0)
+    if frozen:
+        src.freeze_rate()
+        dst.freeze_rate()
+    link = Link(env, src, dst, latency=0.25)
+    done = []
+
+    def sender(env):
+        yield from link.send(100, head_ticks=tick_of(0.5))
+        done.append(env.now)
+
+    env.process(sender(env))
+    env.run(until=10.0)
+    # 0.5 head + 0.25 latency + 1.0 through src + 2.0 through dst
+    assert done == [pytest.approx(3.75)]
+    assert src.bytes_moved == dst.bytes_moved == 100
+    if frozen:
+        # alone at its ticks, a frozen send is three events (plus the
+        # caller's kick-off and completion) and spawns no process
+        assert (env.steps, env.processes) == (5, 1)
 
 
 def test_intra_node_link_single_crossing():

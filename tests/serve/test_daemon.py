@@ -146,6 +146,28 @@ class TestFigureServing:
         # every point of the rerun came from the shared store
         assert final2["result"]["report"]["executed"] == 0
 
+    def test_cancel_while_waiting_for_the_replay_thread_counts_once(
+            self, served):
+        daemon = served.daemon
+        release = threading.Event()
+        blocker = daemon._replay.submit(release.wait)
+        cancelled = daemon.jobs_cancelled
+        try:
+            with client(served) as c:
+                job = c.submit_figure("6")["job"]
+                assert c.cancel(job)["state"] == "cancelled"
+        finally:
+            release.set()
+        blocker.result(timeout=10)
+        # the cancelled job's turn on the replay thread has come and gone
+        daemon._replay.submit(lambda: None).result(timeout=60)
+        with client(served) as c:
+            final = c.wait(job)
+        assert final["state"] == "cancelled"
+        assert final["error"] == "cancelled by client"
+        assert daemon.jobs_cancelled == cancelled + 1
+        assert list(daemon._finished).count(daemon.jobs[job]) == 1
+
     def test_stream_after_completion_replays_the_backlog(self, served):
         with client(served) as c:
             job = c.submit_figure("6")["job"]
@@ -268,6 +290,21 @@ class TestPointServing:
             with pytest.raises(ServeError,
                                match="bad submission: not run_coupled"):
                 c.submit_point(point_spec(fidelty="steady"))
+            with pytest.raises(ServeError,
+                               match="bad submission: steps must be an int"):
+                c.submit_point(point_spec(steps="16"))
+
+    def test_point_the_pool_cannot_cost_fails_cleanly(self, served):
+        # a client-supplied key skips the daemon's own resolution, so the
+        # bad spec reaches the pool thread, which must fail it and live on
+        with client(served) as c:
+            reply = c.submit_point(point_spec(steps="16"), key="no-such-key")
+            final = c.wait(reply["job"])
+            assert final["state"] == "failed"
+            assert "TypeError" in final["error"]
+            again = c.wait(c.submit_point(point_spec(nsim=16, nana=8))["job"])
+            assert again["state"] == "done"
+            assert c.stats()["pool"]["loop_errors"] >= 1
 
 
 class TestStudyOverService:

@@ -1,9 +1,10 @@
 """Declarative fault plans and the injector that executes them.
 
 A :class:`FaultPlan` is a frozen, hashable description of *what goes
-wrong when* in one coupled run: it canonicalizes into the run-cache key
-(see :func:`repro.core.runcache.config_key`), so a chaos run can never
-collide with a clean run — or with a chaos run under a different plan.
+wrong when* in one coupled run: its repr is part of the run-cache key
+(see :attr:`repro.workflows.driver.RunSpec.key`), so a chaos run can
+never collide with a clean run — or with a chaos run under a different
+plan.
 
 The :class:`FaultInjector` arms the plan's events on the simulation
 clock (absolute time) or on library progress (after *k* puts) and fires

@@ -12,12 +12,13 @@ orbit and serializes exactly that — the staging statistics, the put/get
 record windows, the memory-series tails and the per-actor boundary
 ticks — into a :class:`SimSnapshot`.  :meth:`SimSnapshot.resume` is the
 only code that turns an orbit into a result: the cold run returns its
-own snapshot's ``resume(steps)``, and publishes the snapshot in the run
-cache as a *prefix entry* keyed by the point spec minus ``(steps,
-fault_plan, recovery)``, so any later run sharing the prefix replays
-only its own suffix, float for float what a cold run produces.
-Faulted runs share no prefix: :func:`prefix_key` is None for any fault
-plan or recovery policy, so every chaos cell simulates cold.
+own snapshot's ``resume(spec)``, and publishes the snapshot in the run
+cache as a *prefix entry* under the point's
+:attr:`~repro.workflows.driver.RunSpec.prefix_key`, which every steps
+count shares, so any later run sharing the prefix replays only its own
+suffix, float for float what a cold run produces.  Faulted runs share
+no prefix: the prefix key is None for any fault plan or recovery
+policy, so every chaos cell simulates cold.
 
 Decline taxonomy: a snapshot that cannot serve a steps count (steps
 that end inside the prefix, fast-forward horizons past the
@@ -35,14 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..sim.monitor import TimeSeries
-
-#: prefix-entry keys exclude exactly these point-spec inputs: a prefix
-#: is shared by every steps count and consumed before any fault fires
-PREFIX_EXCLUDES = ("steps", "fault_plan", "recovery")
-
-#: marker folded into the prefix content address so a prefix entry can
-#: never collide with a full-run key built from the same inputs
-PREFIX_TAG = "steady-boundary-prefix"
 
 
 class ForkpointStats:
@@ -83,28 +76,6 @@ class ForkpointStats:
 STATS = ForkpointStats()
 
 
-def prefix_key(spec: Dict[str, Any]) -> Optional[str]:
-    """The prefix content address for one normalized point spec.
-
-    ``spec`` is the same normalized kwargs dict the driver feeds
-    :func:`repro.core.runcache.config_key` (catalog names resolved,
-    overrides merged).  Every clean staged point has one; None when the
-    spec cannot share a prefix: chaos/recovery runs diverge inside it,
-    and compute-only baselines never engage steady.
-    """
-    if spec.get("fault_plan") is not None or spec.get("recovery") is not None:
-        return None
-    if spec.get("method") is None:
-        return None
-    from . import runcache
-
-    base = {k: v for k, v in spec.items() if k not in PREFIX_EXCLUDES}
-    try:
-        return runcache.config_key(prefix=PREFIX_TAG, **base)
-    except TypeError:
-        return None
-
-
 # --------------------------------------------------------------------------
 # The arithmetic snapshot
 
@@ -114,18 +85,14 @@ class SimSnapshot:
     """Everything needed to replay a steady-prefix run at any steps count.
 
     Built by :func:`capture` once the event loop of an engaged steady
-    run returns.  ``resume(steps)`` replays the skipped steps for the
-    requested steps count and assembles a full ``RunResult`` — float
-    for float what an exact run produces.
+    run returns.  ``resume(spec)`` replays the skipped steps for the
+    spec's steps count and assembles a full ``RunResult`` — float for
+    float what an exact run produces.  The spec supplies the inputs the
+    result echoes: any spec under this snapshot's prefix key has the
+    captured run's.
     """
 
-    # -- identity / steps-independent result template -------------------
-    machine: str
-    workflow: str
-    method: str
-    nsim: int
-    nana: int
-    variable_nbytes: int
+    # -- steps-independent measurements ---------------------------------
     nservers: int
     server_memory_peaks: List[int]
     server_memory_breakdown: Dict[str, int]
@@ -152,7 +119,7 @@ class SimSnapshot:
         return self.decline_reason(steps) is None
 
     def decline_reason(self, steps: int) -> Optional[str]:
-        """Why ``resume(steps)`` would not be byte-identical (None = ok).
+        """Why a resume at ``steps`` would not be byte-identical (None = ok).
 
         A cold run with fewer than ``cutoff + 2`` steps never engages
         the fast-forward (its actors hit the range bound first), and a
@@ -172,8 +139,8 @@ class SimSnapshot:
             )
         return None
 
-    def resume(self, steps: int):
-        """A full RunResult for ``steps``, or None when declining.
+    def resume(self, spec):
+        """A full RunResult for ``spec.steps``, or None when declining.
 
         The one orbit replay: the cold run that captured the snapshot
         ends with it, and so does every prefix hit.  Per stream it
@@ -186,10 +153,9 @@ class SimSnapshot:
         so the result is labelled ``"steady"`` with an empty
         ``fidelity_log``.
         """
+        steps = spec.steps
         if self.decline_reason(steps) is not None:
             return None
-        from ..workflows.driver import RunResult
-
         skipped = steps - 1 - self.cutoff
         delta = self.delta
 
@@ -238,30 +204,21 @@ class SimSnapshot:
             key = "sim" if actor.startswith("sim") else "ana"
             finish[key] = max(finish[key], t)
 
-        result = RunResult(
-            machine=self.machine,
-            workflow=self.workflow,
-            method=self.method,
-            nsim=self.nsim,
-            nana=self.nana,
-            steps=steps,
-            variable_nbytes=self.variable_nbytes,
+        return spec.new_result(
+            end_to_end=max(finish["sim"], finish["ana"]),
+            sim_finish=finish["sim"],
+            ana_finish=finish["ana"],
+            put_time=put_time,
+            get_time=get_time,
+            bytes_staged=bytes_staged,
+            fidelity="steady",
+            nservers=self.nservers,
+            sim_memory=rebuilt[0],
+            ana_memory=rebuilt[1],
+            server_memory=rebuilt[2] if len(rebuilt) > 2 else None,
+            server_memory_peaks=list(self.server_memory_peaks),
+            server_memory_breakdown=dict(self.server_memory_breakdown),
         )
-        result.end_to_end = max(finish["sim"], finish["ana"])
-        result.sim_finish = finish["sim"]
-        result.ana_finish = finish["ana"]
-        result.put_time = put_time
-        result.get_time = get_time
-        result.bytes_staged = bytes_staged
-        result.fidelity = "steady"
-        result.nservers = self.nservers
-        result.sim_memory = rebuilt[0]
-        result.ana_memory = rebuilt[1]
-        if len(rebuilt) > 2:
-            result.server_memory = rebuilt[2]
-        result.server_memory_peaks = list(self.server_memory_peaks)
-        result.server_memory_breakdown = dict(self.server_memory_breakdown)
-        return result
 
 
 def _tile(full: list, part: list, skipped: int) -> list:
@@ -284,7 +241,7 @@ def capture(steady, result) -> SimSnapshot:
     end on a *prefix* of its periodic window — the shape
     :meth:`SimSnapshot.resume` completes.  Any failed check raises
     ``_SteadyDiverged``: the replay would not be bit-identical, and
-    ``run_coupled`` reruns the point exact.
+    ``run_spec`` reruns the point exact.
     """
     from ..workflows.driver import _SteadyDiverged
 
@@ -332,12 +289,6 @@ def capture(steady, result) -> SimSnapshot:
         series.append(dict(name=s_obj.name, times=times, values=values,
                            i0=i0, i1=i1, i2=i2))
     return SimSnapshot(
-        machine=result.machine,
-        workflow=result.workflow,
-        method=result.method,
-        nsim=result.nsim,
-        nana=result.nana,
-        variable_nbytes=result.variable_nbytes,
         nservers=result.nservers,
         server_memory_peaks=result.server_memory_peaks,
         server_memory_breakdown=result.server_memory_breakdown,

@@ -8,15 +8,17 @@ Several experiments re-run overlapping configurations (fig2/fig3/fig5/
 fig7 and the findings verifiers); this cache makes each configuration
 pay once.
 
-The cache key is a sha256 over a canonical representation of every
-argument that feeds the simulation:
+The cache key is :attr:`repro.workflows.driver.RunSpec.key`: a sha256
+over this module's :data:`SCHEMA_VERSION` and the repr of the resolved
+spec, which holds every argument that feeds the simulation:
 
 * machine name, workflow name, method, ``nsim``/``nana``/``steps``,
   transport, ``num_servers``, ``shared_nodes``;
 * the variable's name, dims and element size (the paper's weak-scaled
   default or an explicit override);
 * per-step compute seconds, ``topology_overrides``, ``app_axis``;
-* every :class:`~repro.staging.base.StagingConfig` field.
+* every :class:`~repro.staging.base.StagingConfig` field, and the
+  fault plan and recovery policy of a chaos run.
 
 Deliberately **not** hashed: the ``trace`` argument (tracing mutates an
 external object per event, so traced runs bypass the cache entirely),
@@ -42,8 +44,6 @@ recomputed) rather than an error.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import os
 import pickle
 import tempfile
@@ -77,27 +77,11 @@ from typing import Any, Dict, Optional
 #: with a ``steady:`` decline.
 #: 11 -> 12: steady is offered to every run — ``fidelity`` left the key
 #: inputs, and a result stored under a key carries the label and log
-#: the code chose, not those a request asked for)
-SCHEMA_VERSION = 12
-
-
-def _canonical(value: Any) -> Any:
-    """Reduce an argument to primitives with a stable repr."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return sorted((str(k), _canonical(v)) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__] + _canonical(dataclasses.asdict(value))
-    raise TypeError(f"cannot build a cache key from {value!r}")
-
-
-def config_key(**kwargs: Any) -> str:
-    """The content address of one ``run_coupled`` configuration."""
-    payload = repr((SCHEMA_VERSION, _canonical(kwargs)))
-    return hashlib.sha256(payload.encode()).hexdigest()
+#: the code chose, not those a request asked for.
+#: 12 -> 13: one ``RunSpec`` keys every run — the hashed form is the
+#: resolved spec's repr, so every key moved, and prefix snapshots drop
+#: the inputs a resume now echoes from the spec)
+SCHEMA_VERSION = 13
 
 
 class RunCache:
@@ -120,96 +104,82 @@ class RunCache:
         self.prefix_misses = 0
         self.prefix_stores = 0
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.disk_dir, f"{key}.pkl")
-
-    def _prefix_path(self, key: str) -> str:
-        # "px-" keeps snapshot pickles distinguishable from RunResult
-        # entries when a human lists the cache directory; keys are
-        # sha256 hex so the namespaces cannot collide anyway.
-        return os.path.join(self.disk_dir, f"px-{key}.pkl")
-
     def get(self, key: str) -> Optional[Any]:
         result = self._memory.get(key)
-        if result is not None:
-            self.hits += 1
-            return result
-        if self.disk_dir is not None:
-            try:
-                with open(self._path(key), "rb") as fh:
-                    result = pickle.load(fh)
-            except Exception:
-                # Missing, corrupt or truncated entry: a miss, never an
-                # error — the caller recomputes and overwrites it.
-                result = None
+        if result is None and self.disk_dir is not None:
+            result = self._read(f"{key}.pkl")
             if result is not None:
                 self._memory[key] = result
-                self.hits += 1
                 self.disk_hits += 1
-                return result
-        self.misses += 1
-        return None
+        if result is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return result
 
     def put(self, key: str, result: Any) -> None:
         self._memory[key] = result
         self.stores += 1
         if self.disk_dir is not None:
-            try:
-                os.makedirs(self.disk_dir, exist_ok=True)
-                # A unique temp file per writer + atomic replace keeps
-                # concurrent processes (``--jobs N`` workers) from ever
-                # exposing a partial entry under the final name.
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.disk_dir, prefix=f".{key[:16]}-", suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(result, fh)
-                    os.replace(tmp, self._path(key))
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
-            except OSError:
-                pass
+            self._write(f"{key}.pkl", result)
 
     def get_prefix(self, key: str) -> Optional[Any]:
         """Fetch a steady-boundary prefix snapshot (or ``None``)."""
         snap = self._prefixes.get(key)
-        if snap is not None:
-            self.prefix_hits += 1
-            return snap
-        if self.disk_dir is not None:
-            try:
-                with open(self._prefix_path(key), "rb") as fh:
-                    snap = pickle.load(fh)
-            except Exception:
-                snap = None
+        if snap is None and self.disk_dir is not None:
+            snap = self._read(f"px-{key}.pkl")
             if snap is not None:
                 self._prefixes[key] = snap
-                self.prefix_hits += 1
-                return snap
-        self.prefix_misses += 1
-        return None
+        if snap is None:
+            self.prefix_misses += 1
+            return None
+        self.prefix_hits += 1
+        return snap
 
     def put_prefix(self, key: str, snap: Any) -> None:
         """Publish a steady-boundary prefix snapshot under ``key``."""
         self._prefixes[key] = snap
         self.prefix_stores += 1
         if self.disk_dir is not None:
+            # "px-" keeps snapshot pickles distinguishable from RunResult
+            # entries when a human lists the cache directory; keys are
+            # sha256 hex so the namespaces cannot collide anyway.
+            self._write(f"px-{key}.pkl", snap)
+
+    def _read(self, name: str) -> Optional[Any]:
+        """The disk entry ``name``.
+
+        A missing, corrupt or truncated entry is a miss (None), never an
+        error: the caller recomputes and overwrites it.
+        """
+        try:
+            with open(os.path.join(self.disk_dir, name), "rb") as fh:
+                return pickle.load(fh)
+        except Exception:
+            return None
+
+    def _write(self, name: str, value: Any) -> None:
+        """Publish ``value`` as the disk entry ``name``.
+
+        A unique temp file per writer + atomic replace keeps concurrent
+        processes (``--jobs N`` workers) from ever exposing a partial
+        entry under the final name.  A failed write leaves the memory
+        layer serving.
+        """
+        try:
+            os.makedirs(self.disk_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=self.disk_dir, prefix=f".{name}-", suffix=".tmp"
+            )
             try:
-                os.makedirs(self.disk_dir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.disk_dir, prefix=f".px-{key[:16]}-", suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(snap, fh)
-                    os.replace(tmp, self._prefix_path(key))
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
-            except OSError:
-                pass
+                with os.fdopen(fd, "wb") as fh:
+                    pickle.dump(value, fh)
+                os.replace(tmp, os.path.join(self.disk_dir, name))
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError:
+            pass
 
     def seed(self, key: str, result: Any) -> None:
         """Insert into the memory layer only (no disk write).

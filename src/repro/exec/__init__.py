@@ -3,8 +3,8 @@
 Four modules:
 
 * :mod:`.plan`   — enumerate every experiment's ``run_coupled`` points
-  into a deduplicated work-plan (content-addressed by the run cache's
-  config key);
+  into a deduplicated work-plan (content-addressed by each point's
+  :attr:`~repro.workflows.driver.RunSpec.key`);
 * :mod:`.pool`   — :class:`WorkerPool`, the one spawn worker pool: warm
   workers, crash retry and quarantine, recycling, per-point
   single-flight, graceful drain, sharing the on-disk run cache;

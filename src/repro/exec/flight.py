@@ -9,10 +9,12 @@ would simulate it; with :class:`SingleFlight` the first request becomes
 the **leader** and every concurrent duplicate a **follower** that
 simply waits for the leader's outcome.
 
-:class:`repro.exec.pool.WorkerPool` applies it per simulation point:
-two different figures planning an overlapping point share one worker
-task.  (The serve daemon coalesces whole submissions the same way, on
-its own job registry.)
+:class:`repro.exec.pool.WorkerPool` applies it per run-cache key.
+Within one campaign the plan already deduplicates points, so what the
+pool coalesces is work from different submitters: in the serve daemon,
+a figure job's task and a concurrent point job with the same key run
+one simulation.  (The daemon coalesces whole submissions the same way,
+on its own job registry.)
 
 Counters (``coalesced``, ``inflight_now``, ``resolved``) feed the
 pool's ``stats`` — and through it the daemon's — alongside the
@@ -72,13 +74,6 @@ class SingleFlight:
         for callback in followers:
             callback(outcome)
         return len(followers)
-
-    def abandon(self, key: str) -> List[Callable[[Any], None]]:
-        """Release ``key`` without an outcome (leader cancelled/crashed
-        unrecoverably); returns the orphaned followers so the caller
-        can fail or re-lead them."""
-        with self._lock:
-            return self._inflight.pop(key, [])
 
     @property
     def inflight_now(self) -> int:

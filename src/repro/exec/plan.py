@@ -4,9 +4,10 @@ The figures and tables are imperative functions calling
 :func:`~repro.workflows.run_coupled`; nothing declares their sweep
 up-front.  :func:`build_plan` therefore *records* the sweep: it runs
 every selected experiment with the driver's plan-recorder hook
-installed, so each ``run_coupled`` call resolves its configuration,
-reports the content-addressed cache key, and returns a cheap
-placeholder instead of simulating.  Points that several experiments
+installed, so each ``run_coupled`` call resolves its
+:class:`~repro.workflows.driver.RunSpec`, reports the spec's
+content-addressed cache key, and returns a cheap placeholder instead of
+simulating.  Points that several experiments
 share collapse onto one :class:`PlannedTask` (same key), which is how
 the scheduler simulates shared configurations once.
 
@@ -32,7 +33,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..sim import TimeSeries
 from ..workflows import driver
-from ..workflows.driver import RunResult
+from ..workflows.driver import RunResult, RunSpec
 
 
 @dataclass
@@ -40,24 +41,29 @@ class PlannedTask:
     """One deduplicated simulation point."""
 
     key: str
-    #: canonical ``run_coupled`` kwargs (machine/workflow by name, so a
-    #: worker re-resolves them from its own registries)
-    spec: Dict[str, Any]
+    #: the point's resolved inputs (catalog machine/workflow by name, so
+    #: a worker looks them up in its own registries)
+    spec: RunSpec
     #: experiment ids that reference this point
     experiments: List[str] = field(default_factory=list)
     #: how many run_coupled calls collapse onto it
     refs: int = 0
+    #: test hooks a worker obeys before it runs the spec (``__crash__``,
+    #: ``__sleep__``: see :func:`repro.exec.pool._execute_task`); never
+    #: part of the key
+    hooks: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def weight(self) -> float:
         """Crude cost estimate used to schedule big tasks first."""
-        return float(self.spec["nsim"] + self.spec["nana"]) * self.spec["steps"]
+        s = self.spec
+        return float(s.nsim + s.nana) * s.steps
 
     def label(self) -> str:
         s = self.spec
         return (
-            f"{s['machine']}/{s['workflow']}/{s['method'] or 'baseline'}"
-            f"({s['nsim']},{s['nana']})x{s['steps']}"
+            f"{s.machine}/{s.workflow}/{s.method or 'baseline'}"
+            f"({s.nsim},{s.nana})x{s.steps}"
         )
 
 
@@ -82,7 +88,7 @@ class WorkPlan:
                 - len(self.tasks))
 
 
-def placeholder_result(spec: Dict[str, Any]) -> RunResult:
+def placeholder_result(spec: RunSpec) -> RunResult:
     """A successful-looking stand-in result for the planning pass.
 
     Values are chosen so downstream table arithmetic is well-defined
@@ -90,13 +96,7 @@ def placeholder_result(spec: Dict[str, Any]) -> RunResult:
     built from placeholders are discarded with the planning pass.
     """
     series = TimeSeries()
-    return RunResult(
-        machine=spec["machine"],
-        workflow=spec["workflow"],
-        method=spec["method"],
-        nsim=spec["nsim"],
-        nana=spec["nana"],
-        steps=spec["steps"],
+    return spec.new_result(
         end_to_end=1.0,
         sim_finish=1.0,
         ana_finish=1.0,
@@ -107,13 +107,12 @@ def placeholder_result(spec: Dict[str, Any]) -> RunResult:
         ana_memory=series,
         server_memory_peaks=[1],
         server_memory=series,
-        variable_nbytes=spec["variable"].nbytes,
-        nservers=spec["num_servers"] or 1,
+        nservers=spec.num_servers or 1,
     )
 
 
 class Recorder:
-    """The driver hook: collects (key, spec) pairs, answers placeholders."""
+    """The driver hook: collects keyed specs, answers placeholders."""
 
     def __init__(self) -> None:
         self.tasks: Dict[str, PlannedTask] = {}
@@ -122,7 +121,7 @@ class Recorder:
         self.unplanned = 0
         self.current: Optional[str] = None
 
-    def intercept(self, cache_key: Optional[str], spec: Dict[str, Any]):
+    def intercept(self, cache_key: Optional[str], spec: RunSpec):
         self.total_refs += 1
         if cache_key is None:
             self.unplanned += 1

@@ -3,10 +3,10 @@
 Each worker is a fresh ``spawn`` interpreter: it imports :mod:`repro`
 from scratch, so the machine/workflow registries (whose singleton
 identity gates the run cache) are rebuilt per worker, and no simulator
-state leaks between the parent and its children.  Tasks travel as
-canonical ``run_coupled`` kwargs (machines and workflows by name);
-results come back as the :class:`RunResult` objects the workers'
-``run_coupled`` returned and cached.
+state leaks between the parent and its children.  A task travels with
+its :class:`~repro.workflows.driver.RunSpec` (catalog machines and
+workflows by name), which the worker runs as sent; results come back as
+the :class:`RunResult` objects the workers returned and cached.
 
 * :meth:`WorkerPool.start` spawns every worker; each pre-imports the
   whole simulator before it signals ready, so the interpreter + import
@@ -126,22 +126,19 @@ def effective_jobs(requested: int) -> int:
 def _task_cost(task: PlannedTask) -> float:
     """Estimated simulation cost: staged bytes over the whole run.
 
-    The planned spec carries the resolved variable (the weak-scaled
-    default already grows with ``nsim``), so its byte size times the
-    step count tracks how much data the simulated run moves — the best
-    single predictor of its wall time.  Specs without a variable
-    (compute-only baselines) are the cheapest points there are.
+    The spec carries the resolved variable (the weak-scaled default
+    already grows with ``nsim``), so its byte size times the step count
+    tracks how much data the simulated run moves — the best single
+    predictor of its wall time.
     """
-    variable = task.spec.get("variable")
-    nbytes = getattr(variable, "nbytes", 0) or 0
-    return float(nbytes) * task.spec.get("steps", 1)
+    return float(task.spec.variable.nbytes) * task.spec.steps
 
 
 def _shippable(task: PlannedTask) -> bool:
     """Whether the pool can cost ``task`` and pickle it for a worker."""
     try:
         _task_cost(task)
-        pickle.dumps(task.spec)
+        pickle.dumps(task)
     except Exception:
         return False
     return True
@@ -169,35 +166,34 @@ class TaskOutcome:
         return self.attempts > 1
 
 
-def _execute_spec(spec: Dict[str, Any], attempt: int):
-    """Run one task payload inside a worker.
+def _execute_task(task: PlannedTask, attempt: int):
+    """Run one task's spec inside a worker.
 
-    Test hooks: a ``"__crash__"`` marker in the spec kills the worker
-    process outright — ``True`` on every attempt (a poison task),
-    an integer N on attempts <= N (crash then recover) — exercising
-    the retry and quarantine paths with real process deaths; a
-    ``"__sleep__"`` marker stalls the worker for that many wall
-    seconds first, pinning a task in flight for the drain tests.
+    Test hooks: a ``"__crash__"`` hook kills the worker process outright
+    — ``True`` on every attempt (a poison task), an integer N on
+    attempts <= N (crash then recover) — exercising the retry and
+    quarantine paths with real process deaths; a ``"__sleep__"`` hook
+    stalls the worker for that many wall seconds first, pinning a task
+    in flight for the drain tests.
     """
-    spec = dict(spec)
-    crash = spec.pop("__crash__", None)
+    crash = task.hooks.get("__crash__")
     if crash is True or (isinstance(crash, int) and attempt <= crash):
         os._exit(_CRASH_EXIT)
-    nap = spec.pop("__sleep__", 0)
+    nap = task.hooks.get("__sleep__", 0)
     if nap:
         time.sleep(nap)
 
     from ..core import runcache
-    from ..workflows import run_coupled
+    from ..workflows.driver import run_spec
 
     hits_before = runcache.CACHE.hits
-    result = run_coupled(**spec)
+    result = run_spec(task.spec)
     cache_hit = runcache.CACHE.hits > hits_before
     return result, cache_hit
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
-    """Worker loop: receive a batch of (task_id, spec, attempt) entries.
+    """Worker loop: receive a batch of (task, attempt) entries.
 
     Everything heavy imports *before* the ``("ready",)`` message, so the
     parent only assigns work to a worker that answers at simulation
@@ -207,7 +203,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
     """
     from ..core import runcache
     from ..sim.engine import Environment
-    from ..workflows import run_coupled  # noqa: F401  (pre-import = warm-up)
+    from ..workflows import driver  # noqa: F401  (pre-import = warm-up)
 
     if cache_dir:
         runcache.enable_disk(cache_dir)
@@ -228,16 +224,16 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
             return
         if batch is None:
             return
-        for task_id, spec, attempt in batch:
+        for task, attempt in batch:
             start = time.perf_counter()
             before = counted["events"]
             try:
-                result, cache_hit = _execute_spec(spec, attempt)
+                result, cache_hit = _execute_task(task, attempt)
                 error = None
             except Exception:
                 result, cache_hit, error = None, False, traceback.format_exc()
             conn.send(
-                ("ok" if error is None else "error", task_id, result,
+                ("ok" if error is None else "error", task.key, result,
                  time.perf_counter() - start, cache_hit,
                  counted["events"] - before, error)
             )
@@ -689,9 +685,7 @@ class WorkerPool:
                             break
                         batch.append(entry)
                 try:
-                    worker.conn.send(
-                        [(s.task.key, s.task.spec, a) for s, a in batch]
-                    )
+                    worker.conn.send([(s.task, a) for s, a in batch])
                 except (BrokenPipeError, OSError):
                     continue  # reap path replaces this worker
                 for _ in batch:

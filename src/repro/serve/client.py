@@ -7,10 +7,11 @@ all drive it; :class:`ServiceRunner` adapts it to the
 ``runner.run(tasks, progress)`` contract of
 :func:`repro.exec.execute_parallel`, which is how
 ``Study(service=...)`` rides a daemon's warm pool instead of spawning
-its own: every planned point becomes a point submission, duplicate
-keys coalesce daemon-side (across *all* connected clients), and the
-pickled results seed the local in-process cache for the byte-identical
-serial replay.
+its own: every planned point becomes a point submission (its spec's
+fields, which the daemon resolves and keys itself), duplicate keys
+coalesce daemon-side (across *all* connected clients), and the pickled
+results seed the local in-process cache for the byte-identical serial
+replay.
 
 :class:`StreamRenderer` replays a daemon event stream through
 :class:`repro.exec.report.ProgressPrinter`, so ``repro submit
@@ -20,6 +21,7 @@ serial replay.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
@@ -140,14 +142,10 @@ class ServeClient:
     def submit_chaos(self, seed: int = 7) -> Dict[str, Any]:
         return self._request({"op": "submit", "kind": "chaos", "seed": seed})
 
-    def submit_point(
-        self, spec: Dict[str, Any], key: Optional[str] = None
-    ) -> Dict[str, Any]:
-        payload = {"op": "submit", "kind": "point",
-                   "spec_b64": protocol.pack_pickle(spec)}
-        if key is not None:
-            payload["key"] = key
-        return self._request(payload)
+    def submit_point(self, spec: Dict[str, Any]) -> Dict[str, Any]:
+        """Submit one ``run_coupled`` keyword dict; the daemon keys it."""
+        return self._request({"op": "submit", "kind": "point",
+                              "spec_b64": protocol.pack_pickle(spec)})
 
     def status(self, job: str) -> Dict[str, Any]:
         return self._request({"op": "status", "job": job})
@@ -230,8 +228,9 @@ class ServiceRunner:
             self.effective = client.stats()["pool"]["effective_jobs"]
             submitted = []
             for task in tasks:
-                reply = client.submit_point(task.spec, key=task.key)
-                submitted.append((task, reply["job"]))
+                point = {f.name: getattr(task.spec, f.name)
+                         for f in dataclasses.fields(task.spec)}
+                submitted.append((task, client.submit_point(point)["job"]))
             for task, job in submitted:
                 outcome = TaskOutcome(
                     key=task.key, label=task.label(),

@@ -33,9 +33,14 @@ Duplicate concurrent submissions **single-flight** at job granularity
 (same figure/full, same chaos seed, same point key -> one underlying
 job, ``coalesced`` counted in ``stats``; live jobs are indexed by key,
 so the check is one lookup) and again at point granularity inside the
-pool.  Completed results are *not* reused at the job level —
-re-submitting a finished figure makes a new job whose points all hit
-the shared run cache, which is the cheaper and more observable path.
+pool.  A point's key is always the daemon's own: it builds one
+:class:`~repro.workflows.driver.RunSpec` from each distinct point
+spelling it receives and keys the job by the spec's run-cache key, so
+spellings of one point share a job and figure-seeded results answer
+it.  Completed
+results are *not* reused at the job level — re-submitting a finished
+figure makes a new job whose points all hit the shared run cache,
+which is the cheaper and more observable path.
 Finished jobs linger for late ``status``/``stream`` readers and are
 then evicted at submission time — oldest-finished first past
 ``job_cap`` total jobs, unconditionally once ``job_ttl_seconds`` past
@@ -65,10 +70,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..core import runcache
 from ..exec.plan import PlannedTask
 from ..exec.pool import WorkerPool
-from ..workflows import driver
+from ..workflows.driver import RunSpec
 from . import protocol
 
-#: spec keys a point submission must carry (PlannedTask.label needs them)
+#: what a point submission must name; the other inputs may default
 _POINT_REQUIRED = ("machine", "workflow", "method", "nsim", "nana", "steps")
 
 
@@ -189,8 +194,10 @@ class ServeDaemon:
         self.job_ttl_seconds = job_ttl_seconds
         self._job_seq = itertools.count(1)
         self._uncached_seq = itertools.count(1)
-        #: point-spec spelling -> the driver's run-cache key
-        self._point_keys: Dict[str, str] = {}
+        #: submitted point bytes -> (the RunSpec built from them, their
+        #: test hooks): one entry per distinct spelling, like the run
+        #: cache's own entries
+        self._specs: Dict[str, Tuple[RunSpec, Dict[str, Any]]] = {}
         #: run-cache key -> (cached result, its cache-hit payload)
         self._hit_payloads: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
         #: figure/chaos plan+replay mutate process globals -> one thread
@@ -424,16 +431,30 @@ class ServeDaemon:
                 params = dict(seed=int(request.get("seed", 7)))
                 key = f"chaos:seed={params['seed']}"
             elif kind == "point":
-                spec = protocol.unpack_pickle(request["spec_b64"])
-                if not isinstance(spec, dict):
-                    return protocol.error("point spec must be a dict")
-                missing = [k for k in _POINT_REQUIRED if k not in spec]
-                if missing:
-                    return protocol.error(
-                        f"point spec missing keys: {', '.join(missing)}"
-                    )
-                cache_key = request.get("key") or self._point_key(spec)
-                params = dict(spec=spec, cache_key=cache_key)
+                # Resolving and keying a point on every submission added
+                # 50-85 us to each repeat while the workers simulated, and
+                # ~21% to a what-if stream's median latency (2-vCPU x86
+                # host; repeats are most of the stream), so each distinct
+                # spelling (the exact submitted bytes) is resolved once.
+                raw = request["spec_b64"]
+                known = self._specs.get(raw)
+                if known is None:
+                    point = protocol.unpack_pickle(raw)
+                    if not isinstance(point, dict):
+                        return protocol.error("point spec must be a dict")
+                    missing = [k for k in _POINT_REQUIRED if k not in point]
+                    if missing:
+                        return protocol.error(
+                            f"point spec missing keys: {', '.join(missing)}"
+                        )
+                    # dunder test hooks are execution noise, not
+                    # configuration
+                    hooks = {k: point.pop(k) for k in list(point)
+                             if k.startswith("__")}
+                    known = self._specs[raw] = (RunSpec.of(**point), hooks)
+                spec, hooks = known
+                cache_key = spec.key or f"uncached:{next(self._uncached_seq)}"
+                params = dict(spec=spec, hooks=hooks, cache_key=cache_key)
                 key = f"point:{cache_key}"
             else:
                 return protocol.error(f"unknown submission kind {kind!r}")
@@ -471,29 +492,6 @@ class ServeDaemon:
             self.pool.cancel(submission)
         return dict(ok=True, job=job.ident, state=job.state)
 
-    def _point_key(self, spec: Dict[str, Any]) -> str:
-        """The run-cache key ``run_coupled(**spec)`` itself would use, so
-        spellings of one point share a job and figure-seeded results
-        answer it (dunder test markers are execution noise, not
-        configuration, and stay out of the key)."""
-        clean = {k: v for k, v in spec.items() if not k.startswith("__")}
-        try:
-            spelling = runcache.config_key(**clean)
-        except TypeError:
-            return f"uncached:{next(self._uncached_seq)}"
-        # Resolving the point costs ~36 us against ~6.5 us for hashing
-        # its spelling (2-vCPU x86 host), paid on the event loop by every
-        # submission, and repeated submissions are the latency-critical
-        # case, so the key is memoized per spelling (one short string per
-        # distinct submitted point, like the run cache's own entries).
-        key = self._point_keys.get(spelling)
-        if key is None:
-            key = driver.point_key(**clean)
-            if key is None:
-                return f"uncached:{next(self._uncached_seq)}"
-            self._point_keys[spelling] = key
-        return key
-
     # -- point jobs (asyncio + pool) -----------------------------------
 
     async def _run_point_job(self, job: Job) -> None:
@@ -502,14 +500,15 @@ class ServeDaemon:
         job.state = "running"
         key = job.params["cache_key"]
         cacheable = not key.startswith("uncached:")
-        spec = job.params["spec"]
         if cacheable:
             cached = runcache.CACHE.get(key)
             if cached is not None:
                 job._finish_on_loop("done", self._hit_payload(key, cached), None)
                 self.jobs_completed += 1
                 return
-        task = PlannedTask(key=key, spec=spec, experiments=["point"], refs=1)
+        task = PlannedTask(key=key, spec=job.params["spec"],
+                           experiments=["point"], refs=1,
+                           hooks=job.params["hooks"])
         future: asyncio.Future = self._loop.create_future()
 
         def on_done(outcome) -> None:

@@ -11,13 +11,14 @@ from .catalog import (
     laplace_variable,
     synthetic_variable,
 )
-from .driver import APP_INIT_SECONDS, RunResult, run_coupled
+from .driver import APP_INIT_SECONDS, RunResult, RunSpec, run_coupled
 
 __all__ = [
     "APP_INIT_SECONDS",
     "LAMMPS",
     "LAPLACE",
     "RunResult",
+    "RunSpec",
     "SYNTHETIC",
     "WORKFLOWS",
     "WorkflowSpec",

@@ -13,19 +13,23 @@ the paper's figures do.
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..chaos.faults import FaultPlan, RecoveryPolicy
+from ..core import forkpoint, runcache
 from ..hpc.cluster import Cluster
 from ..hpc.failures import HpcError
 from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
 from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..staging import calibration as cal
-from ..staging.base import StagingLibrary
+from ..staging.base import StagingConfig, StagingLibrary
 from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
@@ -60,7 +64,7 @@ class _SteadyDiverged(Exception):
 
     Raised by :func:`repro.core.forkpoint.capture` when the boundaries
     the stopped run closed no longer repeat the engagement pair — the
-    fast-forward would not have been bit-identical.  :func:`run_coupled`
+    fast-forward would not have been bit-identical.  :func:`run_spec`
     catches it and reruns the configuration without the fast-forward, so
     a false engagement can only ever cost time, never correctness.
     """
@@ -306,6 +310,146 @@ class RunResult:
         )
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """Every input of one coupled run, resolved: what makes two runs one.
+
+    :meth:`of` is the only code that validates and normalizes
+    ``run_coupled`` arguments.  A catalog machine or workflow is held by
+    name (an ad-hoc spec object as given), and the workflow fills in
+    ``variable``, the step seconds, ``app_axis`` and, under
+    ``topology_overrides``, its ranks per node.  :attr:`key` and
+    :attr:`prefix_key` are the only run-cache and prefix-snapshot
+    addresses, so the driver, the planner, the pool and the serve daemon
+    agree on what "the same run" is.  ``trace`` and ``fidelity`` steer
+    how a run executes, never what it computes: they are no fields.
+    """
+
+    machine: Union[str, MachineSpec]
+    workflow: Union[str, WorkflowSpec]
+    method: Optional[str]
+    nsim: int
+    nana: int
+    steps: int
+    transport: Optional[str]
+    num_servers: Optional[int]
+    shared_nodes: bool
+    variable: Variable
+    sim_step_seconds: float
+    ana_step_seconds: float
+    #: sorted ``(name, value)`` pairs, so the key ignores spelling order
+    topology_overrides: Tuple[Tuple[str, Any], ...]
+    config: Optional[StagingConfig]
+    app_axis: int
+    fault_plan: Optional[FaultPlan]
+    recovery: Optional[RecoveryPolicy]
+
+    @classmethod
+    def of(cls, **kwargs) -> "RunSpec":
+        """Resolve ``run_coupled`` keyword arguments (omitted ones take
+        its defaults; ``fidelity`` is accepted and ignored).
+
+        ``TypeError`` for an argument ``run_coupled`` does not take or a
+        value of the wrong type, ``KeyError`` for an unknown catalog name.
+        """
+        unknown = kwargs.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"not run_coupled arguments: {sorted(unknown)}")
+        args = {**_DEFAULTS, **kwargs}
+        del args["fidelity"]
+        for name in ("nsim", "nana", "steps"):
+            value = args[name]
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        # A value's repr is its part of the key, so only these types may
+        # stand where an object goes.
+        for name, kind in _OBJECT_INPUTS:
+            if args[name] is not None and not isinstance(args[name], kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, "
+                                f"got {args[name]!r}")
+        machine = _resolve(args["machine"], get_machine)
+        wf = _resolve(args["workflow"], get_workflow)
+        overrides = dict(
+            sim_ranks_per_node=wf.sim_ranks_per_node,
+            ana_ranks_per_node=wf.ana_ranks_per_node,
+        )
+        overrides.update(args["topology_overrides"] or {})
+        if args["variable"] is None:
+            args["variable"] = wf.variable(args["nsim"])
+        for name in ("sim_step_seconds", "ana_step_seconds", "app_axis"):
+            if args[name] is None:
+                args[name] = getattr(wf, name)
+        args.update(machine=_catalog_name(machine, get_machine),
+                    workflow=_catalog_name(wf, get_workflow),
+                    topology_overrides=tuple(sorted(overrides.items())))
+        return cls(**args)
+
+    @property
+    def machine_spec(self) -> MachineSpec:
+        return _resolve(self.machine, get_machine)
+
+    @property
+    def workflow_spec(self) -> WorkflowSpec:
+        return _resolve(self.workflow, get_workflow)
+
+    def new_result(self, **measured) -> RunResult:
+        """A :class:`RunResult` echoing this run's inputs, plus ``measured``."""
+        return RunResult(
+            machine=self.machine_spec.name, workflow=self.workflow_spec.name,
+            method=self.method, nsim=self.nsim, nana=self.nana,
+            steps=self.steps, variable_nbytes=self.variable.nbytes, **measured,
+        )
+
+    @cached_property
+    def key(self) -> Optional[str]:
+        """The run-cache address; None when an ad-hoc machine or
+        workflow spec makes the run uncacheable."""
+        if isinstance(self.machine, str) and isinstance(self.workflow, str):
+            return _address(self)
+        return None
+
+    @cached_property
+    def prefix_key(self) -> Optional[str]:
+        """The prefix-snapshot address every steps count of this point
+        shares (see :mod:`repro.core.forkpoint`).
+
+        None when the run shares no prefix: an uncacheable spec, a
+        compute-only baseline (no orbit to certify), or a fault plan or
+        recovery policy (the run diverges inside the prefix).  The tag
+        keeps it apart from any full-run key.
+        """
+        if (self.key is None or self.method is None
+                or self.fault_plan is not None or self.recovery is not None):
+            return None
+        return _address("steady-boundary-prefix", replace(self, steps=None))
+
+
+#: inputs that hold objects, and the type each must be
+_OBJECT_INPUTS = (
+    ("variable", Variable), ("config", StagingConfig),
+    ("fault_plan", FaultPlan), ("recovery", RecoveryPolicy),
+)
+
+
+def _resolve(entry, lookup):
+    """A catalog entry by name, or the ad-hoc spec object given."""
+    return lookup(entry) if isinstance(entry, str) else entry
+
+
+def _catalog_name(entry, lookup):
+    """A catalog entry's name; an ad-hoc spec object is kept as given."""
+    try:
+        return entry.name if lookup(entry.name) is entry else entry
+    except KeyError:
+        return entry
+
+
+def _address(*parts) -> str:
+    """sha256 over the repr of ``parts`` under the cache schema version."""
+    payload = repr((runcache.SCHEMA_VERSION, *parts))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def run_coupled(
     machine: Union[str, MachineSpec] = "titan",
     workflow: Union[str, WorkflowSpec] = "lammps",
@@ -355,64 +499,66 @@ def run_coupled(
     ``fidelity`` is accepted and ignored, for callers that still pass
     it.
 
-    Results are memoized in :mod:`repro.core.runcache` keyed on every
-    input that determines the outcome; traced runs bypass the cache.
+    Results are memoized in :mod:`repro.core.runcache` under
+    :attr:`RunSpec.key`; traced runs bypass the cache.
     Cache misses first consult the steady-boundary *prefix* entries
     (see :mod:`repro.core.forkpoint`): a sibling run differing only in
     ``steps`` may have published its certified orbit, in which case the
     divergent suffix is replayed arithmetically instead of simulated.
     An engaged steady run ends the same way: it captures its certified
-    orbit into a snapshot, returns that snapshot's ``resume(steps)``
+    orbit into a snapshot, returns that snapshot's ``resume(spec)``
     and publishes the snapshot as the prefix entry — or, for an
     uncacheable ad-hoc spec, logs the one ``prefix:`` entry instead.
     A faulted run has no prefix entry, so on a miss it simulates from
     t=0.
     """
-    # locals() holds exactly the arguments: nothing is assigned above
-    machine_spec, spec, point = _resolve_point(locals())
-    cache_key = None if trace is not None else _cache_key(machine_spec, spec, point)
+    args = locals()  # exactly the arguments: nothing is assigned above
+    trace = args.pop("trace")
+    return run_spec(RunSpec.of(**args), trace)
+
+
+_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(run_coupled).parameters.items()
+    if name != "trace"
+}
+
+
+def run_spec(spec: RunSpec, trace: Optional[ActivityTrace] = None) -> RunResult:
+    """Run one resolved configuration: :func:`run_coupled` past its
+    argument handling.  Pool workers run the spec they are sent here."""
+    key = spec.key if trace is None else None
 
     if _PLAN_RECORDER is not None:
         # Planning pass: record the resolved point (when cacheable) and
         # hand back a placeholder — nothing simulates.  Traced and
         # uncacheable calls are left for the serial replay.
-        return _PLAN_RECORDER.intercept(cache_key, point)
+        return _PLAN_RECORDER.intercept(key, spec)
 
-    if cache_key is not None:
-        from ..core import runcache
-
-        cached = runcache.CACHE.get(cache_key)
+    if key is not None:
+        cached = runcache.CACHE.get(key)
         if cached is not None:
             return cached
-
-        from ..core import forkpoint
-
-        pkey = forkpoint.prefix_key(point)
+        pkey = spec.prefix_key
         if pkey is not None:
             snap = runcache.CACHE.get_prefix(pkey)
             if snap is not None:
-                if snap.serves(steps):
-                    restored = snap.resume(steps)
+                if snap.serves(spec.steps):
+                    restored = snap.resume(spec)
                     restored.forked = f"prefix:{pkey[:16]}"
                     forkpoint.STATS.forks_served += 1
-                    runcache.CACHE.put(cache_key, restored)
+                    runcache.CACHE.put(key, restored)
                     return restored
-                forkpoint.STATS.decline(snap.decline_reason(steps))
+                forkpoint.STATS.decline(snap.decline_reason(spec.steps))
+
+    machine_spec, fault_plan = spec.machine_spec, spec.fault_plan
 
     def _attempt(declined: Optional[str] = None):
         """One simulation: its result, and its snapshot if steady engaged.
 
         ``declined`` forces the run exact, with that ``steady:`` entry.
         """
-        result = RunResult(
-            machine=machine_spec.name,
-            workflow=spec.name,
-            method=method,
-            nsim=nsim,
-            nana=nana,
-            steps=steps,
-            variable_nbytes=point["variable"].nbytes,
-        )
+        result = spec.new_result()
         env = Environment()
         cluster = Cluster(env, machine_spec)
         # only the fault plan's injector can degrade a pipe mid-run, and
@@ -423,9 +569,9 @@ def run_coupled(
         )
         library = snap = None
         try:
-            library = _build_library(cluster, point)
-            snap = _execute(env, cluster, library, result, spec, point,
-                            trace, declined)
+            library = _build_library(cluster, spec)
+            snap = _execute(env, cluster, library, result, spec, trace,
+                            declined)
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
             if not result.fidelity_log:
@@ -443,7 +589,7 @@ def run_coupled(
         if snap is not None:
             # The stopped run only certified the orbit: it ends the way
             # a prefix hit does, by resuming its own snapshot.
-            result = snap.resume(steps)
+            result = snap.resume(spec)
         return result, snap
 
     # The event loop allocates millions of short-lived objects whose
@@ -467,7 +613,7 @@ def run_coupled(
         if was_enabled:
             gc.enable()
 
-    if cache_key is None:
+    if key is None:
         if snap is not None:
             result.fidelity_log += (
                 "prefix: uncacheable configuration (ad-hoc spec)",
@@ -475,106 +621,30 @@ def run_coupled(
         return result
     if snap is not None:
         # Steady engages only on clean, staged points: exactly the ones
-        # prefix_key addresses.
-        runcache.CACHE.put_prefix(pkey, snap)
+        # with a prefix key.
+        runcache.CACHE.put_prefix(spec.prefix_key, snap)
         forkpoint.STATS.snapshots_taken += 1
-    runcache.CACHE.put(cache_key, result)
+    runcache.CACHE.put(key, result)
     return result
 
 
-_SIGNATURE = inspect.signature(run_coupled)
-_DEFAULTS = {name: p.default for name, p in _SIGNATURE.parameters.items()}
-
-#: ``run_coupled`` arguments that steer how a run executes, never what
-#: it computes: they stay out of the point
-_NOT_INPUTS = ("trace", "fidelity")
-
-
-def _resolve_point(args: dict):
-    """Normalize ``run_coupled`` arguments to ``(machine_spec, spec, point)``.
-
-    The point dict carries every input that determines the outcome,
-    with machine/workflow reduced to catalog names and workflow-spec
-    defaults applied.  The cache key, the planning recorder, the
-    forkpoint prefix key and the fidelity resolver all derive from it,
-    so they always agree on what "the same configuration" means.
-    """
-    point = {k: args[k] for k in _SIGNATURE.parameters if k not in _NOT_INPUTS}
-    for name in ("nsim", "nana", "steps"):
-        value = point[name]
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-    workflow, machine = point["workflow"], point["machine"]
-    spec = get_workflow(workflow) if isinstance(workflow, str) else workflow
-    machine_spec = get_machine(machine) if isinstance(machine, str) else machine
-    overrides = dict(
-        sim_ranks_per_node=spec.sim_ranks_per_node,
-        ana_ranks_per_node=spec.ana_ranks_per_node,
-    )
-    overrides.update(point["topology_overrides"] or {})
-    if point["variable"] is None:
-        point["variable"] = spec.variable(point["nsim"])
-    for name in ("sim_step_seconds", "ana_step_seconds", "app_axis"):
-        if point[name] is None:
-            point[name] = getattr(spec, name)
-    point.update(machine=machine_spec.name, workflow=spec.name,
-                 topology_overrides=overrides)
-    return machine_spec, spec, point
-
-
-def point_key(**kwargs) -> Optional[str]:
-    """The run-cache key ``run_coupled(**kwargs)`` would use.
-
-    ``None`` when the configuration is uncacheable; ``TypeError`` for
-    an argument ``run_coupled`` does not take.  The serve daemon uses
-    this to key point jobs (so it refuses a bad point at submit time).
-    """
-    unknown = kwargs.keys() - _DEFAULTS.keys()
-    if unknown:
-        raise TypeError(f"not run_coupled arguments: {sorted(unknown)}")
-    return _cache_key(*_resolve_point({**_DEFAULTS, **kwargs}))
-
-
-def _cache_key(machine_spec, spec, point) -> Optional[str]:
-    """The run-cache key, or None when the configuration is uncacheable.
-
-    Only catalog machines and workflows can be keyed by name; ad-hoc
-    spec objects (custom calibrations in tests) bypass the cache, as
-    does anything :func:`repro.core.runcache.config_key` cannot
-    canonicalize.
-    """
-    from ..core import runcache
-
-    try:
-        if get_machine(machine_spec.name) is not machine_spec:
-            return None
-        if get_workflow(spec.name) is not spec:
-            return None
-    except KeyError:
-        return None
-    try:
-        return runcache.config_key(**point)
-    except TypeError:
-        return None
-
-
-def _build_library(cluster, point) -> Optional[StagingLibrary]:
-    method = point["method"]
+def _build_library(cluster, spec: RunSpec) -> Optional[StagingLibrary]:
+    method = spec.method
     if method is None:
         return None
     kwargs = {}
     if method.lower().startswith(("dataspaces", "dimes")):
-        kwargs["app_axis"] = point["app_axis"]
+        kwargs["app_axis"] = spec.app_axis
     return make_library(
-        method, cluster, nsim=point["nsim"], nana=point["nana"],
-        variable=point["variable"], steps=point["steps"],
-        transport=point["transport"], num_servers=point["num_servers"],
-        shared_nodes=point["shared_nodes"], config=point["config"],
-        topology_overrides=point["topology_overrides"], **kwargs,
+        method, cluster, nsim=spec.nsim, nana=spec.nana,
+        variable=spec.variable, steps=spec.steps,
+        transport=spec.transport, num_servers=spec.num_servers,
+        shared_nodes=spec.shared_nodes, config=spec.config,
+        topology_overrides=dict(spec.topology_overrides), **kwargs,
     )
 
 
-def _execute(env, cluster, library, result, spec, point,
+def _execute(env, cluster, library, result, spec: RunSpec,
              trace: Optional[ActivityTrace], declined: Optional[str]):
     """Simulate one run into ``result``.
 
@@ -583,10 +653,10 @@ def _execute(env, cluster, library, result, spec, point,
     ``declined`` skips the fidelity decision: the run is exact and
     logs that one entry.
     """
-    machine = cluster.spec
-    nsim, nana, steps = point["nsim"], point["nana"], point["steps"]
-    var, axis = point["variable"], point["app_axis"]
-    fault_plan, recovery = point["fault_plan"], point["recovery"]
+    machine, workflow = cluster.spec, spec.workflow_spec
+    nsim, nana, steps = spec.nsim, spec.nana, spec.steps
+    var, axis = spec.variable, spec.app_axis
+    fault_plan, recovery = spec.fault_plan, spec.recovery
 
     def mark(actor: str, activity: str, start: float) -> None:
         if trace is not None:
@@ -617,9 +687,9 @@ def _execute(env, cluster, library, result, spec, point,
         from ..hpc.cluster import Placement
         from ..staging.base import Topology
 
-        topo = Topology(nsim=nsim, nana=nana, **point["topology_overrides"])
+        topo = Topology(nsim=nsim, nana=nana, **dict(spec.topology_overrides))
         sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
-        placement = Placement(cluster, shared_nodes=point["shared_nodes"])
+        placement = Placement(cluster, shared_nodes=spec.shared_nodes)
         placement.place("simulation", sim_actors, ranks_per_node=1)
         placement.place("analytics", ana_actors, ranks_per_node=1)
 
@@ -629,7 +699,7 @@ def _execute(env, cluster, library, result, spec, point,
     bytes_per_ana_proc = var.nbytes / nana
 
     decision = (
-        resolve_fidelity(point, library, traced=trace is not None)
+        resolve_fidelity(spec, library, traced=trace is not None)
         if declined is None else FidelityDecision(log=(declined,))
     )
     result.fidelity_log = decision.log
@@ -667,8 +737,8 @@ def _execute(env, cluster, library, result, spec, point,
         library._steady_tap = []
 
     # Per-step-invariant compute costs, hoisted out of the actor loops.
-    sim_compute = machine.compute_time(point["sim_step_seconds"])
-    ana_compute = machine.compute_time(point["ana_step_seconds"])
+    sim_compute = machine.compute_time(spec.sim_step_seconds)
+    ana_compute = machine.compute_time(spec.ana_step_seconds)
 
     finish = {"sim": 0.0, "ana": 0.0}
     boot_done = env.event()
@@ -682,7 +752,8 @@ def _execute(env, cluster, library, result, spec, point,
     def sim_actor(i: int):
         name = f"sim{i}"
         tracker = sim_trackers[i]
-        tracker.allocate(spec.sim_calc_bytes(bytes_per_sim_proc), "calculation")
+        tracker.allocate(workflow.sim_calc_bytes(bytes_per_sim_proc),
+                         "calculation")
         t0 = env.now
         yield boot_done
         mark(name, "init", t0)
@@ -725,7 +796,8 @@ def _execute(env, cluster, library, result, spec, point,
     def ana_actor(j: int):
         name = f"ana{j}"
         tracker = ana_trackers[j]
-        tracker.allocate(spec.ana_calc_bytes(bytes_per_ana_proc), "calculation")
+        tracker.allocate(workflow.ana_calc_bytes(bytes_per_ana_proc),
+                         "calculation")
         t0 = env.now
         yield boot_done
         mark(name, "init", t0)
@@ -810,8 +882,6 @@ def _execute(env, cluster, library, result, spec, point,
     if not steady.engaged:
         result.fidelity_log += (steady.fail or "steady: no boundary pair matched",)
         return None
-    from ..core import forkpoint
-
-    # On divergence _SteadyDiverged propagates to run_coupled, which
+    # On divergence _SteadyDiverged propagates to run_spec, which
     # reruns the configuration without the fast-forward.
     return forkpoint.capture(steady, result)

@@ -4,9 +4,10 @@ Every run is offered the periodic-orbit fast-forward (``steady``); it
 engages only when its certificate proves the result bit-identical to
 simulating every step, and the run is exact otherwise.  No caller picks
 the tier.  :func:`resolve_fidelity` makes that whole decision from the
-resolved point and the freshly built (not yet bootstrapped) staging
-library, and returns the engaged certificate together with one ordered
-record of why every tier that did not engage declined.
+run's :class:`~repro.workflows.driver.RunSpec` and the freshly built
+(not yet bootstrapped) staging library, and returns the engaged
+certificate together with one ordered record of why every tier that
+did not engage declined.
 
 The record is a tuple of ``"<tier>: <reason>"`` strings, one entry per
 tier that did not engage, in tier order:
@@ -43,13 +44,12 @@ class FidelityDecision:
     log: Tuple[str, ...] = ()
 
 
-def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
+def resolve_fidelity(spec, library, traced: bool) -> FidelityDecision:
     """Decide the steady tier of one run.
 
-    ``point`` is the resolved ``run_coupled`` point (the dict behind the
-    cache key); ``library`` is the built staging library, or None for a
-    compute-only baseline.  Pure: the library's certificate is
-    consulted but nothing is mutated.
+    ``spec`` is the run's resolved ``RunSpec``; ``library`` is the
+    built staging library, or None for a compute-only baseline.  Pure:
+    the library's certificate is consulted but nothing is mutated.
 
     Traced runs need every step; fault injection breaks periodicity; a
     recovery policy can arm mid-run behaviour (e.g. DRC credential
@@ -59,11 +59,11 @@ def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
     """
     if traced:
         return FidelityDecision(log=("steady: traced run records every step",))
-    if point["fault_plan"] is not None:
+    if spec.fault_plan is not None:
         return FidelityDecision(
             log=("steady: fault injection breaks periodicity",)
         )
-    if point["recovery"] is not None:
+    if spec.recovery is not None:
         return FidelityDecision(log=("steady: recovery policy armed",))
     if library is None:
         return FidelityDecision(log=(
@@ -74,9 +74,9 @@ def resolve_fidelity(point, library, traced: bool) -> FidelityDecision:
         return FidelityDecision(log=(
             "steady: library holds aperiodic hidden state (no certificate)",
         ))
-    if point["steps"] < steady.warmup + 3:
+    if spec.steps < steady.warmup + 3:
         return FidelityDecision(log=(
-            f"steady: {point['steps']} steps leave no room past "
+            f"steady: {spec.steps} steps leave no room past "
             f"the {steady.warmup}-step warm-up",
         ))
     return FidelityDecision(steady=steady)

@@ -11,9 +11,8 @@ from repro.chaos import (
     TAXONOMY,
 )
 from repro.core import runcache
-from repro.core.runcache import config_key
 from repro.hpc.failures import HpcError
-from repro.workflows import run_coupled
+from repro.workflows import RunSpec, run_coupled
 
 
 @pytest.fixture(autouse=True)
@@ -86,19 +85,23 @@ class TestCacheCorrectness:
 
     PLAN = FaultPlan(events=(FaultEvent("rank_death", after_puts=3),))
 
+    @staticmethod
+    def key(**kwargs):
+        return RunSpec.of(**kwargs).key
+
     def test_plan_changes_the_key(self):
-        assert config_key(fault_plan=None) != config_key(fault_plan=self.PLAN)
+        assert self.key(fault_plan=None) != self.key(fault_plan=self.PLAN)
 
     def test_equal_plans_share_the_key(self):
         clone = FaultPlan(events=(FaultEvent("rank_death", after_puts=3),))
-        assert config_key(fault_plan=self.PLAN) == config_key(fault_plan=clone)
+        assert self.key(fault_plan=self.PLAN) == self.key(fault_plan=clone)
 
     def test_different_plans_differ(self):
         other = FaultPlan(events=(FaultEvent("rank_death", after_puts=4),))
-        assert config_key(fault_plan=self.PLAN) != config_key(fault_plan=other)
+        assert self.key(fault_plan=self.PLAN) != self.key(fault_plan=other)
 
     def test_recovery_policy_changes_the_key(self):
-        assert config_key(recovery=RecoveryPolicy("none")) != config_key(
+        assert self.key(recovery=RecoveryPolicy("none")) != self.key(
             recovery=RecoveryPolicy("timeout-abort")
         )
 

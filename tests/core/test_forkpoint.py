@@ -10,9 +10,9 @@ Three properties back the snapshots:
 * **honest declines** — whenever a snapshot cannot guarantee identity
   it says why, in ``fidelity_log`` or the decline counters, and the run
   falls back cold;
-* **prefix addressing** — prefix entries are keyed by the spec minus
-  (steps, fault plan, recovery) and never collide with full-run
-  entries.
+* **prefix addressing** — every steps count of a clean staged point
+  shares one prefix key, faulted and recovery-armed runs have none, and
+  prefix entries never collide with full-run entries.
 """
 
 import dataclasses
@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos.campaign import WATCHDOG
 from repro.chaos.faults import FaultEvent, FaultPlan
+from repro.chaos.faults import RecoveryPolicy
 from repro.core import forkpoint, runcache
-from repro.core.forkpoint import PREFIX_EXCLUDES
 from repro.hpc.machines import get_machine
-from repro.workflows import driver, run_coupled
+from repro.workflows import RunSpec, run_coupled
 
 from ..workflows.test_fidelity import assert_same_physics
 from ..workflows.test_perf_modes import exact_run, fresh_run
@@ -60,7 +60,7 @@ class TestPrefixRestore:
     def test_steps_inside_prefix_declines(self):
         runcache.clear()
         run_coupled(steps=8, **STEADY)
-        key = forkpoint.prefix_key(_spec(steps=8))
+        key = _spec(steps=8).prefix_key
         snap = runcache.CACHE.get_prefix(key)
         assert snap is not None
         reason = snap.decline_reason(snap.cutoff + 1)
@@ -155,17 +155,8 @@ def assert_steady_entry_only(result):
 
 
 def _spec(**overrides):
-    """The normalized point dict the driver hands to prefix_key."""
-    kw = dict(
-        machine="cori", workflow="lammps", method="dataspaces", nsim=32,
-        nana=16, steps=8, transport=None, num_servers=None,
-        shared_nodes=False, variable=None, sim_step_seconds=None,
-        ana_step_seconds=None, topology_overrides=None, config=None,
-        app_axis=None, fault_plan=None, recovery=None,
-    )
-    kw.update(overrides)
-    _machine_spec, _spec_obj, point = driver._resolve_point(kw)
-    return point
+    """The resolved spec of a ``STEADY`` point."""
+    return RunSpec.of(**dict(STEADY, **overrides))
 
 
 # --------------------------------------------------------- prefix keying
@@ -173,21 +164,25 @@ def _spec(**overrides):
 
 class TestPrefixKeys:
     def test_steps_share_a_key(self):
-        keys = {forkpoint.prefix_key(_spec(steps=s)) for s in (8, 16, 99)}
+        keys = {_spec(steps=s).prefix_key for s in (8, 16, 99)}
         assert len(keys) == 1 and None not in keys
 
     def test_excluded_inputs(self):
-        assert PREFIX_EXCLUDES == ("steps", "fault_plan", "recovery")
+        # a faulted or recovery-armed run diverges inside the prefix, and
+        # a compute-only baseline has no orbit to certify
         plan = FaultPlan(
             events=(FaultEvent("server_crash", after_puts=5, target=0),),
             watchdog=WATCHDOG,
         )
-        assert forkpoint.prefix_key(_spec(fault_plan=plan)) is None
+        assert _spec(fault_plan=plan).prefix_key is None
+        assert _spec(recovery=RecoveryPolicy("timeout-abort")).prefix_key is None
+        assert _spec(method=None).prefix_key is None
+        assert _spec(nsim=64).prefix_key != _spec().prefix_key
 
     def test_put_get_round_trip(self):
         runcache.clear()
         run_coupled(steps=8, **STEADY)
-        key = forkpoint.prefix_key(_spec(steps=8))
+        key = _spec(steps=8).prefix_key
         snap = runcache.CACHE.get_prefix(key)
         assert snap is not None and snap.serves(16)
         # other direction: a fresh cache answers None, then serves
@@ -201,10 +196,10 @@ class TestPrefixKeys:
     def test_prefix_never_collides_with_full_entry(self):
         runcache.clear()
         result = run_coupled(steps=8, **STEADY)
-        full_key = driver.point_key(**dict(STEADY, steps=8))
+        full_key = _spec(steps=8).key
         assert runcache.CACHE.get(full_key) is result
         assert runcache.CACHE.get_prefix(full_key) is None
-        prefix = forkpoint.prefix_key(_spec(steps=8))
+        prefix = _spec(steps=8).prefix_key
         assert prefix != full_key
         assert runcache.CACHE.get(prefix) is None
         assert result is not None

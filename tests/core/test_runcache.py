@@ -8,12 +8,12 @@ import types
 import pytest
 
 from repro.core import runcache
-from repro.core.runcache import RunCache, config_key
+from repro.core.runcache import RunCache
 from repro.hpc.machines import get_machine
 from repro.sim import TimeSeries
 from repro.staging.base import StagingConfig
 from repro.staging.ndarray import Variable
-from repro.workflows import run_coupled
+from repro.workflows import RunSpec, run_coupled
 from repro.workflows.trace import ActivityTrace
 
 
@@ -24,34 +24,44 @@ def clean_cache():
     runcache.clear()
 
 
+def key(**kwargs):
+    return RunSpec.of(**kwargs).key
+
+
 class TestConfigKey:
     BASE = dict(machine="titan", workflow="lammps", method="dataspaces",
                 nsim=32, nana=16, steps=5)
 
     def test_stable(self):
-        assert config_key(**self.BASE) == config_key(**self.BASE)
+        assert key(**self.BASE) == key(**self.BASE)
 
     def test_kwarg_order_irrelevant(self):
-        forward = config_key(**self.BASE)
-        backward = config_key(**dict(reversed(list(self.BASE.items()))))
+        forward = key(**self.BASE, topology_overrides=dict(
+            sim_ranks_per_node=1, ana_ranks_per_node=2))
+        backward = key(**dict(reversed(list(self.BASE.items()))),
+                       topology_overrides=dict(ana_ranks_per_node=2,
+                                               sim_ranks_per_node=1))
         assert forward == backward
 
     @pytest.mark.parametrize("field,value", [
         ("machine", "cori"), ("method", "dimes"), ("nsim", 64), ("steps", 6),
     ])
     def test_sensitive_to_every_input(self, field, value):
-        assert config_key(**{**self.BASE, field: value}) != config_key(**self.BASE)
+        assert key(**{**self.BASE, field: value}) != key(**self.BASE)
 
     def test_dataclasses_canonicalized(self):
-        a = config_key(config=StagingConfig(), variable=Variable("v", (8, 8)))
-        b = config_key(config=StagingConfig(), variable=Variable("v", (8, 8)))
-        c = config_key(config=StagingConfig(max_versions=2),
-                       variable=Variable("v", (8, 8)))
+        a = key(config=StagingConfig(), variable=Variable("v", (8, 8)))
+        b = key(config=StagingConfig(), variable=Variable("v", (8, 8)))
+        c = key(config=StagingConfig(max_versions=2),
+                variable=Variable("v", (8, 8)))
         assert a == b != c
 
     def test_uncanonicalizable_rejected(self):
-        with pytest.raises(TypeError):
-            config_key(callback=lambda: None)
+        with pytest.raises(TypeError, match="not run_coupled arguments"):
+            key(callback=lambda: None)
+        # an object of the wrong type would key by its address
+        with pytest.raises(TypeError, match="config must be a StagingConfig"):
+            key(config=types.SimpleNamespace(transport="ugni"))
 
 
 class TestRunCache:

@@ -52,7 +52,7 @@ class TestBuildPlan:
         assert len(plan.tasks) == 2
         assert plan.total_refs == 3
         assert plan.deduped_refs == 1
-        shared = next(t for t in plan.tasks if t.spec["method"] == "dataspaces")
+        shared = next(t for t in plan.tasks if t.spec.method == "dataspaces")
         assert shared.experiments == ["e1", "e2"]
         assert shared.refs == 2
 
@@ -94,7 +94,7 @@ class TestBuildPlan:
             "small": lambda: tiny(),
             "big": lambda: tiny(nsim=64, nana=32, steps=2),
         })
-        assert plan.tasks[0].spec["nsim"] == 64
+        assert plan.tasks[0].spec.nsim == 64
 
     def test_recorder_always_uninstalled(self):
         def bad():
@@ -123,12 +123,13 @@ class TestPlaceholder:
         assert r.server_memory_breakdown == {}
 
     def test_worker_spec_reproduces_the_planned_key(self):
-        # The parent-computed key must equal the key a worker derives
-        # from the shipped spec — the contract cache seeding relies on.
+        # The parent-computed key must equal the key a worker caches the
+        # shipped spec's result under — the contract cache seeding
+        # relies on.
         plan = build_plan({"e1": lambda: tiny()})
         task = plan.tasks[0]
-        from repro.exec.pool import _execute_spec
+        from repro.exec.pool import _execute_task
 
-        result, cache_hit = _execute_spec(task.spec, attempt=1)
+        result, cache_hit = _execute_task(task, attempt=1)
         assert not cache_hit
         assert runcache.CACHE._memory[task.key] is result  # ships as cached

@@ -14,7 +14,7 @@ from repro.exec import execute_parallel
 from repro.exec import pool as pool_module
 from repro.exec.plan import PlannedTask
 from repro.exec.pool import WorkerPool, effective_jobs
-from repro.workflows import run_coupled
+from repro.workflows import RunSpec, run_coupled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -54,8 +54,12 @@ def baseline_spec(nsim, **extra):
     return spec
 
 
-def task(key, spec):
-    return PlannedTask(key=key, spec=spec, experiments=["t"], refs=1)
+def task(key, point):
+    """A task for ``point``; its dunder keys become the worker hooks."""
+    hooks = {k: v for k, v in point.items() if k.startswith("__")}
+    spec = RunSpec.of(**{k: v for k, v in point.items() if k not in hooks})
+    return PlannedTask(key=key, spec=spec, experiments=["t"], refs=1,
+                       hooks=hooks)
 
 
 class TestEffectiveJobs:
@@ -138,13 +142,14 @@ class TestPoolExecution:
         assert outcomes["fine"].status == "ok"
 
     def test_worker_exception_is_retried_then_quarantined(self, make_pool):
-        bad = dict(machine="titan", workflow="lammps", method=None,
-                   nsim=2, nana=1, steps=1, no_such_kwarg=True)
+        # a spec resolves any method name; the worker's library factory
+        # is what refuses an unknown one
+        bad = baseline_spec(2, method="no-such-method")
         pool = make_pool(jobs=1, max_attempts=2, backoff_base=0.05)
         outcomes = pool.run([task("bad", bad)])
         assert outcomes["bad"].status == "quarantined"
         assert outcomes["bad"].attempts == 2
-        assert "TypeError" in outcomes["bad"].error
+        assert "ValueError: unknown staging method" in outcomes["bad"].error
 
     def test_workers_share_the_disk_cache(self, tmp_path, make_pool):
         spec = baseline_spec(2)

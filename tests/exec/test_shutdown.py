@@ -24,17 +24,18 @@ import sys
 
 from repro.exec.plan import PlannedTask
 from repro.exec.pool import PoolInterrupted, WorkerPool
+from repro.workflows import RunSpec
 
 
-def spec(n, nap):
-    return dict(machine="titan", workflow="lammps", method=None,
-                nsim=n, nana=max(1, n // 2), steps=1, __sleep__=nap)
+def spec(n):
+    return RunSpec.of(machine="titan", workflow="lammps", method=None,
+                      nsim=n, nana=max(1, n // 2), steps=1)
 
 
 def main():
     tasks = [
-        PlannedTask(key=f"k{i}", spec=spec(2 + i, 1.0),
-                    experiments=["t"], refs=1)
+        PlannedTask(key=f"k{i}", spec=spec(2 + i), experiments=["t"],
+                    refs=1, hooks={"__sleep__": 1.0})
         for i in range(12)
     ]
     # batch_max=1 keeps at most one task in flight per worker, so the

@@ -42,16 +42,6 @@ class TestSingleFlight:
         assert flight.begin("b") is True
         assert flight.inflight_now == 2
 
-    def test_abandon_returns_orphans_without_invoking(self):
-        flight = SingleFlight()
-        got = []
-        flight.begin("k")
-        flight.begin("k", follower=got.append)
-        orphans = flight.abandon("k")
-        assert len(orphans) == 1
-        assert got == []  # the caller decides what to feed them
-        assert flight.inflight_now == 0
-
     def test_counters(self):
         flight = SingleFlight()
         flight.begin("k")

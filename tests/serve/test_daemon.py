@@ -21,6 +21,7 @@ from repro.core.study import Study
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import Job, ServeDaemon
+from repro.workflows import RunSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -221,7 +222,7 @@ class TestPointServing:
             hits = [c.wait(c.submit_point(spec)["job"]) for _ in range(3)]
             assert len(packed) == 2  # the pool's answer, then the first hit
             # a re-seeded entry is packed anew
-            key = served.daemon._point_key(spec)
+            key = RunSpec.of(**spec).key
             runcache.CACHE.seed(key, copy.deepcopy(runcache.CACHE.get(key)))
             hits.append(c.wait(c.submit_point(spec)["job"]))
         assert len(packed) == 3
@@ -295,16 +296,30 @@ class TestPointServing:
                 c.submit_point(point_spec(steps="16"))
 
     def test_point_the_pool_cannot_cost_fails_cleanly(self, served):
-        # a client-supplied key skips the daemon's own resolution, so the
-        # bad spec reaches the pool thread, which must fail it and live on
+        # a key sent along with the point skips nothing: the daemon
+        # resolves every point itself, so the bad spec never reaches the
+        # pool thread
+        request = dict(op="submit", kind="point", key="no-such-key",
+                       spec_b64=protocol.pack_pickle(point_spec(steps="16")))
         with client(served) as c:
-            reply = c.submit_point(point_spec(steps="16"), key="no-such-key")
-            final = c.wait(reply["job"])
-            assert final["state"] == "failed"
-            assert "TypeError" in final["error"]
+            with pytest.raises(ServeError,
+                               match="bad submission: steps must be an int"):
+                c._request(request)
             again = c.wait(c.submit_point(point_spec(nsim=16, nana=8))["job"])
-            assert again["state"] == "done"
-            assert c.stats()["pool"]["loop_errors"] >= 1
+        assert again["state"] == "done"
+
+    def test_a_sent_key_cannot_redirect_a_point(self, served):
+        # point A submitted under point B's key must not answer B
+        a = point_spec(nsim=2, nana=1, steps=1)
+        b = point_spec(nsim=4, nana=2, steps=3)
+        request = dict(op="submit", kind="point", key=RunSpec.of(**b).key,
+                       spec_b64=protocol.pack_pickle(a))
+        with client(served) as c:
+            assert c.wait(c._request(request)["job"])["state"] == "done"
+            final = c.wait(c.submit_point(b)["job"])
+        assert final["state"] == "done"
+        summary = final["result"]["summary"]
+        assert (summary["nsim"], summary["steps"]) == (4, 3)
 
 
 class TestStudyOverService:

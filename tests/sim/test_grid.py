@@ -9,11 +9,12 @@ engine, so they get direct property tests here:
   invalidate every golden;
 * the lazy calendar queue pops events in exactly the ``(tick, eid)``
   order of the binary heap it replaced, including same-tick cascades
-  scheduled mid-drain.
+  scheduled mid-drain, on drawn event trees and on the three delay
+  profiles the engine benchmark streams.
 """
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,7 +152,53 @@ def _calendar_run(seed, roots):
     return order
 
 
+#: the delay profiles ``benchmarks/bench_study.py --engine`` streams: over
+#: half of an engine's events land on the current tick (succeed()
+#: cascades, process kick-offs, resource grants), the rest short or wide
+ENGINE_STREAMS = {
+    "cascade": lambda rng: 0 if rng.random() < 0.55 else rng.randrange(1, 1 << 20),
+    "uniform": lambda rng: rng.randrange(1, 1 << 20),
+    "wide": lambda rng: rng.randrange(1, 1 << 44),
+}
+
+
 class TestCalendarQueueEquivalence:
+    @pytest.mark.parametrize("profile", sorted(ENGINE_STREAMS))
+    def test_engine_streams_pop_in_heap_order(self, profile):
+        # 1,000 events stay pending while 20,000 pops each push the next
+        # drawn delay, through the real Environment and through a
+        # (tick, eid) heap
+        rng = random.Random(1234)
+        draw = ENGINE_STREAMS[profile]
+        pending = [draw(rng) for _ in range(1000)]
+        delays = [draw(rng) for _ in range(20_000)]
+
+        heap = [(tick, eid) for eid, tick in enumerate(pending)]
+        heapify(heap)
+        expected = []
+        for i, delay in enumerate(delays):
+            tick, eid = heappop(heap)
+            expected.append((tick, eid))
+            heappush(heap, (tick + delay, len(pending) + i))
+
+        env = Environment()
+        popped = []
+
+        def fire(eid):
+            def callback(_ev):
+                i = len(popped)
+                popped.append((env.now_tick, eid))
+                if i < len(delays):
+                    ev = env.timeout_at_tick(env.now_tick + delays[i])
+                    ev.callbacks.append(fire(len(pending) + i))
+            return callback
+
+        for eid, tick in enumerate(pending):
+            env.timeout_at_tick(tick).callbacks.append(fire(eid))
+        while len(popped) < len(delays):
+            env.step()
+        assert popped == expected
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_pop_order_matches_heap(self, seed):

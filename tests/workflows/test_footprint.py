@@ -10,7 +10,7 @@ from repro.chaos.faults import FaultEvent, FaultPlan
 from repro.core import runcache
 from repro.hpc import cluster as cluster_module
 from repro.sim import Environment
-from repro.workflows import RunResult, driver, run_coupled
+from repro.workflows import RunResult, RunSpec, driver, run_coupled
 
 #: a fault that slows one OST for a second and lets the run finish
 OST_SLOW = FaultPlan((FaultEvent("ost_slow", at=6.0, factor=2.0,
@@ -69,7 +69,7 @@ def test_a_finished_run_is_garbage(envs, method, fault_plan, fidelity):
     result = run_coupled(**point)
     assert result.ok
     assert result.fidelity == fidelity
-    held = (result, runcache.CACHE.get(driver.point_key(**point)),
+    held = (result, runcache.CACHE.get(RunSpec.of(**point).key),
             dict(runcache.CACHE._prefixes))
     assert held[1] is result
     assert len(held[2]) == (fidelity == "steady")

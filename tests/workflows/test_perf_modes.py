@@ -12,7 +12,7 @@
 import pytest
 
 from repro.core import runcache
-from repro.workflows import driver, run_coupled
+from repro.workflows import RunSpec, run_coupled
 from repro.workflows.trace import ActivityTrace
 
 SCALAR_FIELDS = (
@@ -78,4 +78,4 @@ class TestFidelityRequests:
         # every spelling a caller may still send, valid or not, keys as
         # the run without it
         for fidelity in ("exact", "steady", "steady+clustered"):
-            assert driver.point_key() == driver.point_key(fidelity=fidelity)
+            assert RunSpec.of().key == RunSpec.of(fidelity=fidelity).key

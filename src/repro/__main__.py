@@ -16,7 +16,7 @@ Subcommands:
   seed-fixed job count; every faulted cell simulates cold);
 * ``serve [--socket PATH] [--tcp HOST:PORT] [--jobs N] [--cache DIR]``
   — start the long-running simulation service: a warm spawn-worker
-  pool plus a single-flight shared run cache behind a newline-JSON
+  pool plus a shared run cache behind a newline-JSON
   protocol (see :mod:`repro.serve`); stop with SIGINT/SIGTERM or
   ``repro submit --shutdown``;
 * ``submit (--fig ID | --chaos-seed S | --ping | --stats |

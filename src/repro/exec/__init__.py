@@ -1,15 +1,13 @@
 """``repro.exec`` — the parallel study scheduler.
 
-Four modules:
+Three modules:
 
 * :mod:`.plan`   — enumerate every experiment's ``run_coupled`` points
   into a deduplicated work-plan (content-addressed by each point's
   :attr:`~repro.workflows.driver.RunSpec.key`);
 * :mod:`.pool`   — :class:`WorkerPool`, the one spawn worker pool: warm
-  workers, crash retry and quarantine, recycling, per-point
-  single-flight, graceful drain, sharing the on-disk run cache;
-* :mod:`.flight` — :class:`~repro.exec.flight.SingleFlight`, coalescing
-  concurrent identical computations onto one leader;
+  workers, crash retry and quarantine, recycling, graceful drain,
+  sharing the on-disk run cache;
 * :mod:`.report` — live progress/ETA plus the JSON run report.
 
 :func:`execute_parallel` ties them together.  It never *produces* the

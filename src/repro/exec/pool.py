@@ -36,9 +36,10 @@ the :class:`RunResult` objects the workers returned and cached.
   next idle moment and replaced fresh, bounding any slow leak a
   long-lived simulator process could accumulate; a crashed worker is
   replaced on reap, so the pool never shrinks below its target.
-* Concurrent submissions of one run-cache key **single-flight**
-  (:class:`~repro.exec.flight.SingleFlight`): one leader simulates,
-  followers receive the same outcome object.
+* The pool runs every submission it is given: a campaign's plan
+  deduplicates its points and the serve daemon its concurrent jobs, so
+  only a figure task and a point job with one key that overlap both
+  simulate it, with identical results.
 * Workers count the discrete events their simulations process, so
   :meth:`stats` can quote pool-resident events/sec.
 * :meth:`shutdown` drains in-flight tasks up to ``drain_seconds`` and
@@ -67,7 +68,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .flight import SingleFlight
 from .plan import PlannedTask
 
 #: exit code of a deliberately crashed (poison-marker) worker
@@ -319,7 +319,6 @@ class WorkerPool:
         #: size of every batch the latest :meth:`run` call shipped (its
         #: own tasks only: a batch never mixes two batch logs)
         self.batch_sizes: List[int] = []
-        self.flight = SingleFlight()
 
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
@@ -407,11 +406,9 @@ class WorkerPool:
 
         ``on_done`` fires exactly once from the pool thread with the
         final :class:`TaskOutcome`; ``on_progress`` sees retry events
-        first.  A task whose run-cache key is already in flight
-        coalesces onto the leader (no new simulation) and ``on_done``
-        fires with the leader's outcome.  Every batch that ships this
-        task appends its size to ``batch_log``.  On a pool that is not
-        running the task resolves ``cancelled`` at once.
+        first.  Every batch that ships this task appends its size to
+        ``batch_log``.  On a pool that is not running the task resolves
+        ``cancelled`` at once.
         """
         submission = Submission(task=task, on_done=on_done,
                                 on_progress=on_progress, batch_log=batch_log)
@@ -419,17 +416,11 @@ class WorkerPool:
             running = self._thread is not None and not self._stop.is_set()
             if running:
                 self.submitted += 1
-                if not self.flight.begin(
-                    task.key,
-                    follower=lambda outcome: self._follow(submission, outcome),
-                ):
-                    return submission  # follower: resolved when the leader settles
                 self._queue.append((submission, 1))
-        if not running:
-            # never claimed the flight key: an in-flight leader keeps it
-            self._resolve_cancelled(submission, leader=False)
-            return submission
-        self._wake()
+        if running:
+            self._wake()
+        else:
+            self._resolve_cancelled(submission)
         return submission
 
     def run(
@@ -528,7 +519,6 @@ class WorkerPool:
             busy_seconds=round(busy, 3),
             events_per_second_resident=round(self.events_total / busy, 1)
             if busy > 0 else 0.0,
-            singleflight=self.flight.stats(),
             uptime_seconds=round(time.monotonic() - self.started_at, 3)
             if self.started_at is not None else 0.0,
         )
@@ -829,13 +819,6 @@ class WorkerPool:
             self.completed += 1
         self._emit(submission, worker, outcome.status)
         submission.resolved = True
-        self.flight.settle(submission.task.key, outcome)
-        submission.on_done(outcome)
-
-    def _follow(self, submission: Submission, outcome: TaskOutcome) -> None:
-        """A leader settled; deliver its outcome to this follower."""
-        submission.outcome = outcome
-        submission.resolved = True
         submission.on_done(outcome)
 
     def _resolve_failed(self, submission: Submission, error: str) -> None:
@@ -843,18 +826,15 @@ class WorkerPool:
         submission.outcome.error = error
         submission.resolved = True
         self.failed += 1
-        self.flight.settle(submission.task.key, submission.outcome)
         submission.on_done(submission.outcome)
 
-    def _resolve_cancelled(self, submission: Submission, leader: bool = True) -> None:
+    def _resolve_cancelled(self, submission: Submission) -> None:
         if submission.resolved:
             return
         submission.outcome.status = "cancelled"
         submission.outcome.error = "cancelled"
         submission.resolved = True
         self.cancelled += 1
-        if leader:
-            self.flight.settle(submission.task.key, submission.outcome)
         submission.on_done(submission.outcome)
 
     # -- drain ---------------------------------------------------------

@@ -4,9 +4,9 @@ The batch tools (``repro study --jobs N``, ``repro chaos``) pay
 interpreter + import start-up per campaign and share nothing across
 invocations.  This package turns the simulator into a *service*: a
 long-running asyncio daemon that keeps one
-:class:`repro.exec.pool.WorkerPool` started (warm spawn workers,
-per-point single-flight) over the shared run cache, serving many
-concurrent clients.
+:class:`repro.exec.pool.WorkerPool` of warm spawn workers started over
+the shared run cache, serving many concurrent clients; duplicate
+concurrent submissions share one job.
 
 * :mod:`.protocol` — the newline-delimited JSON wire format (framing,
   figure-id normalization, the pickle side-channel for rich payloads);

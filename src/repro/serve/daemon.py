@@ -17,10 +17,12 @@ Execution model
 ---------------
 
 The asyncio loop only shuffles bytes and bookkeeping, and answers the
-points the run cache already holds (each cached result is pickled for
-the wire once, however often it is asked for); simulation work lands
-in two places.  Other points go straight to the daemon's
-:class:`~repro.exec.pool.WorkerPool`, started once and kept resident.
+points the run cache already holds at submission, the job born
+``done`` (each cached result is pickled for the wire once, however
+often it is asked for); simulation work lands in two places.  Other
+points go straight to the daemon's :class:`~repro.exec.pool.WorkerPool`,
+started once and kept resident, whose completion callback finishes
+their job on the loop.
 Figure and chaos jobs run on a dedicated single **replay thread**:
 planning and serial replay mutate process globals (the plan-recorder
 hook, the in-process run cache, the registry singletons), so at most
@@ -29,24 +31,30 @@ concurrent figure submissions queue behind each other while their
 simulation points still fan out across the pool.  Every job's
 progress events are mirrored to any number of streaming subscribers.
 
-Duplicate concurrent submissions **single-flight** at job granularity
-(same figure/full, same chaos seed, same point key -> one underlying
-job, ``coalesced`` counted in ``stats``; live jobs are indexed by key,
-so the check is one lookup) and again at point granularity inside the
-pool.  A point's key is always the daemon's own: it builds one
+Duplicate concurrent submissions **single-flight** on the index of
+live jobs (same figure/full, same chaos seed, same point key -> one
+underlying job, ``coalesced`` counted in ``stats``; the check is one
+lookup); the pool itself runs every task it is given.  A point's key
+is always the daemon's own: it builds one
 :class:`~repro.workflows.driver.RunSpec` from each distinct point
 spelling it receives and keys the job by the spec's run-cache key, so
 spellings of one point share a job and figure-seeded results answer
-it.  Completed
-results are *not* reused at the job level — re-submitting a finished
-figure makes a new job whose points all hit the shared run cache,
-which is the cheaper and more observable path.
+it.  Completed results are *not* reused at the job level —
+re-submitting a finished figure makes a new job whose points all hit
+the shared run cache, which is the cheaper and more observable path.
 Finished jobs linger for late ``status``/``stream`` readers and are
 then evicted at submission time — oldest-finished first past
 ``job_cap`` total jobs, unconditionally once ``job_ttl_seconds`` past
 their finish — so a resident daemon's job registry stays bounded
 (``evicted`` in ``stats``).  Finished jobs are kept in finish order, so
-eviction stops at the first job it keeps.
+eviction stops at the first job it keeps.  Each job's end is counted
+once, by state, when it leaves the live index.
+
+Two memos are not bounded, like the run cache beside them: the spec
+memo keeps one entry per distinct submitted point spelling, and the
+hit-payload memo one per cached point that was hit (336 and ~225 after
+the 1,000-request seed-1 what-if stream of ``benchmarks/e2e``, whose
+run cache then holds 336 entries).
 
 SIGINT/SIGTERM (or the ``shutdown`` op) trigger the graceful sequence:
 stop accepting, cancel queued jobs, drain in-flight pool tasks up to
@@ -56,6 +64,7 @@ stop accepting, cancel queued jobs, drain in-flight pool tasks up to
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
 import signal
@@ -69,7 +78,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core import runcache
 from ..exec.plan import PlannedTask
-from ..exec.pool import WorkerPool
+from ..exec.pool import Submission, TaskOutcome, WorkerPool
 from ..workflows.driver import RunSpec
 from . import protocol
 
@@ -96,6 +105,9 @@ class Job:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     cancel_requested: bool = False
+    #: a point job's pool submission, the handle :meth:`ServeDaemon._cancel`
+    #: passes to the pool
+    submission: Optional[Submission] = field(default=None, repr=False)
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     #: called on the loop thread once the job reaches a terminal state
     on_finish: Optional[Callable[["Job"], None]] = field(
@@ -279,9 +291,11 @@ class ServeDaemon:
                         job.cancel_requested = True
                         job._finish_on_loop("cancelled", None,
                                             "daemon stopping")
-                        self.jobs_cancelled += 1
             await self._loop.run_in_executor(None, self.pool.shutdown)
-            self._replay.shutdown(wait=True, cancel_futures=True)
+            # waited for off the loop, so the finish the replay thread
+            # posts last still runs, and is counted, before the loop closes
+            await self._loop.run_in_executor(None, functools.partial(
+                self._replay.shutdown, wait=True, cancel_futures=True))
             if self.socket_path is not None and os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
 
@@ -389,9 +403,16 @@ class ServeDaemon:
 
     def _retire(self, job: Job) -> None:
         """A job reached a terminal state (loop thread): it leaves the
-        single-flight index and joins the finish order."""
+        single-flight index, joins the finish order and is counted by
+        its final state; no other code counts a job's end."""
         del self._live[job.key]
         self._finished.append(job)
+        if job.state == "done":
+            self.jobs_completed += 1
+        elif job.state == "failed":
+            self.jobs_failed += 1
+        else:
+            self.jobs_cancelled += 1
 
     def _evict_finished(self) -> None:
         """Drop finished jobs past the TTL or the retention cap.
@@ -475,7 +496,7 @@ class ServeDaemon:
         self._live[key] = job
         self.jobs_submitted += 1
         if kind == "point":
-            asyncio.ensure_future(self._run_point_job(job))
+            self._start_point(job)
         else:
             future = self._replay.submit(self._run_replay_job, job)
             future.add_done_callback(lambda f: f.exception())  # logged via job
@@ -486,56 +507,44 @@ class ServeDaemon:
             job.cancel_requested = True
             if job.state == "queued":
                 job._finish_on_loop("cancelled", None, "cancelled by client")
-                self.jobs_cancelled += 1
-        submission = job.params.get("__submission__")
-        if submission is not None:
-            self.pool.cancel(submission)
+        if job.submission is not None:
+            self.pool.cancel(job.submission)
         return dict(ok=True, job=job.ident, state=job.state)
 
-    # -- point jobs (asyncio + pool) -----------------------------------
+    # -- point jobs (loop + pool) --------------------------------------
 
-    async def _run_point_job(self, job: Job) -> None:
-        if job.cancel_requested:
+    def _start_point(self, job: Job) -> None:
+        """Answer a cached point now; hand a miss to the pool."""
+        spec = job.params["spec"]
+        cached = runcache.CACHE.get(spec.key) if spec.key else None
+        if cached is not None:
+            job._finish_on_loop("done", self._hit_payload(spec.key, cached), None)
             return
         job.state = "running"
-        key = job.params["cache_key"]
-        cacheable = not key.startswith("uncached:")
-        if cacheable:
-            cached = runcache.CACHE.get(key)
-            if cached is not None:
-                job._finish_on_loop("done", self._hit_payload(key, cached), None)
-                self.jobs_completed += 1
-                return
-        task = PlannedTask(key=key, spec=job.params["spec"],
+        task = PlannedTask(key=job.params["cache_key"], spec=spec,
                            experiments=["point"], refs=1,
                            hooks=job.params["hooks"])
-        future: asyncio.Future = self._loop.create_future()
 
-        def on_done(outcome) -> None:
+        def on_done(outcome: TaskOutcome) -> None:  # pool thread
             try:
-                self._loop.call_soon_threadsafe(future.set_result, outcome)
+                self._loop.call_soon_threadsafe(self._finish_point, job, outcome)
             except RuntimeError:
-                pass
+                pass  # loop already closed (daemon stopping)
 
-        submission = self.pool.submit(task, on_done=on_done, on_progress=job.emit)
-        job.params["__submission__"] = submission
-        outcome = await future
+        job.submission = self.pool.submit(task, on_done=on_done,
+                                          on_progress=job.emit)
+
+    def _finish_point(self, job: Job, outcome: TaskOutcome) -> None:
+        spec = job.params["spec"]
         if outcome.status == "ok":
-            if cacheable:
-                runcache.CACHE.seed(key, outcome.result)
-            job.finish(
-                "done",
-                self._point_payload(
-                    outcome.result, outcome.cache_hit, outcome.attempts
-                ),
-            )
-            self.jobs_completed += 1
+            if spec.key:
+                runcache.CACHE.seed(spec.key, outcome.result)
+            job._finish_on_loop("done", self._point_payload(
+                outcome.result, outcome.cache_hit, outcome.attempts), None)
         elif outcome.status == "cancelled":
-            job.finish("cancelled", None, "cancelled")
-            self.jobs_cancelled += 1
+            job._finish_on_loop("cancelled", None, "cancelled")
         else:
-            job.finish("failed", None, outcome.error or "quarantined")
-            self.jobs_failed += 1
+            job._finish_on_loop("failed", None, outcome.error or "quarantined")
 
     def _hit_payload(self, key: str, result) -> Dict[str, Any]:
         """A cache hit's payload, built once per cached result.
@@ -571,11 +580,10 @@ class ServeDaemon:
     def _run_replay_job(self, job: Job) -> None:
         with self._claim:
             if job.state != "queued":
-                return  # cancelled while it waited for this thread: counted
+                return  # cancelled while it waited for this thread
             job.state = "running"
         if job.cancel_requested or self._stopping:
             job.finish("cancelled", None, "cancelled before start")
-            self.jobs_cancelled += 1
             return
         try:
             from ..core.export import to_csv, to_json
@@ -614,7 +622,6 @@ class ServeDaemon:
             )
             if self._stopping or job.cancel_requested:
                 job.finish("cancelled", None, "daemon stopping")
-                self.jobs_cancelled += 1
                 return
             # Serial replay in canonical order against the warmed
             # cache: the exported bytes equal the serial goldens.
@@ -625,10 +632,8 @@ class ServeDaemon:
             job.finish(
                 "done", dict(tables=tables, report=report.to_dict())
             )
-            self.jobs_completed += 1
         except Exception:
             job.finish("failed", None, traceback.format_exc())
-            self.jobs_failed += 1
 
     # -- stats ---------------------------------------------------------
 
@@ -638,8 +643,6 @@ class ServeDaemon:
         states: Dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
-        pool = self.pool.stats()
-        flight = pool.pop("singleflight")
         return dict(
             protocol=protocol.PROTOCOL_VERSION,
             uptime_seconds=round(time.monotonic() - self.started_at, 3),
@@ -652,13 +655,8 @@ class ServeDaemon:
                 evicted=self.jobs_evicted,
                 states=states,
             ),
-            pool=pool,
-            cache=dict(
-                **runcache.CACHE.stats(),
-                point_coalesced=flight["coalesced"],
-                point_inflight_now=flight["inflight_now"],
-                job_coalesced=self.jobs_coalesced,
-            ),
+            pool=self.pool.stats(),
+            cache=runcache.CACHE.stats(),
             #: resident prefix-snapshot observability: prefix entries
             #: stay hot in this process's run cache across jobs, so
             #: replays keep serving steps variants without re-simulating

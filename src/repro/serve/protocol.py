@@ -11,7 +11,7 @@ Requests::
     {"op": "ping"}
     {"op": "submit", "kind": "figure", "figure": "fig2a", "full": false}
     {"op": "submit", "kind": "chaos", "seed": 7}
-    {"op": "submit", "kind": "point", "spec_b64": ..., "key": ...}
+    {"op": "submit", "kind": "point", "spec_b64": ...}
     {"op": "status", "job": "j1"}
     {"op": "wait",   "job": "j1"}
     {"op": "stream", "job": "j1"}

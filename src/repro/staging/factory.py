@@ -109,6 +109,17 @@ def method_names() -> list:
     return list(METHODS)
 
 
+def method_spec(method: str) -> MethodSpec:
+    """The registry entry for ``method``, case-insensitive; ``ValueError``
+    for a name the registry does not hold."""
+    try:
+        return METHODS[method.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown staging method {method!r}; available: {method_names()}"
+        ) from None
+
+
 def make_library(
     method: str,
     cluster: Cluster,
@@ -129,13 +140,7 @@ def make_library(
     for the Figure 10 socket runs, ``shm`` for Figure 13).
     ``num_servers`` overrides the default sizing (Figures 11/12).
     """
-    try:
-        spec = METHODS[method.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown staging method {method!r}; available: {method_names()}"
-        ) from None
-
+    spec = method_spec(method)
     servers = spec.server_sizing(nsim, nana) if num_servers is None else num_servers
     topo_kwargs = dict(
         nsim=nsim,

@@ -31,7 +31,7 @@ from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..staging import calibration as cal
 from ..staging.base import StagingConfig, StagingLibrary
 from ..staging.decomposition import application_decomposition
-from ..staging.factory import make_library
+from ..staging.factory import make_library, method_spec
 from ..staging.ndarray import Variable
 from .catalog import WorkflowSpec, get_workflow
 from .fidelity import FidelityDecision, resolve_fidelity
@@ -350,7 +350,8 @@ class RunSpec:
         its defaults; ``fidelity`` is accepted and ignored).
 
         ``TypeError`` for an argument ``run_coupled`` does not take or a
-        value of the wrong type, ``KeyError`` for an unknown catalog name.
+        value of the wrong type, ``KeyError`` for an unknown catalog name,
+        ``ValueError`` for an unknown staging method.
         """
         unknown = kwargs.keys() - _DEFAULTS.keys()
         if unknown:
@@ -367,6 +368,11 @@ class RunSpec:
             if args[name] is not None and not isinstance(args[name], kind):
                 raise TypeError(f"{name} must be a {kind.__name__}, "
                                 f"got {args[name]!r}")
+        method = args["method"]
+        if method is not None:
+            if not isinstance(method, str):
+                raise TypeError(f"method must be a str, got {method!r}")
+            method_spec(method)  # an unknown name fails here, not in a worker
         machine = _resolve(args["machine"], get_machine)
         wf = _resolve(args["workflow"], get_workflow)
         overrides = dict(

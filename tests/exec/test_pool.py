@@ -1,6 +1,7 @@
 """Worker pool: parallel correctness, crash retry, quarantine, cache,
 recycling, and the per-round batch record."""
 
+import dataclasses
 import os
 import sys
 import threading
@@ -142,11 +143,15 @@ class TestPoolExecution:
         assert outcomes["fine"].status == "ok"
 
     def test_worker_exception_is_retried_then_quarantined(self, make_pool):
-        # a spec resolves any method name; the worker's library factory
-        # is what refuses an unknown one
-        bad = baseline_spec(2, method="no-such-method")
+        # RunSpec.of refuses an unknown method; a spec built around it
+        # reaches the worker, whose library factory raises
+        bad = dataclasses.replace(
+            RunSpec.of(**baseline_spec(2, method="dataspaces")),
+            method="no-such-method",
+        )
         pool = make_pool(jobs=1, max_attempts=2, backoff_base=0.05)
-        outcomes = pool.run([task("bad", bad)])
+        outcomes = pool.run([PlannedTask(key="bad", spec=bad,
+                                         experiments=["t"], refs=1)])
         assert outcomes["bad"].status == "quarantined"
         assert outcomes["bad"].attempts == 2
         assert "ValueError: unknown staging method" in outcomes["bad"].error
@@ -185,8 +190,9 @@ class TestPoolExecution:
         assert stats["workers_alive"] == stats["effective_jobs"]
 
     def test_concurrent_submitters_resolve_each_submission_once(self, make_pool):
-        """Threads race submit() against the pool thread; duplicate keys
-        single-flight, and every submission resolves exactly once."""
+        """Threads race submit() against the pool thread; every
+        submission, duplicate keys included, runs and resolves exactly
+        once."""
         pool = make_pool(jobs=2).start()
         keys = [f"k{n}" for n in (2, 3, 4)]
         done, lock = [], threading.Lock()
@@ -215,10 +221,7 @@ class TestPoolExecution:
             time.sleep(0.05)
         assert sorted(done) == sorted(keys * 16)
         stats = pool.stats()
-        assert stats["submitted"] == 48
-        flight = stats["singleflight"]
-        assert stats["completed"] + flight["coalesced"] == 48
-        assert flight["inflight_now"] == 0
+        assert stats["submitted"] == stats["completed"] == 48
 
     def test_shut_down_pool_stays_closed(self, make_pool):
         pool = make_pool(jobs=1).start()

@@ -21,7 +21,7 @@ from repro.core.study import Study
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import Job, ServeDaemon
-from repro.workflows import RunSpec
+from repro.workflows import RunSpec, run_coupled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -130,7 +130,6 @@ class TestFigureServing:
         assert served.daemon.jobs_coalesced == before + 1
         with client(served) as c:
             stats = c.stats()
-        assert stats["cache"]["job_coalesced"] >= 1
         assert stats["jobs"]["coalesced"] >= 1
         assert 0 <= stats["pool"]["workers_ready"] \
             <= stats["pool"]["workers_alive"]
@@ -230,6 +229,29 @@ class TestPointServing:
         assert all(hit["result"]["cache_hit"] for hit in hits)
         assert all(hit["result"]["attempts"] == 0 for hit in hits)
 
+    def test_cached_point_is_answered_at_submission(self, served,
+                                                    monkeypatch):
+        spec = point_spec(nsim=18, nana=9)
+        loop = served.daemon._loop
+        create_task = loop.create_task
+        tasks = []
+
+        def counting(*args, **kwargs):
+            tasks.append(args)
+            return create_task(*args, **kwargs)
+
+        with client(served) as c:
+            # the round trip also makes sure this connection's handler
+            # task exists before counting starts
+            c.wait(c.submit_point(spec)["job"])  # from the pool
+            monkeypatch.setattr(loop, "create_task", counting)
+            replies = [c.submit_point(spec) for _ in range(5)]
+            statuses = [c.status(reply["job"]) for reply in replies]
+        assert tasks == []
+        assert [reply["coalesced"] for reply in replies] == [False] * 5
+        assert [status["state"] for status in statuses] == ["done"] * 5
+        assert all(status["result"]["cache_hit"] for status in statuses)
+
     def test_point_spellings_share_the_driver_key(self, served):
         # two spellings of one point, an omitted default and its explicit
         # spelling, then two values of the ignored fidelity keyword: each
@@ -294,6 +316,12 @@ class TestPointServing:
             with pytest.raises(ServeError,
                                match="bad submission: steps must be an int"):
                 c.submit_point(point_spec(steps="16"))
+            with pytest.raises(ServeError, match="bad submission: "
+                               "unknown staging method 'no-such-method'"):
+                c.submit_point(point_spec(method="no-such-method"))
+            with pytest.raises(ServeError,
+                               match="bad submission: method must be a str"):
+                c.submit_point(point_spec(method=3))
 
     def test_point_the_pool_cannot_cost_fails_cleanly(self, served):
         # a key sent along with the point skips nothing: the daemon
@@ -320,6 +348,52 @@ class TestPointServing:
         assert final["state"] == "done"
         summary = final["result"]["summary"]
         assert (summary["nsim"], summary["steps"]) == (4, 3)
+
+
+class TestJobAccounting:
+    def test_every_job_end_is_counted_once(self, served):
+        daemon = served.daemon
+        with client(served) as c:
+            before = c.stats()["jobs"]
+            cached = point_spec(nsim=20, nana=10)
+            c.wait(c.submit_point(cached)["job"])  # a miss
+            hit = c.submit_point(cached)
+            # the hook rides to the worker but is not in the key, so the
+            # plain spelling coalesces onto the sleeping job
+            slept = c.submit_point(point_spec(nsim=22, nana=11, __sleep__=0.5))
+            duplicate = c.submit_point(point_spec(nsim=22, nana=11))
+            assert duplicate == dict(ok=True, job=slept["job"], coalesced=True)
+            crashed = c.submit_point(point_spec(nsim=24, nana=12, __crash__=1))
+            poison = c.submit_point(point_spec(nsim=26, nana=13,
+                                               __crash__=True))
+            finals = [c.wait(reply["job"])["state"]
+                      for reply in (hit, slept, crashed, poison)]
+            assert finals == ["done", "done", "done", "failed"]
+            pinned = c.submit_point(point_spec(nsim=28, nana=14, __sleep__=30))
+            deadline = time.monotonic() + 60
+            while not daemon.pool.stats()["inflight"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            c.cancel(pinned["job"])
+            assert c.wait(pinned["job"])["state"] == "cancelled"
+            release = threading.Event()
+            blocker = daemon._replay.submit(release.wait)
+            try:
+                figure = c.submit_figure("6")["job"]
+                assert c.cancel(figure)["state"] == "cancelled"
+            finally:
+                release.set()
+            blocker.result(timeout=10)
+            daemon._replay.submit(lambda: None).result(timeout=60)
+            jobs = c.stats()["jobs"]
+        states = jobs["states"]
+        live = states.get("queued", 0) + states.get("running", 0)
+        assert jobs["submitted"] == (jobs["completed"] + jobs["failed"]
+                                     + jobs["cancelled"] + live)
+        # seven jobs: four done, one failed, two cancelled
+        assert [jobs[k] - before[k] for k in
+                ("submitted", "completed", "failed", "cancelled",
+                 "coalesced")] == [7, 4, 1, 2, 1]
 
 
 class TestStudyOverService:
@@ -361,8 +435,6 @@ class TestJobEviction:
 
     @pytest.fixture()
     def loop(self):
-        import asyncio
-
         loop = asyncio.new_event_loop()
         yield loop
         loop.close()
@@ -403,30 +475,40 @@ class TestJobEviction:
     def test_cancelling_a_queued_job_leaves_the_index(self, tmp_path, loop):
         daemon = self._daemon(tmp_path)
         daemon._loop = loop
-        request = dict(op="submit", kind="point",
-                       spec_b64=protocol.pack_pickle(point_spec()))
-
-        async def submit_cancel_resubmit():
-            # the point tasks only run at the await: both jobs are
-            # still queued when they are cancelled
-            first = daemon.jobs[daemon._submit(request)["job"]]
+        figure = dict(op="submit", kind="figure", figure="fig6")
+        point = dict(op="submit", kind="point",
+                     spec_b64=protocol.pack_pickle(point_spec()))
+        run_coupled(**point_spec())  # cached: the point job is born done
+        # figure jobs stay queued behind this until it is released
+        release = threading.Event()
+        blocker = daemon._replay.submit(release.wait)
+        try:
+            first = daemon.jobs[daemon._submit(figure)["job"]]
             live = (dict(daemon._live), list(daemon._finished))
+            hit = daemon.jobs[daemon._submit(point)["job"]]
             daemon._cancel(first)
-            again = daemon._submit(request)
+            again = daemon._submit(figure)
+            hit_again = daemon._submit(point)
             daemon._cancel(daemon.jobs[again["job"]])
-            await asyncio.sleep(0)
-            return first, live, again
-
-        first, live, again = loop.run_until_complete(submit_cancel_resubmit())
+        finally:
+            release.set()
+            blocker.result(timeout=10)
+            daemon._replay.shutdown(wait=True)
         # submitted: indexed for single-flight, not in the finish order
         assert live == ({first.key: first}, [])
-        assert first.state == "cancelled"
-        assert again["coalesced"] is False
-        assert again["job"] != first.ident
+        assert (hit.state, first.state) == ("done", "cancelled")
+        # nothing coalesces onto a finished job
+        for reply, earlier in ((again, first), (hit_again, hit)):
+            assert reply["coalesced"] is False
+            assert reply["job"] != earlier.ident
         assert daemon._live == {}
         assert daemon.jobs_coalesced == 0
-        # both left through the finish hook, in finish order
-        assert list(daemon._finished) == [first, daemon.jobs[again["job"]]]
+        # every job left through the finish hook, in finish order
+        assert list(daemon._finished) == [
+            hit, first, daemon.jobs[hit_again["job"]], daemon.jobs[again["job"]]
+        ]
+        assert (daemon.jobs_submitted, daemon.jobs_completed,
+                daemon.jobs_cancelled) == (4, 2, 2)
 
 
 class TestStopDuringFigureJob:

@@ -146,8 +146,7 @@ def _run_rounds(experiments, jobs, runner, progress_stream, progress) -> RunRepo
         for key, outcome in outcomes.items():
             if outcome.result is not None:
                 runcache.CACHE.seed(key, outcome.result)
-        report.absorb(round_no, plan, outcomes,
-                      batch_sizes=getattr(runner, "batch_sizes", []))
+        report.absorb(round_no, plan, outcomes)
         if any(o.status == "cancelled" for o in outcomes.values()):
             break  # the runner is stopping: re-planning would resubmit
     report.wall_seconds = time.monotonic() - start

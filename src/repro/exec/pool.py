@@ -16,26 +16,27 @@ the :class:`RunResult` objects the workers returned and cached.
 * The scheduling loop runs on a dedicated thread.  :meth:`submit` is
   thread-safe and returns at once (completion and progress arrive via
   callbacks); :meth:`run` is the blocking submit-all, wait-for-all form.
-* Long tasks ship one at a time; *short* tasks (estimated cost below
-  :data:`BATCH_COST_THRESHOLD`, from the planned variable's byte size)
-  ship in batches of up to ``batch_max`` per round-trip, so the
-  parent<->worker hand-off latency stops dominating plans full of cheap
-  points.  Workers answer one message per task in batch order, so crash
-  attribution stays exact: when a worker dies, the batch's first
-  unanswered task crashed with it and the never-started remainder goes
-  back to the queue without an attempt charged.
+* A worker holds at most one task: it gets the next one only after it
+  answered the last, one pipe round trip per task.  So a dead worker's
+  task is the attempt that crashed, and :meth:`cancel` kills only the
+  worker running the cancelled task.
 * Crashed (or exception-raising) tasks are retried with bounded
   exponential backoff on a replacement worker; a task that keeps
   failing is **quarantined** — recorded and skipped — instead of
   killing the campaign.
 * A scheduling pass that raises does not end the pool thread: the
-  queued submissions it could not cost or ship resolve ``failed`` with
-  the traceback (``stats()["loop_errors"]`` counts such passes), and
-  the thread goes on serving the rest.
+  queued submissions it could not ship resolve ``failed`` with the
+  traceback (``stats()["loop_errors"]`` counts such passes), and the
+  thread goes on serving the rest.
 * A worker that has completed ``recycle_after`` tasks is retired at its
   next idle moment and replaced fresh, bounding any slow leak a
   long-lived simulator process could accumulate; a crashed worker is
-  replaced on reap, so the pool never shrinks below its target.
+  replaced on reap, so the pool never shrinks below its target.  The
+  exception is start-up: once ``max_attempts`` workers in a row exit
+  before they are ready (a ``cache_dir`` that is a file, a script that
+  starts a pool without an ``if __name__ == "__main__":`` guard), the
+  pool stops replacing them, and every queued and later submission
+  resolves ``failed`` with that count and the last exit code.
 * The pool runs every submission it is given: a campaign's plan
   deduplicates its points and the serve daemon its concurrent jobs, so
   only a figure task and a point job with one key that overlap both
@@ -72,15 +73,6 @@ from .plan import PlannedTask
 
 #: exit code of a deliberately crashed (poison-marker) worker
 _CRASH_EXIT = 13
-
-#: a task whose ``variable_nbytes * steps`` estimate falls below this
-#: ships batched with its queue neighbours (the pool's round-trip
-#: overhead is fixed per message, so cheap simulations amortize it)
-BATCH_COST_THRESHOLD = float(10 * (1 << 30))
-
-#: upper bound on tasks per batch, so one worker never hoards the tail
-#: of the queue while others idle
-BATCH_MAX = 8
 
 #: a worker retires (and is replaced fresh) after this many completed
 #: tasks — the health-check bound on simulator-process aging
@@ -123,21 +115,9 @@ def effective_jobs(requested: int) -> int:
     return max(1, min(requested, cpus))
 
 
-def _task_cost(task: PlannedTask) -> float:
-    """Estimated simulation cost: staged bytes over the whole run.
-
-    The spec carries the resolved variable (the weak-scaled default
-    already grows with ``nsim``), so its byte size times the step count
-    tracks how much data the simulated run moves — the best single
-    predictor of its wall time.
-    """
-    return float(task.spec.variable.nbytes) * task.spec.steps
-
-
 def _shippable(task: PlannedTask) -> bool:
-    """Whether the pool can cost ``task`` and pickle it for a worker."""
+    """Whether the pool can pickle ``task`` for a worker."""
     try:
-        _task_cost(task)
         pickle.dumps(task)
     except Exception:
         return False
@@ -193,13 +173,12 @@ def _execute_task(task: PlannedTask, attempt: int):
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
-    """Worker loop: receive a batch of (task, attempt) entries.
+    """Worker loop: receive one (task, attempt) entry, answer it.
 
     Everything heavy imports *before* the ``("ready",)`` message, so the
     parent only assigns work to a worker that answers at simulation
-    speed.  One outcome message goes back per entry, in batch order —
-    the parent relies on that order for crash attribution — carrying
-    the number of discrete events its simulation processed.
+    speed.  The answer carries the number of discrete events the
+    simulation processed.
     """
     from ..core import runcache
     from ..sim.engine import Environment
@@ -219,24 +198,23 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
     conn.send(("ready",))
     while True:
         try:
-            batch = conn.recv()
+            entry = conn.recv()
         except EOFError:
             return
-        if batch is None:
+        if entry is None:
             return
-        for task, attempt in batch:
-            start = time.perf_counter()
-            before = counted["events"]
-            try:
-                result, cache_hit = _execute_task(task, attempt)
-                error = None
-            except Exception:
-                result, cache_hit, error = None, False, traceback.format_exc()
-            conn.send(
-                ("ok" if error is None else "error", task.key, result,
-                 time.perf_counter() - start, cache_hit,
-                 counted["events"] - before, error)
-            )
+        start = time.perf_counter()
+        before = counted["events"]
+        try:
+            result, cache_hit = _execute_task(*entry)
+            error = None
+        except Exception:
+            result, cache_hit, error = None, False, traceback.format_exc()
+        conn.send(
+            ("ok" if error is None else "error", result,
+             time.perf_counter() - start, cache_hit,
+             counted["events"] - before, error)
+        )
 
 
 def _install_signal_handlers(handler) -> List[tuple]:
@@ -259,14 +237,10 @@ class Submission:
     task: PlannedTask
     on_done: Callable[[TaskOutcome], None]
     on_progress: Optional[Callable[[Dict[str, Any]], None]] = None
-    #: where the batches that ship this task record their size
-    batch_log: Optional[List[int]] = None
     outcome: TaskOutcome = field(init=False)
     cancelled: bool = field(default=False)
     #: True once on_done fired (ok / quarantined / cancelled)
     resolved: bool = field(default=False)
-    #: set while a worker is simulating it (cancel then kills the worker)
-    worker: Optional["_Worker"] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.outcome = TaskOutcome(
@@ -282,9 +256,9 @@ class _Worker:
     proc: multiprocessing.Process
     conn: Any
     ready: bool = False
-    #: [(submission, attempt), ...] in ship order, or None when idle;
-    #: the worker answers them front to back
-    busy: Optional[List[tuple]] = None
+    #: the (submission, attempt) it is running, or None when idle: the
+    #: only record of what runs where
+    busy: Optional[tuple] = None
     tasks_done: int = 0
 
 
@@ -302,23 +276,19 @@ class WorkerPool:
         max_attempts: int = 3,
         backoff_base: float = 0.25,
         recycle_after: int = RECYCLE_AFTER,
-        batch_max: int = BATCH_MAX,
         drain_seconds: float = 10.0,
     ) -> None:
         self.jobs = jobs
         self.effective = effective_jobs(jobs)
         self.cache_dir = cache_dir
-        #: total tries per task before quarantine
+        #: total tries per task before quarantine, and the run of
+        #: workers dying before ready that makes the pool give up
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.recycle_after = recycle_after
-        self.batch_max = batch_max
         #: how long :meth:`shutdown` (and a signal inside :meth:`run`)
         #: waits for in-flight tasks before terminating their workers
         self.drain_seconds = drain_seconds
-        #: size of every batch the latest :meth:`run` call shipped (its
-        #: own tasks only: a batch never mixes two batch logs)
-        self.batch_sizes: List[int] = []
 
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
@@ -333,6 +303,11 @@ class WorkerPool:
         self._thread: Optional[threading.Thread] = None
         #: set by :meth:`shutdown`; a closed pool never starts again
         self._closed = False
+        #: workers in a row that exited before they were ready
+        self._unready_deaths = 0
+        #: why the pool stopped replacing workers; every queued and
+        #: later submission fails with it
+        self._gave_up: Optional[str] = None
         self.started_at: Optional[float] = None
 
         # -- counters (read by stats(), written by the pool thread) ----
@@ -400,18 +375,16 @@ class WorkerPool:
         task: PlannedTask,
         on_done: Callable[[TaskOutcome], None],
         on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-        batch_log: Optional[List[int]] = None,
     ) -> Submission:
         """Enqueue one task; returns immediately.
 
         ``on_done`` fires exactly once from the pool thread with the
         final :class:`TaskOutcome`; ``on_progress`` sees retry events
-        first.  Every batch that ships this task appends its size to
-        ``batch_log``.  On a pool that is not running the task resolves
+        first.  On a pool that is not running the task resolves
         ``cancelled`` at once.
         """
         submission = Submission(task=task, on_done=on_done,
-                                on_progress=on_progress, batch_log=batch_log)
+                                on_progress=on_progress)
         with self._lock:
             running = self._thread is not None and not self._stop.is_set()
             if running:
@@ -454,15 +427,13 @@ class WorkerPool:
                 if remaining[0] <= 0:
                     done.set()
 
-        self.batch_sizes = batch_log = []
         interrupted: List[int] = []
         restore = _install_signal_handlers(
             lambda signum, frame: interrupted.append(signum)
         )
         try:
             for task in tasks:
-                self.submit(task, on_done=finish, on_progress=progress,
-                            batch_log=batch_log)
+                self.submit(task, on_done=finish, on_progress=progress)
             # a bounded wait, so a signal handler's flag is seen promptly
             while not done.wait(0.25) and not interrupted:
                 pass
@@ -480,11 +451,11 @@ class WorkerPool:
         """Best-effort cancel: a queued task never starts; an in-flight
         task's worker is killed (the reap path sees the cancel flag and
         resolves ``cancelled`` instead of retrying)."""
-        with self._lock:
+        with self._lock:  # no task is assigned while the lock is held
             submission.cancelled = True
-            worker = submission.worker
-        if worker is not None and worker.proc.is_alive():
-            worker.proc.terminate()
+            for worker in self._workers:
+                if worker.busy is not None and worker.busy[0] is submission:
+                    worker.proc.terminate()
         self._wake()
 
     def stats(self) -> Dict[str, Any]:
@@ -493,7 +464,7 @@ class WorkerPool:
             ready = sum(1 for w in self._workers
                         if w.ready and w.proc.is_alive())
             queued = len(self._queue) + len(self._delayed)
-            inflight = sum(len(w.busy or ()) for w in self._workers)
+            inflight = sum(1 for w in self._workers if w.busy is not None)
         busy = self.busy_seconds
         return dict(
             requested_jobs=self.jobs,
@@ -548,19 +519,31 @@ class WorkerPool:
         if draining:
             if self._finish_draining():
                 return True
+        elif self._gave_up is not None:
+            for submission in self._take_queued():
+                self._resolve_failed(submission, self._gave_up)
         else:
             self._assign()
             self._recycle_idle()
         self._wait(timeout=0.05 if self._delayed else 1.0)
         return False
 
+    def _take_queued(self) -> List[Submission]:
+        """Empty the queue and the retry list; returns their submissions."""
+        with self._lock:
+            taken = [s for s, _ in self._queue]
+            taken += [s for _, s, _ in self._delayed]
+            self._queue.clear()
+            self._delayed.clear()
+        return taken
+
     def _contain(self, error: str) -> None:
         """Record a pass's traceback and fail the submissions it choked on.
 
-        A pass reads a queued task only to cost it (:func:`_task_cost`)
-        and to ship it to a worker, so the culprits are the queued
-        submissions one of those raises on: they resolve ``failed`` with
-        the traceback, and the next pass serves the rest.
+        A pass reads a queued task only to pickle it for a worker, so the
+        culprits are the queued submissions that do not pickle: they
+        resolve ``failed`` with the traceback, and the next pass serves
+        the rest.
         """
         self.loop_errors += 1
         self.last_loop_error = error
@@ -661,49 +644,22 @@ class WorkerPool:
                     dropped.append(self._queue.popleft()[0])
                 if not self._queue:
                     return
-                # A long task ships alone; consecutive short tasks of
-                # one batch log ship together (the plan is sorted
-                # big-first, so the cheap tail batches naturally).
-                # Tasks submitted one by one (daemon points) share the
-                # None log, so cheap ones batch whoever sent them.
-                batch = [self._queue[0]]
-                log = batch[0][0].batch_log
-                if _task_cost(batch[0][0].task) < BATCH_COST_THRESHOLD:
-                    for entry in list(self._queue)[1:self.batch_max]:
-                        if entry[0].cancelled or entry[0].batch_log is not log \
-                                or _task_cost(entry[0].task) >= BATCH_COST_THRESHOLD:
-                            break
-                        batch.append(entry)
+                submission, attempt = self._queue[0]
                 try:
-                    worker.conn.send([(s.task, a) for s, a in batch])
+                    worker.conn.send((submission.task, attempt))
                 except (BrokenPipeError, OSError):
                     continue  # reap path replaces this worker
-                for _ in batch:
-                    self._queue.popleft()
-                worker.busy = list(batch)
-                if log is not None:
-                    log.append(len(batch))
-                for submission, _ in batch:
-                    submission.worker = worker
+                worker.busy = self._queue.popleft()
 
     def _on_message(self, worker: _Worker, message) -> None:
         if message[0] == "ready":
             worker.ready = True
+            self._unready_deaths = 0
             self._assign()
             return
-        status, task_id, result, seconds, cache_hit, events, err = message
-        if worker.busy is None:
-            return  # stale line from a worker already reaped
-        # The worker answers its batch front to back; tolerate gaps
-        # defensively by matching on the task id.
-        index = next(
-            (i for i, (s, _) in enumerate(worker.busy)
-             if s.task.key == task_id), 0
-        )
-        submission, attempt = worker.busy.pop(index)
-        if not worker.busy:
-            worker.busy = None
-        submission.worker = None
+        status, result, seconds, cache_hit, events, err = message
+        submission, attempt = worker.busy
+        worker.busy = None
         worker.tasks_done += 1
         self.events_total += events
         self.busy_seconds += seconds
@@ -726,27 +682,22 @@ class WorkerPool:
         with self._lock:
             dead = [w for w in self._workers if not w.proc.is_alive()]
         for worker in dead:
-            # Drain answers already in the pipe — tasks that did finish.
+            # An answer (or the ready line) already in the pipe counts.
             try:
-                while worker.busy is not None and worker.conn.poll():
+                if worker.conn.poll():
                     self._on_message(worker, worker.conn.recv())
             except (EOFError, OSError):
                 pass
             with self._lock:
-                if worker in self._workers:
-                    self._workers.remove(worker)
+                self._workers.remove(worker)
             worker.conn.close()
             worker.proc.join(timeout=1.0)
-            busy = worker.busy or []
-            worker.busy = None
+            entry, worker.busy = worker.busy, None
             # cancel() kills a worker on purpose: counted as cancelled
-            if not any(s.cancelled for s, _ in busy):
+            if entry is None or not entry[0].cancelled:
                 self.workers_crashed += 1
-            if busy:
-                # The first unanswered task crashed with the worker; the
-                # rest never started and re-queue with no attempt charged.
-                (submission, attempt), rest = busy[0], busy[1:]
-                submission.worker = None
+            if entry is not None:
+                submission, attempt = entry
                 if submission.cancelled:
                     self._resolve_cancelled(submission)
                 else:
@@ -757,13 +708,19 @@ class WorkerPool:
                         f"{submission.task.label()}"
                     )
                     self._retry_or_quarantine(submission, attempt, worker)
-                with self._lock:
-                    for entry in reversed(rest):
-                        entry[0].worker = None
-                        self._queue.appendleft(entry)
-            if not self._stop.is_set():
-                with self._lock:
-                    self._workers.append(self._spawn())
+            if not worker.ready:
+                self._unready_deaths += 1
+            if self._stop.is_set() or self._gave_up is not None:
+                continue
+            if self._unready_deaths >= self.max_attempts:
+                self._gave_up = (
+                    f"worker pool gave up: {self._unready_deaths} workers "
+                    f"in a row exited before they were ready (last exit "
+                    f"code {worker.proc.exitcode})"
+                )
+                continue
+            with self._lock:
+                self._workers.append(self._spawn())
 
     def _recycle_idle(self) -> None:
         with self._lock:
@@ -841,13 +798,7 @@ class WorkerPool:
 
     def _finish_draining(self) -> bool:
         """One drain step; True once every worker is gone."""
-        with self._lock:
-            queued = list(self._queue) + [
-                (s, a) for (_, s, a) in self._delayed
-            ]
-            self._queue.clear()
-            self._delayed.clear()
-        for submission, _ in queued:
+        for submission in self._take_queued():
             self._resolve_cancelled(submission)
         busy = [w for w in self._workers if w.busy is not None]
         if busy and time.monotonic() < self._drain_deadline:
@@ -855,9 +806,7 @@ class WorkerPool:
         # Deadline passed (or nothing in flight): tear everything down.
         self._stop_workers(self._workers)
         for worker in busy:
-            for submission, _ in worker.busy:
-                submission.worker = None
-                self._resolve_cancelled(submission)
+            self._resolve_cancelled(worker.busy[0])
             worker.busy = None
         with self._lock:
             self._workers.clear()

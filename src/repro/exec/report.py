@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TextIO
 
-#: 1 -> 2: rounds gained ``batch_sizes`` (the dispatch-batching record)
+#: 1 -> 2: rounds gained the sizes of their dispatch batches
 #: 2 -> 3: records ``requested_jobs``/``effective_jobs`` (the cpu-count
 #:         clamp of :func:`repro.exec.pool.effective_jobs`)
 #: 3 -> 4: records ``runcache`` — the in-process cache's hit/miss/
@@ -27,7 +27,9 @@ from typing import Any, Dict, List, Optional, TextIO
 #:         entry serves, kept off the pool)
 #: 5 -> 6: rounds drop ``prefix_hits``: the planning parent never
 #:         simulates, so it never holds a prefix entry to serve from
-SCHEMA = 6
+#: 6 -> 7: rounds drop their dispatch-batch sizes: a worker holds one
+#:         task at a time, so there are no batches to record
+SCHEMA = 7
 
 
 class ProgressPrinter:
@@ -83,13 +85,7 @@ class RunReport:
         if self.effective_jobs is None:
             self.effective_jobs = self.jobs
 
-    def absorb(
-        self,
-        round_no: int,
-        plan,
-        outcomes: Dict[str, Any],
-        batch_sizes: Optional[List[int]] = None,
-    ) -> None:
+    def absorb(self, round_no: int, plan, outcomes: Dict[str, Any]) -> None:
         """Fold one planning round + its pool outcomes into the report."""
         self.rounds.append(
             dict(
@@ -100,7 +96,6 @@ class RunReport:
                 deduped_refs=plan.deduped_refs,
                 unplanned=plan.unplanned,
                 plan_errors=dict(plan.errors),
-                batch_sizes=list(batch_sizes or []),
             )
         )
         for outcome in outcomes.values():

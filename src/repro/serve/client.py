@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Callable, Dict, Optional, Sequence, TextIO
 
 from ..exec.pool import TaskOutcome
 from ..exec.report import ProgressPrinter
@@ -216,7 +216,6 @@ class ServiceRunner:
         self.address = address
         self.timeout = timeout
         self.effective: Optional[int] = None
-        self.batch_sizes: List[int] = []
 
     def run(
         self,

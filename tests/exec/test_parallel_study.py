@@ -62,15 +62,19 @@ class TestParallelStudy:
         )
         with open(path) as fh:
             payload = json.load(fh)
-        assert payload["schema"] == 6
+        assert payload["schema"] == 7
         assert payload["jobs"] == 2
         assert payload["requested_jobs"] == 2
         # clamped to os.cpu_count() on small hosts, never above request
         assert 1 <= payload["effective_jobs"] <= 2
         assert payload["quarantined"] == 0
         assert isinstance(payload["tasks"], list)
+        # schema 7: a round holds its plan's counts and nothing else
+        # (a worker holds one task, so there are no batch sizes)
         assert all(
-            isinstance(r["batch_sizes"], list) for r in payload["rounds"]
+            set(r) == {"round", "planned_tasks", "total_refs", "cache_hits",
+                       "deduped_refs", "unplanned", "plan_errors"}
+            for r in payload["rounds"]
         )
         # schema 6: the planner keeps no prefix accounting
         assert not any("prefix_hits" in r for r in payload["rounds"])

@@ -1,5 +1,5 @@
 """Worker pool: parallel correctness, crash retry, quarantine, cache,
-recycling, and the per-round batch record."""
+recycling, cancellation, and a pool whose workers cannot start."""
 
 import dataclasses
 import os
@@ -12,7 +12,6 @@ import pytest
 from repro.core import runcache
 from repro.core.study import Study
 from repro.exec import execute_parallel
-from repro.exec import pool as pool_module
 from repro.exec.plan import PlannedTask
 from repro.exec.pool import WorkerPool, effective_jobs
 from repro.workflows import RunSpec, run_coupled
@@ -233,13 +232,58 @@ class TestPoolExecution:
         with pytest.raises(RuntimeError):
             pool.start()
 
-    def test_batch_sizes_count_only_the_runs_own_tasks(self, make_pool):
+    def test_cancelling_a_queued_task_spares_the_running_one(self, make_pool):
+        """A worker holds one task, so cancelling the task queued behind
+        it kills no worker and charges the running task nothing."""
         pool = make_pool(jobs=1).start()
-        for n in (5, 6, 7):  # another submitter's tasks, queued first
-            pool.submit(task(f"other{n}", baseline_spec(n)), lambda o: None)
-        outcomes = pool.run([task(f"k{n}", baseline_spec(n)) for n in (2, 3, 4)])
-        assert all(o.status == "ok" for o in outcomes.values())
-        assert sum(pool.batch_sizes) == 3
+        done, lock = {}, threading.Lock()
+        finished = threading.Event()
+
+        def on_done(outcome):
+            with lock:
+                done[outcome.key] = outcome
+                if len(done) == 2:
+                    finished.set()
+
+        pool.submit(task("a", baseline_spec(2, __sleep__=1.0)), on_done)
+        b = pool.submit(task("b", baseline_spec(3)), on_done)
+        deadline = time.monotonic() + 60
+        while not pool.stats()["inflight"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        inflight = pool.stats()["inflight"]
+        pool.cancel(b)
+        assert finished.wait(60), "a submission never resolved"
+        assert done["a"].status == "ok"
+        assert done["a"].attempts == 1
+        assert done["b"].status == "cancelled"
+        stats = pool.stats()
+        assert stats["retries"] == 0
+        assert stats["workers_spawned"] == 1
+        assert inflight == 1  # b waited in the queue, not on a's worker
+
+    def test_workers_that_never_start_fail_submissions(self, tmp_path,
+                                                       make_pool):
+        """A worker that exits before it is ready is replaced at most
+        ``max_attempts - 1`` times in a row; then every queued and later
+        submission fails instead of waiting on workers forever."""
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("a file, so every worker's enable_disk raises")
+        pool = make_pool(jobs=1, cache_dir=str(not_a_dir)).start()
+        resolved = threading.Event()
+        outcomes = []
+        pool.submit(task("k", baseline_spec(2)),
+                    lambda outcome: (outcomes.append(outcome), resolved.set()))
+        assert resolved.wait(60), "the submission never resolved"
+        assert [o.status for o in outcomes] == ["failed"]
+        assert "3 workers in a row exited before they were ready" \
+            in outcomes[0].error
+        assert "exit code 1" in outcomes[0].error
+        later = pool.run([task("later", baseline_spec(3))])
+        assert later["later"].status == "failed"
+        stats = pool.stats()
+        assert stats["workers_spawned"] == pool.max_attempts == 3
+        assert stats["workers_alive"] == 0
+        assert stats["failed"] == 2
 
     def test_stats_tell_ready_workers_from_alive_ones(self, make_pool):
         pool = make_pool(jobs=1).start()
@@ -251,23 +295,17 @@ class TestPoolExecution:
         assert stats["workers_ready"] == stats["workers_alive"] == 1
 
     def test_a_pass_that_raises_fails_its_submission_not_the_pool(
-            self, make_pool, monkeypatch):
-        cost = pool_module._task_cost
-
-        def costly(planned):
-            if planned.key == "bad":
-                raise TypeError("cannot cost this spec")
-            return cost(planned)
-
-        monkeypatch.setattr(pool_module, "_task_cost", costly)
+            self, make_pool):
+        bad = dataclasses.replace(task("bad", baseline_spec(2)),
+                                  hooks={"__unpicklable__": lambda: None})
         pool = make_pool(jobs=1).start()
         resolved = threading.Event()
         outcomes = []
-        pool.submit(task("bad", baseline_spec(2)),
+        pool.submit(bad,
                     lambda outcome: (outcomes.append(outcome), resolved.set()))
         assert resolved.wait(60), "the bad submission never resolved"
         assert [o.status for o in outcomes] == ["failed"]
-        assert "cannot cost this spec" in outcomes[0].error
+        assert "Can't pickle" in outcomes[0].error
         # the pool thread lives on and serves later submissions
         assert pool.run([task("fine", baseline_spec(3))])["fine"].status == "ok"
         stats = pool.stats()
@@ -276,13 +314,12 @@ class TestPoolExecution:
 
 
 class TestExecuteParallel:
-    def test_rounds_record_batch_sizes_on_a_started_pool(self, make_pool):
+    def test_rounds_run_on_a_started_pool_and_leave_it_started(
+            self, make_pool):
         pool = make_pool(jobs=2).start()
         report = execute_parallel(
             {"fig6": Study().experiments()["fig6"]}, jobs=2, runner=pool
         )
         assert report.executed > 0
-        assert report.rounds[0]["batch_sizes"]
-        assert sum(report.rounds[0]["batch_sizes"]) >= report.executed
         # the caller's pool stays started for its next campaign
         assert pool.stats()["workers_alive"] == pool.effective

@@ -38,9 +38,9 @@ def main():
                     refs=1, hooks={"__sleep__": 1.0})
         for i in range(12)
     ]
-    # batch_max=1 keeps at most one task in flight per worker, so the
-    # signal always finds campaign left to cut short
-    pool = WorkerPool(jobs=2, drain_seconds=20.0, batch_max=1)
+    # a worker holds one task at a time, so the signal always finds
+    # campaign left to cut short
+    pool = WorkerPool(jobs=2, drain_seconds=20.0)
     print("READY", flush=True)
     try:
         outcomes = pool.run(tasks)

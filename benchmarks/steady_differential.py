@@ -10,7 +10,8 @@ its orbit — and again as a traced run, which simulates every step.  A
 point fails when any physics field of the two results differs (floats
 by identity, time series sample by sample), or when its decision record
 breaks the rule that an exact run carries exactly one ``steady:`` entry
-and an engaged one none.  Exits 1 on any failure.
+and an engaged one none.  Exits 1 on any failure; the summary counts
+the exact points per ``steady:`` reason.
 
 Usage, from the repository root::
 
@@ -76,12 +77,14 @@ def main(argv=None) -> int:
             points.append(request.spec)
 
     runcache.clear()
-    how = Counter()
+    how, reasons = Counter(), Counter()
     failures = 0
     for spec in points:
         chosen = run_coupled(**spec)
         exact = run_coupled(trace=ActivityTrace(), **spec)
         how["prefix resume" if chosen.forked else chosen.fidelity] += 1
+        reasons.update(e for e in chosen.fidelity_log
+                       if e.startswith("steady: "))
         diff = differences(chosen, exact)
         if diff or not log_is_consistent(chosen):
             failures += 1
@@ -90,6 +93,8 @@ def main(argv=None) -> int:
     summary = ", ".join(f"{n} {label}" for label, n in sorted(how.items()))
     print(f"seed {args.seed}: {len(points)} distinct points ({summary}); "
           f"{failures} mismatched the traced exact run")
+    for reason, n in reasons.most_common():
+        print(f"  {n:4d}x {reason}")
     return 1 if failures else 0
 
 

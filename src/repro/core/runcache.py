@@ -80,8 +80,11 @@ from typing import Any, Dict, Optional
 #: the code chose, not those a request asked for.
 #: 12 -> 13: one ``RunSpec`` keys every run — the hashed form is the
 #: resolved spec's repr, so every key moved, and prefix snapshots drop
-#: the inputs a resume now echoes from the spec)
-SCHEMA_VERSION = 13
+#: the inputs a resume now echoes from the spec.
+#: 13 -> 14: per-actor orbits — prefix snapshots carry each actor's
+#: period, per-entry window shifts and the cross-rate horizon in place
+#: of one global Δ, and Titan points that ran exact now engage)
+SCHEMA_VERSION = 14
 
 
 class RunCache:

@@ -138,6 +138,10 @@ class TaskOutcome:
     #: True when the worker answered from the shared disk cache
     cache_hit: bool = False
     result: Optional[Any] = None
+    #: the steady-boundary prefix snapshot the run published, if any
+    #: (see :mod:`repro.core.forkpoint`): the serve daemon files it so
+    #: any steps variant resumes in the daemon, whichever worker ran it
+    prefix: Optional[Any] = None
     #: last error (traceback text or crash description)
     error: Optional[str] = None
 
@@ -167,9 +171,13 @@ def _execute_task(task: PlannedTask, attempt: int):
     from ..workflows.driver import run_spec
 
     hits_before = runcache.CACHE.hits
+    prefix_stores = runcache.CACHE.prefix_stores
     result = run_spec(task.spec)
     cache_hit = runcache.CACHE.hits > hits_before
-    return result, cache_hit
+    prefix = None
+    if runcache.CACHE.prefix_stores > prefix_stores:
+        prefix = runcache.CACHE.get_prefix(task.spec.prefix_key)
+    return result, cache_hit, prefix
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
@@ -178,7 +186,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
     Everything heavy imports *before* the ``("ready",)`` message, so the
     parent only assigns work to a worker that answers at simulation
     speed.  The answer carries the number of discrete events the
-    simulation processed.
+    simulation processed and the prefix snapshot the run published.
     """
     from ..core import runcache
     from ..sim.engine import Environment
@@ -206,14 +214,15 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
         start = time.perf_counter()
         before = counted["events"]
         try:
-            result, cache_hit = _execute_task(*entry)
+            result, cache_hit, prefix = _execute_task(*entry)
             error = None
         except Exception:
-            result, cache_hit, error = None, False, traceback.format_exc()
+            result, cache_hit, prefix = None, False, None
+            error = traceback.format_exc()
         conn.send(
             ("ok" if error is None else "error", result,
              time.perf_counter() - start, cache_hit,
-             counted["events"] - before, error)
+             counted["events"] - before, error, prefix)
         )
 
 
@@ -657,7 +666,7 @@ class WorkerPool:
             self._unready_deaths = 0
             self._assign()
             return
-        status, result, seconds, cache_hit, events, err = message
+        status, result, seconds, cache_hit, events, err, prefix = message
         submission, attempt = worker.busy
         worker.busy = None
         worker.tasks_done += 1
@@ -670,6 +679,7 @@ class WorkerPool:
             outcome.status = "ok"
             outcome.result = result
             outcome.cache_hit = cache_hit
+            outcome.prefix = prefix
             outcome.error = None
             if cache_hit:
                 self.worker_cache_hits += 1

@@ -66,6 +66,8 @@ class BandwidthPipe:
         self._chain_tail: Optional[Event] = None
         self._chain_pending = 0
         self._chain_end_tick = 0
+        #: completion tick of the last :meth:`enqueue_runs` burst
+        self._chain_done_tick = 0
         self._rate_frozen = False
 
     def freeze_rate(self) -> None:
@@ -165,9 +167,13 @@ class BandwidthPipe:
         duration = nbytes / self.rate
         self.bytes_moved += nbytes
         self.busy_time += duration
+        env = self.env
         start = self._chain_end_tick
-        if start < self.env._now_tick:
-            start = self.env._now_tick
+        log = env._steady_log
+        if log is not None:
+            log += (self, env._now_tick, start)
+        if start < env._now_tick:
+            start = env._now_tick
         end = start + round(duration * _TICK_SCALE)
         self._chain_end_tick = end
         return end
@@ -196,13 +202,20 @@ class BandwidthPipe:
         env = self.env
         done = Event(env)
         self._chain_pending += 1
+        queued_tick = env._now_tick
 
         def _complete(_ev: Event) -> None:
             self._chain_pending -= 1
+            self._chain_done_tick = env._now_tick
 
         done.callbacks.append(_complete)
 
         def _start(_ev: Event = None) -> None:
+            log = env._steady_log
+            if log is not None:
+                # the burst waits for the previous one's completion
+                log += (self, queued_tick, self._chain_done_tick
+                        if _ev is None else env._now_tick)
             total, busy, moved = _accumulate_runs(
                 0.0, self.busy_time, self.rate, runs
             )

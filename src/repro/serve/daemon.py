@@ -79,7 +79,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..core import runcache
 from ..exec.plan import PlannedTask
 from ..exec.pool import Submission, TaskOutcome, WorkerPool
-from ..workflows.driver import RunSpec
+from ..workflows.driver import RunSpec, lookup
 from . import protocol
 
 #: what a point submission must name; the other inputs may default
@@ -514,9 +514,10 @@ class ServeDaemon:
     # -- point jobs (loop + pool) --------------------------------------
 
     def _start_point(self, job: Job) -> None:
-        """Answer a cached point now; hand a miss to the pool."""
+        """Answer a cached point or a prefix resume now; hand a miss to
+        the pool."""
         spec = job.params["spec"]
-        cached = runcache.CACHE.get(spec.key) if spec.key else None
+        cached = lookup(spec) if spec.key else None
         if cached is not None:
             job._finish_on_loop("done", self._hit_payload(spec.key, cached), None)
             return
@@ -539,6 +540,9 @@ class ServeDaemon:
         if outcome.status == "ok":
             if spec.key:
                 runcache.CACHE.seed(spec.key, outcome.result)
+            if outcome.prefix is not None:
+                # every later steps variant of the point resumes here
+                runcache.CACHE.put_prefix(spec.prefix_key, outcome.prefix)
             job._finish_on_loop("done", self._point_payload(
                 outcome.result, outcome.cache_hit, outcome.attempts), None)
         elif outcome.status == "cancelled":

@@ -80,7 +80,7 @@ class Environment:
 
     __slots__ = (
         "_now", "_now_tick", "_buckets", "_ticks",
-        "_current", "_pos", "_never", "_free", "_bfree",
+        "_current", "_pos", "_never", "_free", "_bfree", "_steady_log",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -106,6 +106,12 @@ class Environment:
         self._free: list = []
         #: free list of drained bucket lists, recycled on collision
         self._bfree: list = []
+        #: the steady controller's interaction log: while a list, every
+        #: contention decision (chain claim, FIFO grant, gate or lock
+        #: wake-up) appends its site, arrival tick and ready tick as
+        #: three flat items; None (every run without a controller)
+        #: records nothing
+        self._steady_log: Optional[list] = None
 
     @property
     def now(self) -> float:
@@ -323,27 +329,28 @@ class Environment:
         return Infinity
 
     def steady_snapshot(self) -> tuple:
-        """The pending-event multiset, as ticks relative to ``now``.
+        """The pending-event multiset, as sorted absolute ticks.
 
-        Part of the steady-state boundary fingerprint: two step
-        boundaries with identical snapshots have the same in-flight
-        timeouts at the same phase offsets, which (together with the
-        resource-queue and library state) pins the dynamical state of
-        the simulation modulo a clock translation.  Pure observation:
-        no event is created or consumed, so taking a snapshot never
-        perturbs same-tick ordering.
+        Part of the steady-state boundary fingerprint: the controller
+        pairs two boundaries' snapshots entry by entry and requires each
+        entry to move by the period of some actor, which (together with
+        the resource-queue and library state) pins the in-flight
+        timeouts of every actor to its own orbit.  Events that never
+        fire count as ``inf``.  Pure observation: no event is created or
+        consumed, so taking a snapshot never perturbs same-tick
+        ordering.
         """
         now_tick = self._now_tick
-        rel: list = []
+        ticks: list = []
         if self._current is not None and self._pos < len(self._current):
-            rel.extend([0] * (len(self._current) - self._pos))
+            ticks.extend([now_tick] * (len(self._current) - self._pos))
         for tick, got in self._buckets.items():
             count = len(got) if type(got) is list else 1
-            rel.extend([tick - now_tick] * count)
-        rel.sort()
+            ticks.extend([tick] * count)
+        ticks.sort()
         if self._never:
-            rel.extend([Infinity] * len(self._never))
-        return tuple(rel)
+            ticks.extend([Infinity] * len(self._never))
+        return tuple(ticks)
 
     def step(self) -> None:
         """Process the next scheduled event."""

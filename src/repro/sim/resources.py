@@ -29,7 +29,7 @@ class Request(Event):
             ...
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "tick")
 
     def __init__(self, resource: "Resource") -> None:
         # Inlined Event.__init__ plus the immediate-grant path of
@@ -47,6 +47,9 @@ class Request(Event):
             users.append(self)
             self._ok = True
             self._value = None
+            log = env._steady_log
+            if log is not None:
+                log += (resource, env._now_tick, resource._free_tick)
             cur = env._current
             if cur is not None:
                 cur.append(self)
@@ -55,6 +58,7 @@ class Request(Event):
         else:
             self._ok = None
             self._value = PENDING
+            self.tick = env._now_tick
             resource._waiting.append(self)
 
     def __enter__(self) -> "Request":
@@ -85,6 +89,8 @@ class Resource:
         self._capacity = capacity
         self._users: List[Request] = []
         self._waiting: Deque[Request] = deque()
+        #: tick of the last release: when a slot last came free
+        self._free_tick = 0
 
     @property
     def capacity(self) -> int:
@@ -119,9 +125,14 @@ class Resource:
             except ValueError:
                 pass
             return
+        env = self.env
+        self._free_tick = env._now_tick
+        log = env._steady_log
         while self._waiting and len(self._users) < self._capacity:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
+            if log is not None:
+                log += (self, nxt.tick, env._now_tick)
             nxt.succeed()
 
 

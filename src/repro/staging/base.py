@@ -117,9 +117,9 @@ class SteadyPlan:
     structural checks certify that, past a warm-up prefix, no *hidden*
     aperiodic state can influence step timing or the exported results —
     so two consecutive step boundaries whose full observable
-    fingerprints match (modulo one clock translation Δ) prove the orbit
-    repeats forever and the remaining steps can be replayed as exact
-    translates.
+    fingerprints match (every actor moved by its own exact period)
+    prove the orbit repeats, and the remaining steps can be replayed as
+    exact translates.
 
     ``warmup`` is the number of leading steps excluded from fingerprint
     matching: step 0 pays bootstrap, first-touch allocation and the
@@ -231,9 +231,9 @@ class StagingLibrary:
         self.servers: List[ServerState] = []
         self.gate: Optional[VersionGate] = None
         #: steady-state fast-forward tap: when a list, every
-        #: ``_record_put``/``_record_get`` call appends its raw
-        #: arguments here so the driver can replay the exact addition
-        #: sequence for skipped steps (None = zero-cost off)
+        #: ``_record_put``/``_record_get`` call appends its kind, raw
+        #: arguments and tick here so the driver can replay the exact
+        #: addition sequence for skipped steps (None = zero-cost off)
         self._steady_tap: Optional[list] = None
         self._sim_endpoints: Dict[int, Endpoint] = {}
         self._ana_endpoints: Dict[int, Endpoint] = {}
@@ -372,8 +372,8 @@ class StagingLibrary:
         The certificate is necessary but not sufficient: the driver
         still requires two consecutive step boundaries to match in the
         full observable fingerprint (phase marks, stats records, event
-        queue, gate window, resource queues, memory samples) modulo one
-        exact clock translation before it stops simulating.
+        queue, gate window, resource queues, memory samples), every
+        actor moved by its own exact period, before it stops simulating.
         """
         return None
 
@@ -488,7 +488,8 @@ class StagingLibrary:
 
     def _record_put(self, nbytes: float, elapsed: float) -> None:
         if self._steady_tap is not None:
-            self._steady_tap.append(("put", nbytes, elapsed))
+            self._steady_tap.append(("put", nbytes, elapsed,
+                                     self.env._now_tick))
         self.stats.bytes_staged += nbytes
         self.stats.put_time += elapsed
         self.stats.puts += 1
@@ -498,7 +499,8 @@ class StagingLibrary:
 
     def _record_get(self, nbytes: float, elapsed: float) -> None:
         if self._steady_tap is not None:
-            self._steady_tap.append(("get", nbytes, elapsed))
+            self._steady_tap.append(("get", nbytes, elapsed,
+                                     self.env._now_tick))
         self.stats.bytes_retrieved += nbytes
         self.stats.get_time += elapsed
         self.stats.gets += 1

@@ -41,6 +41,8 @@ class RwLock:
         self._writer = False
         #: queue of (event, is_writer) waiting in arrival order
         self._waiting: Deque[Tuple[Event, bool]] = deque()
+        #: tick of the last release (a steady-log interaction's ready time)
+        self._free_tick = 0
 
     @property
     def readers(self) -> int:
@@ -57,6 +59,8 @@ class RwLock:
 
     def acquire(self, is_writer: bool) -> Generator:
         """Process: acquire in FIFO order (no reader/writer starvation)."""
+        env = self.env
+        arrival = env._now_tick
         if not self._waiting and self._grantable(is_writer):
             # Claim the lock *before* yielding: two same-instant
             # acquirers must not both pass the grantable check.
@@ -64,12 +68,17 @@ class RwLock:
                 self._writer = True
             else:
                 self._readers += 1
-            yield self.env.pause(0)
-            return
-        event = Event(self.env)
-        self._waiting.append((event, is_writer))
-        yield event
-        # _drain applied the lock state before succeeding the event.
+            ready = self._free_tick
+            yield env.pause(0)
+        else:
+            event = Event(env)
+            self._waiting.append((event, is_writer))
+            yield event
+            # _drain applied the lock state before succeeding the event.
+            ready = env._now_tick
+        log = env._steady_log
+        if log is not None:
+            log += (self, arrival, ready)
 
     def release(self, is_writer: bool) -> None:
         if is_writer:
@@ -80,6 +89,7 @@ class RwLock:
             if self._readers <= 0:
                 raise LockError("releasing a read lock that is not held")
             self._readers -= 1
+        self._free_tick = self.env._now_tick
         self._drain()
 
     def _drain(self) -> None:

@@ -153,6 +153,10 @@ class VersionGate:
         self._window_events: Dict[int, Event] = {}
         #: chaos: once released, no waiter ever blocks again
         self._released = False
+        #: ticks each version was fully published / consumed at (the
+        #: ready ticks of the steady controller's logged wake-ups)
+        self._published_at: Dict[int, int] = {}
+        self._consumed_at: Dict[int, int] = {}
 
     def _published_event(self, version: int) -> Event:
         event = self._published.get(version)
@@ -165,12 +169,19 @@ class VersionGate:
 
     def writer_acquire(self, version: int) -> Generator:
         """Process: block until ``version`` fits in the window."""
+        arrival = self.env._now_tick
         while not self._released and version >= self._consumed + 1 + self.window:
             event = self._window_events.get(self._consumed)
             if event is None:
                 event = Event(self.env)
                 self._window_events[self._consumed] = event
             yield event
+        log = self.env._steady_log
+        if log is not None:
+            # the writer waits for the consumption that opens its slot
+            ready = self._consumed_at.get(version - self.window)
+            if ready is not None:
+                log += ((self, "acquire"), arrival, ready)
 
     def publish(self, version: int) -> None:
         """One writer finished staging ``version``."""
@@ -181,21 +192,28 @@ class VersionGate:
         if count >= self.num_writers:
             event = self._published_event(version)
             if not event.triggered:
+                self._published_at[version] = self.env._now_tick
                 event.succeed()
 
     def reader_wait(self, version: int) -> Generator:
         """Process: block until ``version`` is fully published."""
+        env = self.env
+        arrival = env._now_tick
         event = self._published_event(version)
         if not event.triggered:
             yield event
         else:
-            yield self.env.pause(0)
+            yield env.pause(0)
+        log = env._steady_log
+        if log is not None and version in self._published_at:
+            log += ((self, "wait"), arrival, self._published_at[version])
 
     def reader_done(self, version: int) -> None:
         """One reader finished consuming ``version``."""
         count = self._reader_count.get(version, 0) + 1
         self._reader_count[version] = count
         if count >= self.num_readers:
+            self._consumed_at.setdefault(version, self.env._now_tick)
             self._consumed = max(self._consumed, version)
             stale = self._window_events.pop(self._consumed - 1, None)
             if stale is not None and not stale.triggered:

@@ -27,7 +27,7 @@ from ..hpc.cluster import Cluster
 from ..hpc.failures import HpcError
 from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
-from ..sim.engine import EXACT_TICK_LIMIT, _TICK
+from ..sim.engine import EXACT_TICK_LIMIT, _TICK_SCALE
 from ..staging import calibration as cal
 from ..staging.base import StagingConfig, StagingLibrary
 from ..staging.decomposition import application_decomposition
@@ -70,27 +70,70 @@ class _SteadyDiverged(Exception):
     """
 
 
+#: the checks a boundary pair must pass, in the order they run; a run
+#: whose orbit never certifies names the one its last pair failed
+MATCH_CHECKS = (
+    "actor phases", "pending events", "library state", "client memory",
+    "record window", "series window", "cross-rate slack",
+)
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """A certified boundary pair: each actor's period and each window
+    entry's shift, in integer ticks.
+
+    ``horizon`` is the longest steps count over which no interaction
+    between actors of different periods changes its outcome (None when
+    every actor keeps one period, or no such interaction closes in).
+    """
+
+    periods: Dict[str, int]
+    #: per staging-record kind ("put", "get"): the window's entries as
+    #: ``(tick, (nbytes, elapsed))``, and each entry's shift
+    records: Dict[str, Tuple[list, list]]
+    #: per tracked memory series: the window's ``(tick, value)`` entries
+    #: and their shifts
+    series: Tuple[Tuple[list, list], ...]
+    horizon: Optional[int] = None
+
+    def same_shape(self, other: "Orbit") -> bool:
+        """Whether ``other`` repeats this orbit's periods and shifts."""
+        return (self.periods == other.periods
+                and all(self.records[k][1] == other.records[k][1]
+                        for k in self.records)
+                and [s for _, s in self.series]
+                == [s for _, s in other.series])
+
+
 class _SteadyController:
     """Temporal memoization of the staged coupled step loop.
 
     Every actor reports its per-step phase end times; when all actors
     have completed step ``s`` the controller fingerprints the boundary:
-    the pending-event queue (relative times), the library's normalized
-    state (gate window, server memory, per-library resources), the
-    put/get record stream and memory-series sample windows, and the
-    client memory totals.  When two consecutive boundary fingerprints
-    match modulo one clock translation Δ — every actor's phase times
-    shifted by the *same* integer tick count Δ — the orbit provably
-    repeats.  Boundary closes and phase ends are captured as integer
-    ticks, so translation is literally ``t + Δ`` in 64-bit integers:
-    no float-identity argument is needed, and projecting any translated
-    tick back to seconds (one exact ``tick * 2**-32`` multiply below
-    :data:`~repro.sim.engine.EXACT_TICK_LIMIT`) reproduces the floats
-    an un-fast-forwarded run would have produced bit for bit.  The
-    controller then stops the actors one step past the furthest actor's
-    progress; :func:`repro.core.forkpoint.capture` snapshots the orbit,
-    and the snapshot's ``resume`` replays the remaining iterations as
-    exact translates.
+    the pending-event queue, the library's normalized state (gate
+    window, server memory, per-library resources), the put/get record
+    stream and memory-series sample windows, and the client memory
+    totals.  Two consecutive boundaries match when every actor's phase
+    ends translate by that actor's own period Δᵢ and every other entry
+    moves by the shift measured for it — the period of whichever actor
+    produced it.  When every Δᵢ is equal this is one clock translation
+    of the whole state.  When they differ (a hop-scaled torus gives each
+    writer its own put time) the actors' phases must repeat over two
+    consecutive pairs, and a horizon bound over every contention
+    decision the simulator took between them — chain claims, FIFO
+    grants, gate and lock wake-ups, logged in
+    ``Environment._steady_log`` — plus the order of consecutive
+    records and samples proves no outcome changes before the run's last
+    step.  Boundary closes and phase ends are integer ticks, so every
+    translation is exact in 64-bit integers, and projecting a
+    translated tick back to seconds (one exact ``tick * 2**-32``
+    multiply below :data:`~repro.sim.engine.EXACT_TICK_LIMIT`)
+    reproduces the floats an un-fast-forwarded run would have produced
+    bit for bit.  The controller then stops the actors one step past the
+    furthest actor's progress; :func:`repro.core.forkpoint.capture`
+    snapshots the orbit, and the snapshot's ``resume`` replays the
+    remaining iterations as exact translates.
     """
 
     def __init__(self, env, library, steps, warmup, n_actors,
@@ -108,13 +151,28 @@ class _SteadyController:
         self.done: Dict[int, int] = {}        # step -> actors completed
         self.boundaries: Dict[int, dict] = {}
         self.cutoff: Optional[int] = None
-        self.delta: Optional[int] = None      # period, in integer ticks
+        self.orbit: Optional[Orbit] = None
         self.confirm: Optional[int] = None    # step s of the matched pair (s-1, s)
         self.fail: Optional[str] = None       # permanent decline reason
+        self.miss: Optional[str] = None       # the last pair's failed check
+        #: interactions are logged from the first boundary a several-
+        #: period match reads (bootstrap and warm-up are never read)
+        #: until the orbit certifies, trimmed to the windows the next
+        #: match reads
+        self._log_from = max(warmup, 2) - 2
+        self._log_base = 0                    # log index of _steady_log[0]
 
     @property
     def engaged(self) -> bool:
         return self.cutoff is not None
+
+    @property
+    def decline(self) -> str:
+        """The run's ``steady:`` entry when it never engaged."""
+        return self.fail or (
+            f"steady: no boundary pair matched "
+            f"({self.miss or MATCH_CHECKS[0]})"
+        )
 
     def stop(self, step: int) -> bool:
         """Polled at the top of each actor step: past the cutoff?"""
@@ -131,6 +189,7 @@ class _SteadyController:
     def _capture(self, step: int) -> dict:
         if self.series is None:
             self.series = self._series_fn()
+        stats = self.library.stats
         return dict(
             close=self.env._now_tick,
             snapshot=self.env.steady_snapshot(),
@@ -138,94 +197,244 @@ class _SteadyController:
             totals=tuple(t.total for t in self.trackers),
             tap=len(self.library._steady_tap),
             series=tuple(len(s) for s in self.series),
+            log=self._log_base + len(self.env._steady_log or ()),
+            stats=(stats.bytes_staged, stats.put_time, stats.get_time),
         )
 
     def _close(self, step: int) -> None:
         self.boundaries[step] = self._capture(step)
+        if step == self._log_from:
+            self.env._steady_log = []
+        self._trim_log(step)
         if self.cutoff is not None or step < self.warmup:
-            return
-        delta = self._match(step - 1, step)
-        if delta is None:
             return
         # Pipelined actors may already be inside later steps (the gate
         # window lets writers run ahead); everyone stops before the
         # first step no actor has begun, so every live step closes.
         cutoff = max(self.done) + 1
-        if cutoff > self.steps - 2:
-            self.fail = "steady: orbit confirmed too late to skip any step"
+        useful = self.miss
+        orbit = self._match(step)
+        if orbit is None:
+            if cutoff > self.steps - 2 and useful is not None:
+                # a pair this late could not skip a step (and the run's
+                # ending perturbs it): the last one that could is named
+                self.miss = useful
             return
-        if (self.env._now_tick + (self.steps - cutoff) * delta
+        if cutoff > self.steps - 2:
+            self._give_up("steady: orbit confirmed too late to skip any step")
+            return
+        if (self.env._now_tick
+                + (self.steps - cutoff) * max(orbit.periods.values())
                 >= EXACT_TICK_LIMIT):
-            self.fail = ("steady: fast-forward horizon exceeds the "
-                         "exact-arithmetic window")
+            self._give_up("steady: fast-forward horizon exceeds the "
+                          "exact-arithmetic window")
             return
         self.confirm = step
-        self.delta = delta
+        self.orbit = orbit
         self.cutoff = cutoff
+        self.env._steady_log = None
 
-    def _match(self, a: int, b: int, strict: bool = True) -> Optional[int]:
-        """Tick Δ if boundary ``b`` is boundary ``a`` translated, else None.
+    def _give_up(self, reason: str) -> None:
+        self.fail = reason
+        self.env._steady_log = None
+
+    def _trim_log(self, step: int) -> None:
+        """Drop interactions no later match reads (before boundary
+        ``step - 2``)."""
+        log, prev = self.env._steady_log, self.boundaries.get(step - 2)
+        if log is None or prev is None:
+            return
+        cut = prev["log"] - self._log_base
+        if cut > 0:
+            del log[:cut]
+            self._log_base += cut
+
+    def _match(self, b: int, strict: bool = True) -> Optional[Orbit]:
+        """The orbit if boundary ``b`` repeats boundary ``b - 1``, else
+        None with :attr:`miss` naming the failed check.
 
         ``strict`` additionally compares the pending-event queue, the
-        library state and client memory totals — valid only while every
-        actor is still live.  Replay-time verification runs non-strict:
-        past the cutoff the controller itself emptied the queue, but a
-        matching record stream then *proves* the post-engagement window
-        equals the periodic one (nothing the exact run would interleave
-        there is missing), which is exactly what the replay tiles.
+        library state and client memory totals, and bounds the
+        cross-rate interactions — valid only while every actor is still
+        live.  Replay-time verification runs non-strict: past the cutoff
+        the controller itself emptied the queue, but matching phases
+        and windows then *prove* the post-engagement window equals the
+        periodic one (nothing the exact run would interleave there is
+        missing), which is exactly what the replay tiles.
         """
-        delta = self._phase_delta(a, b)
-        if delta is None:
-            return None
+        a = b - 1
+        periods = self._periods(a, b)
+        single = periods is not None and len(set(periods.values())) == 1
+        # several periods: each actor must keep its own over two pairs
+        if periods is None or not (single
+                                   or periods == self._periods(a - 1, a)):
+            return self._missed("actor phases")
+        rates = set(periods.values())
         fpa, fpb = self.boundaries[a], self.boundaries[b]
-        if strict and (fpa["snapshot"] != fpb["snapshot"]
-                       or fpa["state"] != fpb["state"]
-                       or fpa["totals"] != fpb["totals"]):
-            return None
-        # The put/get record window and the tracked memory-series
-        # windows must repeat verbatim (values) and translate (times).
-        tap = self.library._steady_tap
-        j0 = self.boundaries[a - 1]["tap"] if a > 0 else 0
-        j1, j2 = fpa["tap"], fpb["tap"]
-        if j1 - j0 != j2 - j1 or tap[j0:j1] != tap[j1:j2]:
-            return None
-        # Series timestamps are floats; Δ projects to seconds exactly
-        # (one multiply), and adding that grid multiple to an on-grid
-        # float is exact, so the float comparison decides exactly the
-        # same predicate as its tick-domain counterpart.
-        delta_f = delta * _TICK
-        for k, s_obj in enumerate(self.series):
-            i0 = self.boundaries[a - 1]["series"][k] if a > 0 else 0
-            i1 = fpa["series"][k]
-            i2 = fpb["series"][k]
-            if i1 - i0 != i2 - i1:
-                return None
-            times, values = s_obj._times, s_obj._values
-            for off in range(i1 - i0):
-                if (times[i0 + off] + delta_f != times[i1 + off]
-                        or values[i0 + off] != values[i1 + off]):
-                    return None
-        return delta
+        if strict:
+            if not _pending_repeats(fpa["snapshot"], fpb["snapshot"], rates):
+                return self._missed("pending events")
+            if fpa["state"] != fpb["state"]:
+                return self._missed("library state")
+            if fpa["totals"] != fpb["totals"]:
+                return self._missed("client memory")
+        # The put/get record windows and the tracked memory-series
+        # windows must repeat verbatim (values) and move each entry by
+        # a measured actor period (times).
+        before = self.boundaries.get(a - 1)
+        records = {}
+        for kind in ("put", "get"):
+            j0 = before["tap"] if before is not None else 0
+            second = self.records(kind, fpa["tap"], fpb["tap"])
+            shifts = _shifts(self.records(kind, j0, fpa["tap"]), second, rates)
+            if shifts is None:
+                return self._missed("record window")
+            records[kind] = (second, shifts)
+        series = []
+        for k in range(len(self.series)):
+            i0 = before["series"][k] if before is not None else 0
+            second = self.samples(k, fpa["series"][k], fpb["series"][k])
+            shifts = _shifts(self.samples(k, i0, fpa["series"][k]), second,
+                             rates)
+            if shifts is None:
+                return self._missed("series window")
+            series.append((second, shifts))
+        horizon = None
+        if strict and not single:
+            reach = min([self._interaction_reach(b, rates)]
+                        + [_order_reach(*w) for w in records.values()]
+                        + [_order_reach(*w) for w in series])
+            if reach != math.inf:
+                horizon = b + reach
+                if self.steps > horizon:
+                    return self._missed("cross-rate slack")
+        return Orbit(periods, records, tuple(series), horizon)
 
-    def _phase_delta(self, a: int, b: int) -> Optional[int]:
-        """Tick Δ from phase translation alone (no window comparisons)."""
-        fpa = self.boundaries.get(a)
-        fpb = self.boundaries.get(b)
-        if fpa is None or fpb is None:
+    def records(self, kind: str, lo: int, hi: Optional[int] = None) -> list:
+        """The ``kind`` ("put"/"get") staging records of tap slice
+        ``[lo:hi]`` as ``(tick, (nbytes, elapsed))`` window entries."""
+        return [(r[3], r[1:3]) for r in self.library._steady_tap[lo:hi]
+                if r[0] == kind]
+
+    def samples(self, k: int, lo: int, hi: Optional[int] = None) -> list:
+        """Samples ``[lo:hi]`` of tracked series ``k`` as ``(tick,
+        value)`` window entries (on-grid times scale to exact ticks)."""
+        s_obj = self.series[k]
+        return [(int(t * _TICK_SCALE), v)
+                for t, v in zip(s_obj._times[lo:hi], s_obj._values[lo:hi])]
+
+    def _missed(self, check: str) -> None:
+        self.miss = check
+        return None
+
+    def _periods(self, a: int, b: int) -> Optional[Dict[str, int]]:
+        """Each actor's period if all its phase ends of step ``b`` are
+        those of step ``a`` moved by one positive tick count, else None."""
+        if a < 0:
             return None
-        delta = fpb["close"] - fpa["close"]
-        if delta <= 0:
-            return None
-        # One global Δ across every actor and phase: per-actor periods
-        # that merely pair up per actor still drift relative to each
-        # other and eventually collide at shared resources.
-        for plist in self.phases.values():
+        periods = {}
+        for actor, plist in self.phases.items():
             if len(plist) <= b or len(plist[a]) != len(plist[b]):
                 return None
-            for ta, tb in zip(plist[a], plist[b]):
-                if ta + delta != tb:
-                    return None
-        return delta
+            delta = plist[b][-1] - plist[a][-1]
+            if delta <= 0 or any(ta + delta != tb
+                                 for ta, tb in zip(plist[a], plist[b])):
+                return None
+            periods[actor] = delta
+        return periods
+
+    def _interaction_reach(self, b: int, periods: set) -> float:
+        """Further steps over which every logged interaction of the
+        window pair ending at ``b`` keeps its outcome (0 when one does
+        not repeat).
+
+        Interactions pair up per site (a pipe chain, a resource, a gate
+        side) in occurrence order.  Each has an arrival and a ready tick,
+        each moving by an actor's period, and waited iff ready > arrival;
+        the gap between them moves by the difference of their shifts
+        every step, and must keep its sign for as long as the run lasts.
+        """
+        log = self.env._steady_log
+        m0, m1, m2 = (self.boundaries[x]["log"] - self._log_base
+                      for x in (b - 2, b - 1, b))
+        first, second = _by_site(log[m0:m1]), _by_site(log[m1:m2])
+        if first.keys() != second.keys():
+            return 0
+        reach = math.inf
+        for site, pairs in second.items():
+            earlier = first[site]
+            if len(earlier) != len(pairs):
+                return 0
+            for (x1, y1), (x2, y2) in zip(earlier, pairs):
+                if ((y1 > x1) != (y2 > x2) or x2 - x1 not in periods
+                        or y2 - y1 not in periods):
+                    return 0
+                drift = (x2 - x1) - (y2 - y1)
+                if y2 > x2:
+                    reach = min(reach, _reach(y2 - x2, -drift))
+                else:
+                    reach = min(reach, _reach(x2 - y2, drift))
+        return reach
+
+
+def _pending_repeats(first: tuple, second: tuple, periods: set) -> bool:
+    """Whether every pending event of ``second`` is one of ``first``'s
+    moved by an actor period (events that never fire stay put)."""
+    return len(first) == len(second) and all(
+        t2 - t1 in periods or t1 == t2 == math.inf
+        for t1, t2 in zip(first, second)
+    )
+
+
+def _shifts(first: list, second: list, periods: set) -> Optional[list]:
+    """Per-entry tick shifts from window ``first`` to ``second``.
+
+    Entries are ``(tick, payload)``.  None unless both windows hold the
+    same payloads in the same order and every entry moves by one of the
+    actors' ``periods``.
+    """
+    if len(first) != len(second):
+        return None
+    shifts = []
+    for (t1, p1), (t2, p2) in zip(first, second):
+        shift = t2 - t1
+        if p1 != p2 or shift not in periods:
+            return None
+        shifts.append(shift)
+    return shifts
+
+
+def _reach(gap: int, drift: int) -> float:
+    """Further steps over which ``gap`` (>= 0), moving by ``drift`` a
+    step, stays positive: unbounded unless it shrinks."""
+    if drift >= 0:
+        return math.inf
+    return max(0, (gap - 1) // -drift)
+
+
+def _order_reach(window: list, shifts: list) -> float:
+    """Further steps before two consecutive entries of a tiled window
+    could swap, the last entry and the next tile's first included."""
+    reach = math.inf
+    n = len(window)
+    for j in range(n):
+        if j + 1 < n:
+            later, later_shift = window[j + 1][0], shifts[j + 1]
+        else:
+            later, later_shift = window[0][0] + shifts[0], shifts[0]
+        reach = min(reach, _reach(later - window[j][0],
+                                  later_shift - shifts[j]))
+    return reach
+
+
+def _by_site(entries: list) -> Dict[Any, list]:
+    """Logged interactions, flat ``site, arrival, ready`` triples,
+    grouped per site in occurrence order."""
+    sites: Dict[Any, list] = {}
+    triples = iter(entries)
+    for site, arrival, ready in zip(triples, triples, triples):
+        sites.setdefault(site, []).append((arrival, ready))
+    return sites
 
 
 @dataclass
@@ -492,8 +701,10 @@ def run_coupled(
     Every run is offered the steady fast-forward: it stops simulating
     once the coupled step loop provably enters a periodic orbit — two
     consecutive step boundaries matching in the full observable
-    fingerprint modulo one exact clock translation Δ — and
-    fast-forwards the remaining iterations by exact translation (see
+    fingerprint with every actor moved by its own exact period, and no
+    interaction between actors of different periods changing before the
+    last step — and fast-forwards the remaining iterations by exact
+    translation (see
     :meth:`~repro.staging.base.StagingLibrary.steady_plan`).  The
     result is bit-identical to simulating every step, so the choice is
     the code's, not the caller's: it runs exact whenever the library
@@ -530,6 +741,32 @@ _DEFAULTS = {
 }
 
 
+def lookup(spec: RunSpec) -> Optional[RunResult]:
+    """The run cache's answer for a cacheable ``spec``, or None.
+
+    Its stored result; else, when a sibling differing only in ``steps``
+    published a prefix snapshot that serves this steps count, the
+    snapshot's resume, stored under the key.  :func:`run_spec` and the
+    serve daemon resolve a point through this one sequence.
+    """
+    cached = runcache.CACHE.get(spec.key)
+    if cached is not None:
+        return cached
+    pkey = spec.prefix_key
+    snap = runcache.CACHE.get_prefix(pkey) if pkey is not None else None
+    if snap is None:
+        return None
+    reason = snap.decline_reason(spec.steps)
+    if reason is not None:
+        forkpoint.STATS.decline(reason)
+        return None
+    restored = snap.resume(spec)
+    restored.forked = f"prefix:{pkey[:16]}"
+    forkpoint.STATS.forks_served += 1
+    runcache.CACHE.put(spec.key, restored)
+    return restored
+
+
 def run_spec(spec: RunSpec, trace: Optional[ActivityTrace] = None) -> RunResult:
     """Run one resolved configuration: :func:`run_coupled` past its
     argument handling.  Pool workers run the spec they are sent here."""
@@ -542,20 +779,9 @@ def run_spec(spec: RunSpec, trace: Optional[ActivityTrace] = None) -> RunResult:
         return _PLAN_RECORDER.intercept(key, spec)
 
     if key is not None:
-        cached = runcache.CACHE.get(key)
+        cached = lookup(spec)
         if cached is not None:
             return cached
-        pkey = spec.prefix_key
-        if pkey is not None:
-            snap = runcache.CACHE.get_prefix(pkey)
-            if snap is not None:
-                if snap.serves(spec.steps):
-                    restored = snap.resume(spec)
-                    restored.forked = f"prefix:{pkey[:16]}"
-                    forkpoint.STATS.forks_served += 1
-                    runcache.CACHE.put(key, restored)
-                    return restored
-                forkpoint.STATS.decline(snap.decline_reason(spec.steps))
 
     machine_spec, fault_plan = spec.machine_spec, spec.fault_plan
 
@@ -886,7 +1112,7 @@ def _execute(env, cluster, library, result, spec: RunSpec,
     if steady is None:
         return None
     if not steady.engaged:
-        result.fidelity_log += (steady.fail or "steady: no boundary pair matched",)
+        result.fidelity_log += (steady.decline,)
         return None
     # On divergence _SteadyDiverged propagates to run_spec, which
     # reruns the configuration without the fast-forward.

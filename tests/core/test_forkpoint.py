@@ -113,11 +113,12 @@ class TestPrefixRestore:
         assert_steady_entry_only(result)
 
     def test_uncertified_boundary_attributed_in_fidelity_log(self):
-        # titan/dataspaces attempts certification but no boundary pair
-        # matches: the steady entry says so, and no prefix entry repeats it
+        # titan/mpiio laplace attempts certification but no boundary pair
+        # matches (a shorter step rotates across the writers): the steady
+        # entry says so, and no prefix entry repeats it
         runcache.clear()
-        kwargs = dict(machine="titan", method="dataspaces", nsim=32,
-                      nana=16)
+        kwargs = dict(machine="titan", method="mpiio", workflow="laplace",
+                      nsim=64, nana=32)
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None
@@ -140,6 +141,30 @@ def test_prefix_resume_matches_exact(method, machine, scale, base, steps):
     # cold — either way it must equal the exact run field for field
     nsim, nana = scale
     kwargs = dict(machine=machine, method=method, nsim=nsim, nana=nana)
+    runcache.clear()
+    run_coupled(steps=base, **kwargs)
+    variant = run_coupled(steps=steps, **kwargs)
+    if variant.forked is not None:
+        assert variant.fidelity == "steady" and variant.fidelity_log == ()
+    assert_same_physics(variant, exact_run(steps=steps, **kwargs))
+
+
+@given(
+    method=st.sampled_from(["dataspaces", "flexpath", "decaf"]),
+    workflow=st.sampled_from(["lammps", "laplace"]),
+    scale=st.sampled_from([(32, 16), (64, 32), (128, 64)]),
+    base=st.integers(6, 20),
+    steps=st.integers(6, 128),
+)
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_titan_per_actor_resume_matches_exact(method, workflow, scale, base,
+                                              steps):
+    # Titan writers keep their own periods: the base run certifies a
+    # per-actor orbit (or declines), and the variant must equal the
+    # exact run field for field whether it resumes or simulates
+    nsim, nana = scale
+    kwargs = dict(machine="titan", method=method, workflow=workflow,
+                  nsim=nsim, nana=nana)
     runcache.clear()
     run_coupled(steps=base, **kwargs)
     variant = run_coupled(steps=steps, **kwargs)

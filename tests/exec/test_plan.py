@@ -130,6 +130,7 @@ class TestPlaceholder:
         task = plan.tasks[0]
         from repro.exec.pool import _execute_task
 
-        result, cache_hit = _execute_task(task, attempt=1)
+        result, cache_hit, prefix = _execute_task(task, attempt=1)
         assert not cache_hit
         assert runcache.CACHE._memory[task.key] is result  # ships as cached
+        assert prefix is None  # a one-step run certifies no orbit

@@ -23,6 +23,9 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import Job, ServeDaemon
 from repro.workflows import RunSpec, run_coupled
 
+from ..workflows.test_fidelity import assert_same_physics
+from ..workflows.test_perf_modes import exact_run
+
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
@@ -251,6 +254,24 @@ class TestPointServing:
         assert [reply["coalesced"] for reply in replies] == [False] * 5
         assert [status["state"] for status in statuses] == ["done"] * 5
         assert all(status["result"]["cache_hit"] for status in statuses)
+
+    def test_steps_variant_resumes_at_submission(self, served):
+        # the worker that simulated the base ships the prefix snapshot
+        # its run published, so a steps variant of the finished point
+        # resumes in the daemon itself, whichever worker ran the base
+        base = dict(machine="titan", workflow="lammps",
+                    method="dataspaces", nsim=32, nana=16, steps=8)
+        variant = dict(base, steps=40)
+        with client(served) as c:
+            assert c.wait(c.submit_point(base)["job"])["state"] == "done"
+            submitted = served.daemon.pool.stats()["submitted"]
+            status = c.status(c.submit_point(variant)["job"])
+        assert status["state"] == "done"
+        assert served.daemon.pool.stats()["submitted"] == submitted
+        result = protocol.unpack_pickle(status["result"]["result_b64"])
+        assert result.forked.startswith("prefix:")
+        assert result.fidelity == "steady" and result.fidelity_log == ()
+        assert_same_physics(result, exact_run(**variant))
 
     def test_point_spellings_share_the_driver_key(self, served):
         # two spellings of one point, an omitted default and its explicit

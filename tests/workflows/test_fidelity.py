@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.figures import FIG2_METHODS
 from repro.sim.monitor import TimeSeries
+from repro.workflows.driver import MATCH_CHECKS
 
 from .test_perf_modes import exact_run, fresh_run
 
@@ -77,6 +78,9 @@ def test_steady_matches_exact_or_logs_why(method, machine, workflow, scale,
     engaged = reduced.fidelity == "steady"
     steady = [e for e in log if e.startswith("steady: ")]
     assert len(steady) == (0 if engaged else 1), (reduced.fidelity, log)
+    unmatched = "steady: no boundary pair matched ("
+    assert all(e[len(unmatched):-1] in MATCH_CHECKS
+               for e in steady if e.startswith(unmatched)), log
     prefix = [e for e in log if e.startswith("prefix: ")]
     assert len(prefix) <= 1, log
     assert not prefix or engaged, log

@@ -93,6 +93,46 @@ class TestSteadyEquivalence:
         assert_identical(exact, steady, ignore=("fidelity",))
 
 
+# ------------------------------------------------- per-actor periods
+
+
+class TestPerActorOrbits:
+    """Titan scales wire latency by torus hops, so each writer puts at
+    its own speed and every actor repeats at its own period."""
+
+    @pytest.mark.parametrize("method", ["dataspaces", "flexpath", "decaf"])
+    def test_writers_at_their_own_period_engage(self, method):
+        kwargs = dict(machine="titan", method=method, nsim=64, nana=32,
+                      steps=40)
+        steady = fresh_run(**kwargs)
+        assert steady.fidelity == "steady", steady.fidelity_log
+        assert_identical(exact_run(**kwargs), steady, ignore=("fidelity",))
+
+    def test_cross_rate_slack_bounds_the_horizon(self):
+        # two writers' staged samples in server 0's merged series close
+        # in by 25,770 ticks a step from 16,120,098 apart at boundary 3:
+        # their order holds through step 627, so a 628-step run engages
+        # and a 629-step one runs exact, and a snapshot says the same
+        kwargs = dict(machine="titan", method="dataspaces", nsim=32,
+                      nana=16)
+        inside = fresh_run(steps=628, **kwargs)
+        past = fresh_run(steps=629, **kwargs)
+        assert inside.fidelity == "steady"
+        assert past.fidelity_log == (
+            "steady: no boundary pair matched (cross-rate slack)",
+        )
+        for run in (inside, past):
+            assert_identical(exact_run(steps=run.steps, **kwargs), run,
+                             ignore=("fidelity",))
+        runcache.clear()
+        run_coupled(steps=40, **kwargs)
+        snap = runcache.CACHE.get_prefix(
+            driver.RunSpec.of(steps=40, **kwargs).prefix_key)
+        assert snap.horizon == 628 and snap.serves(628)
+        assert snap.decline_reason(629).startswith(
+            "prefix: steps pass the cross-rate horizon")
+
+
 # ------------------------------------------------------ fallback reasons
 
 

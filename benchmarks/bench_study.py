@@ -22,9 +22,10 @@ optimizations move.  Modes:
   events/sec per structure under the ``engine`` key;
 * ``--serve``      — the serving-layer latency benchmark: a cold
   ``python -m repro study fig6`` subprocess (interpreter start +
-  import + serial simulation) against a resident daemon's first
-  (cache-cold) and warm (cache-hot) submissions of the same figure,
-  plus the warm pool's resident events/sec, under the ``serve`` key;
+  import + serial simulation) against ``Study(service=...)`` runs of
+  the same figure on a resident daemon, its cache first cold, then
+  warm, plus the warm pool's resident events/sec, under the ``serve``
+  key;
 * ``--fork-ab``    — the resident-state A/B: the cold chaos campaign
   against a resubmission served from the resident run cache, and a
   steady step-count column cold vs arithmetic prefix resume —
@@ -398,25 +399,26 @@ def engine_bench(n_ops: int = 200_000, seed: int = 1234,
 # ---------------------------------------------------- serving latency
 
 def serve_bench(figure: str = "fig6") -> Dict[str, object]:
-    """Cold CLI start vs resident-daemon submissions of one figure.
+    """Cold CLI start vs a study whose points ride a resident daemon.
 
     Three numbers frame what keeping the service resident buys:
 
     * ``cold_study_seconds`` — a fresh ``python -m repro study`` run
       of the figure in a subprocess: interpreter start, imports,
       serial simulation (what a batch user pays every invocation);
-    * ``first_submission_seconds`` — submit+wait against a freshly
-      started daemon (cache cold): the points still simulate, but the
+    * ``first_submission_seconds`` — ``Study(service=...)`` running
+      the figure against a freshly started daemon subprocess (its
+      cache cold): the points still simulate, but the
       interpreter/import cost is already sunk in the resident pool;
-    * ``warm_submission_seconds`` — the same submission again: every
-      point a cache hit, only planning and replay remain.
+    * ``warm_submission_seconds`` — the same run again from a cleared
+      local cache, as a new client would: the daemon answers every
+      point from its run cache, so planning, the point round trips and
+      the replay remain.
     """
     import subprocess
     import tempfile
-    import threading
 
     from repro.serve.client import ServeClient
-    from repro.serve.daemon import ServeDaemon
 
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -429,23 +431,29 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
 
     tmp = tempfile.mkdtemp(prefix="repro-serve-bench-")
     sock = os.path.join(tmp, "bench.sock")
-    runcache.clear()
-    daemon = ServeDaemon(socket_path=sock, jobs=os.cpu_count() or 1)
-    thread = threading.Thread(target=daemon.run, daemon=True)
-    thread.start()
-    daemon.ready.wait(60)
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", sock],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
     try:
-        with ServeClient(socket_path=sock).connect(retry_seconds=10) as c:
-            timings = []
-            for _ in range(2):
-                start = time.perf_counter()
-                final = c.wait(c.submit_figure(figure)["job"])
-                timings.append(time.perf_counter() - start)
-                assert final["state"] == "done", final
+        with ServeClient(socket_path=sock).connect(retry_seconds=60) as c:
+            c.ping()
+        timings = []
+        for _ in range(2):
+            runcache.clear()  # each run is a fresh client's
+            study = Study(service=sock)
+            start = time.perf_counter()
+            study.run(only=[figure])
+            timings.append(time.perf_counter() - start)
+            assert study.run_report.quarantined == [], study.run_report.tasks
+        with ServeClient(socket_path=sock).connect() as c:
             stats = c.stats()
+            c.shutdown()
+        daemon.wait(timeout=60)
     finally:
-        daemon.request_shutdown()
-        thread.join(60)
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
     first, warm = timings
     print(f"serve/{figure}: cold study {cold:6.2f} s   first submission "
           f"{first:6.2f} s   warm submission {warm:6.2f} s   "

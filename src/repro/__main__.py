@@ -21,8 +21,9 @@ Subcommands:
   ``repro submit --shutdown``;
 * ``submit (--fig ID | --chaos-seed S | --ping | --stats |
   --shutdown) [--stream] [--export DIR]`` — talk to a running daemon:
-  submit a figure or chaos campaign, stream live progress, export the
-  returned tables (byte-identical to ``repro study``'s).
+  run a figure or the chaos campaign with its points on the daemon
+  (planned and replayed here, like ``study --service``), print live
+  progress, export the tables (byte-identical to ``repro study``'s).
 """
 
 from __future__ import annotations
@@ -152,21 +153,30 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from .serve.client import ServeClient, ServeError, StreamRenderer
+    from .core.export import to_csv
+    from .exec import execute_parallel
+    from .serve.client import ServeClient, ServeError, ServiceRunner
+    from .serve.protocol import normalize_figure, parse_address
 
-    address_kwargs = {}
-    if args.tcp:
-        from .serve.protocol import parse_address
-
-        parts = parse_address(args.tcp)
-        if "host" not in parts:
-            print(f"error: --tcp wants HOST:PORT, got {args.tcp!r}")
+    if args.tcp and "host" not in parse_address(args.tcp):
+        print(f"error: --tcp wants HOST:PORT, got {args.tcp!r}")
+        return 2
+    address = args.tcp or args.socket
+    experiments = None
+    if args.fig:
+        try:
+            experiments = Study(full=args.full).select(
+                [normalize_figure(args.fig)]
+            )
+        except ValueError as exc:
+            print(f"error: {exc}")
             return 2
-        address_kwargs = dict(host=parts["host"], port=parts["port"])
-    else:
-        address_kwargs = dict(socket_path=args.socket)
+    elif args.chaos_seed is not None:
+        from .chaos.campaign import campaign_experiments
+
+        experiments = campaign_experiments(args.chaos_seed)
     try:
-        with ServeClient(timeout=args.timeout, **address_kwargs).connect(
+        with ServeClient(address=address, timeout=args.timeout).connect(
             retry_seconds=args.connect_retry
         ) as client:
             if args.ping:
@@ -178,36 +188,23 @@ def _cmd_submit(args) -> int:
                 client.shutdown()
                 print("daemon stopping")
                 return 0
-            result = None
-            if args.fig or args.chaos_seed is not None:
-                if args.fig:
-                    reply = client.submit_figure(args.fig, full=args.full)
-                else:
-                    reply = client.submit_chaos(args.chaos_seed)
-                job = reply["job"]
-                if reply.get("coalesced"):
-                    print(f"joined in-flight job {job}", file=sys.stderr)
-                if args.stream:
-                    final = client.stream(job, StreamRenderer(sys.stderr))
-                else:
-                    final = client.wait(job)
-                if final["state"] != "done":
-                    print(f"job {job} {final['state']}: "
-                          f"{final.get('error', '')}")
-                    return 1
-                result = final.get("result", {})
-                tables = result.get("tables", {})
+            if experiments is not None:
+                # the points run on the daemon; plan and replay run here
+                execute_parallel(
+                    experiments, jobs=1,
+                    runner=ServiceRunner(address, timeout=args.timeout),
+                    progress_stream=sys.stderr if args.stream else None,
+                )
+                tables = {ident: runner()
+                          for ident, runner in experiments.items()}
                 if args.export:
                     os.makedirs(args.export, exist_ok=True)
-                    for ident, payload in tables.items():
-                        for ext in ("csv", "json"):
-                            path = os.path.join(args.export, f"{ident}.{ext}")
-                            with open(path, "w", encoding="utf-8") as fh:
-                                fh.write(payload[ext])
+                    for ident, table in tables.items():
+                        write_files(table, os.path.join(args.export, ident))
                     print(f"exported {len(tables)} tables to {args.export}/")
                 else:
-                    for ident, payload in tables.items():
-                        print(payload["csv"])
+                    for table in tables.values():
+                        print(to_csv(table))
             if args.stats_out or args.stats:
                 stats = client.stats()
                 if args.stats_out:
@@ -329,10 +326,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="connect over TCP instead of the socket")
     what = submit_p.add_mutually_exclusive_group(required=True)
     what.add_argument("--fig", metavar="ID",
-                      help="submit a figure/table job (e.g. 2a, fig6, "
-                           "table5)")
+                      help="run a figure/table on the daemon (e.g. 2a, "
+                           "fig6, table5)")
     what.add_argument("--chaos-seed", type=int, metavar="S",
-                      help="submit the fault-injection campaign at seed S")
+                      help="run the fault-injection campaign at seed S "
+                           "on the daemon")
     what.add_argument("--ping", action="store_true",
                       help="check the daemon is alive")
     what.add_argument("--stats", action="store_true",
@@ -341,13 +339,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="ask the daemon to drain and stop")
     submit_p.add_argument("--full", action="store_true",
                           help="the paper's full processor range "
-                               "(figure jobs)")
+                               "(with --fig)")
     submit_p.add_argument("--stream", action="store_true",
-                          help="follow live progress instead of blocking "
-                               "silently")
+                          help="print live progress to stderr instead of "
+                               "running silently")
     submit_p.add_argument("--export", metavar="DIR",
-                          help="write the returned tables as CSV+JSON "
-                               "into DIR (default: print CSV)")
+                          help="write the tables as CSV+JSON into DIR "
+                               "(default: print CSV)")
     submit_p.add_argument("--stats-out", metavar="PATH",
                           help="also write the daemon's stats as JSON "
                                "to PATH")

@@ -24,7 +24,7 @@ same serial replay (the pattern of :class:`repro.core.study.Study`).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
 from ..core.results import TableResult
 from ..staging.base import StagingConfig
@@ -415,6 +415,16 @@ def campaign_outcomes(seed: int = 7) -> Dict[Tuple[str, str], Dict[str, Any]]:
     }
 
 
+def campaign_experiments(seed: int) -> Dict[str, Callable[[], TableResult]]:
+    """The campaign's tables by experiment id, in export order: what
+    ``repro chaos`` and ``repro submit --chaos-seed`` plan and replay."""
+    return {
+        "chaos_matrix": lambda: chaos_matrix(seed),
+        "chaos_blast": lambda: chaos_blast(seed),
+        "chaos_matrix_ext": lambda: chaos_matrix_ext(seed),
+    }
+
+
 def run_campaign(
     seed: int = 7,
     jobs: int = 1,
@@ -433,11 +443,7 @@ def run_campaign(
     (``benchmarks/e2e/child.py``) still passes it; delete it once that
     call stops.
     """
-    experiments = {
-        "chaos_matrix": lambda: chaos_matrix(seed),
-        "chaos_blast": lambda: chaos_blast(seed),
-        "chaos_matrix_ext": lambda: chaos_matrix_ext(seed),
-    }
+    experiments = campaign_experiments(seed)
     if export_dir is not None:
         import os
 

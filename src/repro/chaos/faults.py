@@ -243,9 +243,8 @@ class FaultInjector:
         """Schedule every event of the plan.
 
         Absolute fire times quantize onto the 2^-32 s tick grid up
-        front — the plan's float ``at`` becomes an integer deadline, the
-        same rounding :meth:`Environment.at` would apply, made explicit
-        so a fault time is a tick everywhere downstream.
+        front — the plan's float ``at`` becomes an integer deadline, so
+        a fault time is a tick everywhere downstream.
         """
         env = self.env
         for event in self.plan.events:

@@ -82,8 +82,11 @@ class Study:
             "conclusions": conclusions,
         }
 
-    def run(self, only: Optional[List[str]] = None) -> Dict[str, TableResult]:
-        """Run all (or the selected) experiments; returns id -> result."""
+    def select(
+        self, only: Optional[List[str]] = None
+    ) -> Dict[str, Callable[[], TableResult]]:
+        """The experiments ``only`` names (all when None), in paper
+        order; an unknown id is a ``ValueError``."""
         experiments = self.experiments()
         if only is not None:
             unknown = [ident for ident in only if ident not in experiments]
@@ -92,11 +95,15 @@ class Study:
                     f"unknown experiment ids: {', '.join(unknown)} "
                     f"(see 'python -m repro list')"
                 )
-        selected = {
+        return {
             ident: runner
             for ident, runner in experiments.items()
             if only is None or ident in only
         }
+
+    def run(self, only: Optional[List[str]] = None) -> Dict[str, TableResult]:
+        """Run all (or the selected) experiments; returns id -> result."""
+        selected = self.select(only)
         if (self.jobs > 1 or self.service) and selected:
             from ..exec import execute_parallel
 

@@ -23,17 +23,17 @@ real failure.
 The execution backend is pluggable.  By default every call starts one
 :class:`WorkerPool`, runs all its planning rounds on it and shuts it
 down; pass ``runner=`` anything with a ``run(tasks, progress=None) ->
-outcomes`` method instead — the serve daemon passes its own started
-:class:`WorkerPool`, and ``service=`` an address of a running
-``python -m repro serve`` daemon is sugar for
-:class:`repro.serve.client.ServiceRunner`, so batch campaigns share
-the daemon's resident workers and cross-process cache.
+outcomes`` method instead (a started :class:`WorkerPool` stays
+started), and ``service=`` an address of a running ``python -m repro
+serve`` daemon is sugar for :class:`repro.serve.client.ServiceRunner`,
+so batch campaigns share the daemon's resident workers and
+cross-process cache while planning and replay stay in the caller.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, TextIO
+from typing import Any, Callable, Mapping, Optional, TextIO
 
 from .plan import PlannedTask, WorkPlan, build_plan
 from .pool import PoolInterrupted, TaskOutcome, WorkerPool, effective_jobs
@@ -64,7 +64,6 @@ def execute_parallel(
     progress_stream: Optional[TextIO] = None,
     runner: Optional[Any] = None,
     service: Optional[str] = None,
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> RunReport:
     """Plan, execute and cache-seed the experiments' simulation points.
 
@@ -75,10 +74,8 @@ def execute_parallel(
     ``runner`` swaps the per-call :class:`WorkerPool` for a caller-owned
     backend (``run(tasks, progress=None) -> {key: TaskOutcome}``);
     ``service`` is shorthand for a :class:`repro.serve.client.ServiceRunner`
-    bound to that daemon address.  ``progress`` receives every task
-    event (plus one ``status="round"`` event per planning round)
-    instead of the default stream printer — the daemon uses it to relay
-    events to streaming clients.
+    bound to that daemon address.  Each round's summary and task lines
+    go to ``progress_stream``.
     """
     if service is not None and runner is None:
         from ..serve.client import ServiceRunner
@@ -88,7 +85,7 @@ def execute_parallel(
     if runner is None:
         runner = pool = WorkerPool(jobs=jobs, cache_dir=cache_dir)
     try:
-        report = _run_rounds(experiments, jobs, runner, progress_stream, progress)
+        report = _run_rounds(experiments, jobs, runner, progress_stream)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -97,7 +94,7 @@ def execute_parallel(
     return report
 
 
-def _run_rounds(experiments, jobs, runner, progress_stream, progress) -> RunReport:
+def _run_rounds(experiments, jobs, runner, progress_stream) -> RunReport:
     from ..core import forkpoint, runcache
 
     start = time.monotonic()
@@ -109,31 +106,8 @@ def _run_rounds(experiments, jobs, runner, progress_stream, progress) -> RunRepo
         if not tasks:
             if round_no == 1:
                 report.absorb(round_no, plan, {})
-                if progress is not None:
-                    # streaming clients still get the planning summary
-                    # ("0 points to simulate, N already cached")
-                    progress(
-                        dict(
-                            status="round", round=round_no, total=0,
-                            total_refs=plan.total_refs,
-                            deduped_refs=plan.deduped_refs,
-                            cache_hits=plan.cache_hits, workers=workers,
-                        )
-                    )
             break
-        if progress is not None:
-            progress(
-                dict(
-                    status="round",
-                    round=round_no,
-                    total=len(tasks),
-                    total_refs=plan.total_refs,
-                    deduped_refs=plan.deduped_refs,
-                    cache_hits=plan.cache_hits,
-                    workers=workers,
-                )
-            )
-        elif progress_stream is not None:
+        if progress_stream is not None:
             print(
                 f"round {round_no}: {len(tasks)} points to simulate "
                 f"({plan.total_refs} calls, {plan.deduped_refs} deduped, "
@@ -141,8 +115,9 @@ def _run_rounds(experiments, jobs, runner, progress_stream, progress) -> RunRepo
                 file=progress_stream,
                 flush=True,
             )
-        on_event = progress or ProgressPrinter(len(tasks), progress_stream)
-        outcomes = runner.run(tasks, progress=on_event)
+        outcomes = runner.run(
+            tasks, progress=ProgressPrinter(len(tasks), progress_stream)
+        )
         for key, outcome in outcomes.items():
             if outcome.result is not None:
                 runcache.CACHE.seed(key, outcome.result)

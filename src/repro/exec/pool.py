@@ -38,9 +38,7 @@ the :class:`RunResult` objects the workers returned and cached.
   pool stops replacing them, and every queued and later submission
   resolves ``failed`` with that count and the last exit code.
 * The pool runs every submission it is given: a campaign's plan
-  deduplicates its points and the serve daemon its concurrent jobs, so
-  only a figure task and a point job with one key that overlap both
-  simulate it, with identical results.
+  deduplicates its points and the serve daemon its concurrent jobs.
 * Workers count the discrete events their simulations process, so
   :meth:`stats` can quote pool-resident events/sec.
 * :meth:`shutdown` drains in-flight tasks up to ``drain_seconds`` and

@@ -5,13 +5,15 @@ interpreter + import start-up per campaign and share nothing across
 invocations.  This package turns the simulator into a *service*: a
 long-running asyncio daemon that keeps one
 :class:`repro.exec.pool.WorkerPool` of warm spawn workers started over
-the shared run cache, serving many concurrent clients; duplicate
-concurrent submissions share one job.
+the shared run cache and serves simulation points to many concurrent
+clients; duplicate concurrent submissions of a point share one job.
+A figure or the chaos campaign is planned and replayed in its client,
+which sends the daemon only its points.
 
 * :mod:`.protocol` — the newline-delimited JSON wire format (framing,
   figure-id normalization, the pickle side-channel for rich payloads);
 * :mod:`.daemon`   — :class:`ServeDaemon`, the asyncio server (unix
-  socket and/or TCP) exposing submit / status / stream / cancel /
+  socket and/or TCP) exposing submit / status / wait / cancel /
   stats / shutdown;
 * :mod:`.client`   — :class:`ServeClient`, the blocking client the CLI
   and :class:`repro.core.study.Study(service=...) <repro.core.study.Study>`

@@ -5,18 +5,13 @@ daemon: one socket, one request per line, replies parsed back into
 dicts.  The CLI (``python -m repro submit``), the tests and the bench
 all drive it; :class:`ServiceRunner` adapts it to the
 ``runner.run(tasks, progress)`` contract of
-:func:`repro.exec.execute_parallel`, which is how
-``Study(service=...)`` rides a daemon's warm pool instead of spawning
-its own: every planned point becomes a point submission (its spec's
-fields, which the daemon resolves and keys itself), duplicate keys
-coalesce daemon-side (across *all* connected clients), and the pickled
-results seed the local in-process cache for the byte-identical serial
-replay.
-
-:class:`StreamRenderer` replays a daemon event stream through
-:class:`repro.exec.report.ProgressPrinter`, so ``repro submit
---stream`` shows the same ``[done/total] label seconds eta`` lines as
-``repro study --jobs N``.
+:func:`repro.exec.execute_parallel`, which is how ``Study(service=...)``
+and ``repro submit --fig``/``--chaos-seed`` ride a daemon's warm pool
+instead of spawning their own: every planned point becomes a point
+submission (its spec's fields, which the daemon resolves and keys
+itself), duplicate keys coalesce daemon-side (across *all* connected
+clients), and the pickled results seed the local in-process cache for
+the byte-identical serial replay, which runs in the client.
 """
 
 from __future__ import annotations
@@ -24,10 +19,9 @@ from __future__ import annotations
 import dataclasses
 import socket
 import time
-from typing import Any, Callable, Dict, Optional, Sequence, TextIO
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..exec.pool import TaskOutcome
-from ..exec.report import ProgressPrinter
 from . import protocol
 
 
@@ -133,15 +127,6 @@ class ServeClient:
     def shutdown(self) -> Dict[str, Any]:
         return self._request({"op": "shutdown"})
 
-    def submit_figure(self, figure: str, full: bool = False) -> Dict[str, Any]:
-        return self._request(
-            {"op": "submit", "kind": "figure",
-             "figure": protocol.normalize_figure(figure), "full": full}
-        )
-
-    def submit_chaos(self, seed: int = 7) -> Dict[str, Any]:
-        return self._request({"op": "submit", "kind": "chaos", "seed": seed})
-
     def submit_point(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Submit one ``run_coupled`` keyword dict; the daemon keys it."""
         return self._request({"op": "submit", "kind": "point",
@@ -156,49 +141,6 @@ class ServeClient:
 
     def cancel(self, job: str) -> Dict[str, Any]:
         return self._request({"op": "cancel", "job": job})
-
-    def stream(
-        self,
-        job: str,
-        on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> Dict[str, Any]:
-        """Follow the job's progress events; returns the final reply.
-
-        ``on_event`` is called once per progress event in order
-        (backlog first, then live).
-        """
-        self._request({"op": "stream", "job": job})
-        while True:
-            message = self._recv()
-            if message.get("done"):
-                return message
-            if "event" in message and on_event is not None:
-                on_event(message["event"])
-
-
-class StreamRenderer:
-    """Render daemon progress events with the exec ETA printer."""
-
-    def __init__(self, stream: Optional[TextIO]) -> None:
-        self.stream = stream
-        self._printer: Optional[ProgressPrinter] = None
-
-    def __call__(self, event: Dict[str, Any]) -> None:
-        if event.get("status") == "round":
-            if self.stream is not None:
-                print(
-                    f"round {event['round']}: {event['total']} points to "
-                    f"simulate ({event['total_refs']} calls, "
-                    f"{event['deduped_refs']} deduped, "
-                    f"{event['cache_hits']} already cached) on "
-                    f"{event['workers']} warm workers",
-                    file=self.stream,
-                    flush=True,
-                )
-            self._printer = ProgressPrinter(event["total"], self.stream)
-            return
-        if self._printer is not None:
-            self._printer(event)
 
 
 class ServiceRunner:

@@ -3,15 +3,13 @@
 ``python -m repro serve`` starts one :class:`ServeDaemon`.  It listens
 on a unix socket (``0600``) and/or a TCP port, speaks the
 newline-delimited JSON protocol of :mod:`repro.serve.protocol`, and
-accepts three kinds of work from any number of concurrent clients:
-
-* **points**  — one ``run_coupled`` configuration (the
-  :class:`~repro.serve.client.ServiceRunner` path batch campaigns use);
-* **figures** — any study experiment id (``fig2a`` … ``conclusions``),
-  planned, deduplicated, simulated on the warm pool and replayed
-  serially exactly like ``repro study --jobs N``, so the returned CSV/
-  JSON bytes equal the serial goldens;
-* **chaos**   — the seed-fixed fault-injection campaign.
+serves **points** to any number of concurrent clients: each
+submission is one ``run_coupled`` configuration.  A figure, a table or
+the chaos campaign reaches the daemon only as its points: the client
+plans it, sends the points through
+:class:`~repro.serve.client.ServiceRunner` and replays it serially
+against the results (``repro submit --fig``, ``repro study
+--service``), so no plan or replay runs here.
 
 Execution model
 ---------------
@@ -19,36 +17,28 @@ Execution model
 The asyncio loop only shuffles bytes and bookkeeping, and answers the
 points the run cache already holds at submission, the job born
 ``done`` (each cached result is pickled for the wire once, however
-often it is asked for); simulation work lands in two places.  Other
-points go straight to the daemon's :class:`~repro.exec.pool.WorkerPool`,
-started once and kept resident, whose completion callback finishes
-their job on the loop.
-Figure and chaos jobs run on a dedicated single **replay thread**:
-planning and serial replay mutate process globals (the plan-recorder
-hook, the in-process run cache, the registry singletons), so at most
-one replay may be live at a time —
-concurrent figure submissions queue behind each other while their
-simulation points still fan out across the pool.  Every job's
-progress events are mirrored to any number of streaming subscribers.
+often it is asked for).  Other points go straight to the daemon's
+:class:`~repro.exec.pool.WorkerPool`, started once and kept resident,
+whose completion callback finishes their job on the loop.  So the loop
+thread is the only code that reads or bumps the daemon's run cache,
+its prefix counters and its job counters.
 
 Duplicate concurrent submissions **single-flight** on the index of
-live jobs (same figure/full, same chaos seed, same point key -> one
-underlying job, ``coalesced`` counted in ``stats``; the check is one
-lookup); the pool itself runs every task it is given.  A point's key
-is always the daemon's own: it builds one
-:class:`~repro.workflows.driver.RunSpec` from each distinct point
+live jobs (same point key -> one underlying job, ``coalesced`` counted
+in ``stats``; the check is one lookup); the pool itself runs every
+task it is given.  A point's key is always the daemon's own: it builds
+one :class:`~repro.workflows.driver.RunSpec` from each distinct point
 spelling it receives and keys the job by the spec's run-cache key, so
-spellings of one point share a job and figure-seeded results answer
-it.  Completed results are *not* reused at the job level —
-re-submitting a finished figure makes a new job whose points all hit
-the shared run cache, which is the cheaper and more observable path.
-Finished jobs linger for late ``status``/``stream`` readers and are
-then evicted at submission time — oldest-finished first past
-``job_cap`` total jobs, unconditionally once ``job_ttl_seconds`` past
-their finish — so a resident daemon's job registry stays bounded
-(``evicted`` in ``stats``).  Finished jobs are kept in finish order, so
-eviction stops at the first job it keeps.  Each job's end is counted
-once, by state, when it leaves the live index.
+spellings of one point share a job.  Completed results are *not*
+reused at the job level — re-submitting a finished point makes a new
+job, born ``done`` from the shared run cache.  Finished jobs linger
+for late ``status``/``wait`` readers and are then evicted at
+submission time — oldest-finished first past ``job_cap`` total jobs,
+unconditionally once ``job_ttl_seconds`` past their finish — so a
+resident daemon's job registry stays bounded (``evicted`` in
+``stats``).  Finished jobs are kept in finish order, so eviction stops
+at the first job it keeps.  Each job's end is counted once, by state,
+when it leaves the live index.
 
 Two memos are not bounded, like the run cache beside them: the spec
 memo keeps one entry per distinct submitted point spelling, and the
@@ -57,24 +47,21 @@ the 1,000-request seed-1 what-if stream of ``benchmarks/e2e``, whose
 run cache then holds 336 entries).
 
 SIGINT/SIGTERM (or the ``shutdown`` op) trigger the graceful sequence:
-stop accepting, cancel queued jobs, drain in-flight pool tasks up to
-``drain_seconds``, terminate every worker, unlink the socket.
+stop accepting, drain in-flight points up to ``drain_seconds`` (queued
+ones resolve ``cancelled``), terminate every worker, unlink the socket.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import os
 import signal
 import threading
 import time
-import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..core import runcache
 from ..exec.plan import PlannedTask
@@ -88,55 +75,33 @@ _POINT_REQUIRED = ("machine", "workflow", "method", "nsim", "nana", "steps")
 
 @dataclass
 class Job:
-    """One accepted submission (possibly shared by many clients)."""
+    """One accepted point submission (possibly shared by many clients)."""
 
     ident: str
-    kind: str  # "point" | "figure" | "chaos"
+    #: the spec's run-cache key (``uncached:N`` for a point the cache
+    #: cannot hold), the single-flight index's key
     key: str
-    params: Dict[str, Any]
-    loop: asyncio.AbstractEventLoop = field(repr=False)
-    state: str = "queued"  # -> running | done | failed | cancelled
+    spec: RunSpec = field(repr=False)
+    #: dunder test hooks: execution noise that rides to the worker
+    hooks: Dict[str, Any] = field(default_factory=dict, repr=False)
+    state: str = "running"  # -> done | failed | cancelled
     refs: int = 1
     created: float = field(default_factory=time.monotonic)
     finished: Optional[float] = None
-    #: progress events, appended only on the loop thread
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    subscribers: List[asyncio.Queue] = field(default_factory=list)
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    cancel_requested: bool = False
-    #: a point job's pool submission, the handle :meth:`ServeDaemon._cancel`
-    #: passes to the pool
+    #: the job's pool submission (None for a job born done), the handle
+    #: :meth:`ServeDaemon._cancel` passes to the pool
     submission: Optional[Submission] = field(default=None, repr=False)
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
-    #: called on the loop thread once the job reaches a terminal state
+    #: called once the job reaches a terminal state
     on_finish: Optional[Callable[["Job"], None]] = field(
         default=None, repr=False
     )
 
-    def emit(self, event: Dict[str, Any]) -> None:
-        """Record + fan out one progress event (any thread)."""
-        try:
-            self.loop.call_soon_threadsafe(self._emit_on_loop, dict(event))
-        except RuntimeError:
-            pass  # loop already closed (daemon stopping)
-
-    def _emit_on_loop(self, event: Dict[str, Any]) -> None:
-        self.events.append(event)
-        for queue in self.subscribers:
-            queue.put_nowait(event)
-
     def finish(self, state: str, result=None, error=None) -> None:
-        """Terminal transition (any thread); wakes waiters/streamers."""
-        try:
-            self.loop.call_soon_threadsafe(
-                self._finish_on_loop, state, result, error
-            )
-        except RuntimeError:
-            pass
-
-    def _finish_on_loop(self, state, result, error) -> None:
-        if self.state in ("done", "failed", "cancelled"):
+        """Terminal transition (loop thread); wakes waiters."""
+        if self.state != "running":
             return
         self.state = state
         self.result = result
@@ -145,22 +110,18 @@ class Job:
         if self.on_finish is not None:
             self.on_finish(self)
         self.done_event.set()
-        for queue in self.subscribers:
-            queue.put_nowait(None)  # stream sentinel
 
-    def describe(self, with_result: bool = False) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         payload = dict(
             ok=True,
             job=self.ident,
-            kind=self.kind,
             state=self.state,
             refs=self.refs,
-            events=len(self.events),
             seconds=round((self.finished or time.monotonic()) - self.created, 3),
         )
         if self.error is not None:
             payload["error"] = self.error
-        if with_result and self.result is not None:
+        if self.result is not None:
             payload["result"] = self.result
         return payload
 
@@ -194,12 +155,12 @@ class ServeDaemon:
         if cache_dir:
             runcache.enable_disk(cache_dir)
         self.jobs: Dict[str, Job] = {}
-        #: queued and running jobs by key: the single-flight index
+        #: running jobs by key: the single-flight index
         self._live: Dict[str, Job] = {}
         #: finished jobs in finish order, the order eviction reads
         self._finished: Deque[Job] = deque()
         #: retention for finished jobs (done/failed/cancelled): kept for
-        #: late status/stream readers, then evicted oldest-finished
+        #: late status/wait readers, then evicted oldest-finished
         #: first past ``job_cap`` total jobs, and unconditionally once
         #: ``job_ttl_seconds`` past their finish time
         self.job_cap = job_cap
@@ -212,15 +173,6 @@ class ServeDaemon:
         self._specs: Dict[str, Tuple[RunSpec, Dict[str, Any]]] = {}
         #: run-cache key -> (cached result, its cache-hit payload)
         self._hit_payloads: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
-        #: figure/chaos plan+replay mutate process globals -> one thread
-        self._replay = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-replay"
-        )
-        #: held while a queued figure/chaos job takes one of its two
-        #: exits, so each is finished and counted once: the replay thread
-        #: claims it (queued -> running), or a cancel or the stop
-        #: sequence finishes it on the loop
-        self._claim = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping = False
         self._stop_requested: Optional[asyncio.Event] = None
@@ -285,17 +237,9 @@ class ServeDaemon:
             for server in servers:
                 server.close()
                 await server.wait_closed()
-            with self._claim:
-                for job in self.jobs.values():
-                    if job.state == "queued":
-                        job.cancel_requested = True
-                        job._finish_on_loop("cancelled", None,
-                                            "daemon stopping")
+            # waited for off the loop: every in-flight point's finish,
+            # posted before the pool returns, runs and is counted first
             await self._loop.run_in_executor(None, self.pool.shutdown)
-            # waited for off the loop, so the finish the replay thread
-            # posts last still runs, and is counted, before the loop closes
-            await self._loop.run_in_executor(None, functools.partial(
-                self._replay.shutdown, wait=True, cancel_futures=True))
             if self.socket_path is not None and os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
 
@@ -350,54 +294,22 @@ class ServeDaemon:
         if op == "submit":
             writer.write(protocol.encode(self._submit(request)))
             return False
-        if op in ("status", "wait", "stream", "cancel"):
+        if op in ("status", "wait", "cancel"):
             job = self.jobs.get(request.get("job", ""))
             if job is None:
                 writer.write(protocol.encode(
                     protocol.error(f"unknown job {request.get('job')!r}")
                 ))
                 return False
-            if op == "status":
-                writer.write(protocol.encode(job.describe(with_result=True)))
-                return False
             if op == "cancel":
                 writer.write(protocol.encode(self._cancel(job)))
                 return False
             if op == "wait":
                 await job.done_event.wait()
-                writer.write(protocol.encode(job.describe(with_result=True)))
-                return False
-            await self._stream(job, writer)
+            writer.write(protocol.encode(job.describe()))
             return False
         writer.write(protocol.encode(protocol.error(f"unknown op {op!r}")))
         return False
-
-    async def _stream(self, job: Job, writer) -> None:
-        """Replay the job's event backlog, then follow live to the end."""
-        writer.write(protocol.encode(dict(ok=True, stream=job.ident)))
-        queue: asyncio.Queue = asyncio.Queue()
-        backlog = list(job.events)
-        finished = job.done_event.is_set()
-        if not finished:
-            job.subscribers.append(queue)
-        try:
-            for event in backlog:
-                writer.write(protocol.encode(dict(event=event)))
-            await writer.drain()
-            if not finished:
-                while True:
-                    event = await queue.get()
-                    if event is None:
-                        break
-                    writer.write(protocol.encode(dict(event=event)))
-                    await writer.drain()
-            done = job.describe(with_result=True)
-            done["done"] = True
-            writer.write(protocol.encode(done))
-            await writer.drain()
-        finally:
-            if queue in job.subscribers:
-                job.subscribers.remove(queue)
 
     # -- submission ----------------------------------------------------
 
@@ -422,7 +334,7 @@ class ServeDaemon:
         (done/failed/cancelled) are candidates — they have already left
         the single-flight index, so an eviction can never break
         coalescing — and the oldest-finished go first (LRU on finish
-        time).  A later ``status``/``stream`` for an evicted ident gets
+        time).  A later ``status``/``wait`` for an evicted ident gets
         the same "unknown job" a restart would produce.
         """
         now = time.monotonic()
@@ -443,88 +355,64 @@ class ServeDaemon:
             return protocol.error("daemon is stopping")
         self._evict_finished()
         kind = request.get("kind")
+        if kind != "point":
+            return protocol.error(f"unknown submission kind {kind!r}")
         try:
-            if kind == "figure":
-                ident = protocol.normalize_figure(str(request.get("figure", "")))
-                params = dict(figure=ident, full=bool(request.get("full", False)))
-                key = f"figure:{ident}:full={params['full']}"
-            elif kind == "chaos":
-                params = dict(seed=int(request.get("seed", 7)))
-                key = f"chaos:seed={params['seed']}"
-            elif kind == "point":
-                # Resolving and keying a point on every submission added
-                # 50-85 us to each repeat while the workers simulated, and
-                # ~21% to a what-if stream's median latency (2-vCPU x86
-                # host; repeats are most of the stream), so each distinct
-                # spelling (the exact submitted bytes) is resolved once.
-                raw = request["spec_b64"]
-                known = self._specs.get(raw)
-                if known is None:
-                    point = protocol.unpack_pickle(raw)
-                    if not isinstance(point, dict):
-                        return protocol.error("point spec must be a dict")
-                    missing = [k for k in _POINT_REQUIRED if k not in point]
-                    if missing:
-                        return protocol.error(
-                            f"point spec missing keys: {', '.join(missing)}"
-                        )
-                    # dunder test hooks are execution noise, not
-                    # configuration
-                    hooks = {k: point.pop(k) for k in list(point)
-                             if k.startswith("__")}
-                    known = self._specs[raw] = (RunSpec.of(**point), hooks)
-                spec, hooks = known
-                cache_key = spec.key or f"uncached:{next(self._uncached_seq)}"
-                params = dict(spec=spec, hooks=hooks, cache_key=cache_key)
-                key = f"point:{cache_key}"
-            else:
-                return protocol.error(f"unknown submission kind {kind!r}")
+            # Resolving and keying a point on every submission added
+            # 50-85 us to each repeat while the workers simulated, and
+            # ~21% to a what-if stream's median latency (2-vCPU x86
+            # host; repeats are most of the stream), so each distinct
+            # spelling (the exact submitted bytes) is resolved once.
+            raw = request["spec_b64"]
+            known = self._specs.get(raw)
+            if known is None:
+                point = protocol.unpack_pickle(raw)
+                if not isinstance(point, dict):
+                    return protocol.error("point spec must be a dict")
+                missing = [k for k in _POINT_REQUIRED if k not in point]
+                if missing:
+                    return protocol.error(
+                        f"point spec missing keys: {', '.join(missing)}"
+                    )
+                # dunder test hooks are execution noise, not
+                # configuration
+                hooks = {k: point.pop(k) for k in list(point)
+                         if k.startswith("__")}
+                known = self._specs[raw] = (RunSpec.of(**point), hooks)
         except Exception as exc:
             return protocol.error(f"bad submission: {exc}")
+        spec, hooks = known
+        key = spec.key or f"uncached:{next(self._uncached_seq)}"
 
-        # job-level single-flight: attach to a queued/running duplicate
+        # job-level single-flight: attach to a running duplicate
         job = self._live.get(key)
         if job is not None:
             job.refs += 1
             self.jobs_coalesced += 1
             return dict(ok=True, job=job.ident, coalesced=True)
-        job = Job(
-            ident=f"j{next(self._job_seq)}", kind=kind, key=key,
-            params=params, loop=self._loop, on_finish=self._retire,
-        )
+        job = Job(ident=f"j{next(self._job_seq)}", key=key, spec=spec,
+                  hooks=hooks, on_finish=self._retire)
         self.jobs[job.ident] = job
         self._live[key] = job
         self.jobs_submitted += 1
-        if kind == "point":
-            self._start_point(job)
-        else:
-            future = self._replay.submit(self._run_replay_job, job)
-            future.add_done_callback(lambda f: f.exception())  # logged via job
+        self._start(job)
         return dict(ok=True, job=job.ident, coalesced=False)
 
     def _cancel(self, job: Job) -> Dict[str, Any]:
-        with self._claim:
-            job.cancel_requested = True
-            if job.state == "queued":
-                job._finish_on_loop("cancelled", None, "cancelled by client")
         if job.submission is not None:
             self.pool.cancel(job.submission)
         return dict(ok=True, job=job.ident, state=job.state)
 
-    # -- point jobs (loop + pool) --------------------------------------
-
-    def _start_point(self, job: Job) -> None:
+    def _start(self, job: Job) -> None:
         """Answer a cached point or a prefix resume now; hand a miss to
         the pool."""
-        spec = job.params["spec"]
+        spec = job.spec
         cached = lookup(spec) if spec.key else None
         if cached is not None:
-            job._finish_on_loop("done", self._hit_payload(spec.key, cached), None)
+            job.finish("done", self._hit_payload(spec.key, cached))
             return
-        job.state = "running"
-        task = PlannedTask(key=job.params["cache_key"], spec=spec,
-                           experiments=["point"], refs=1,
-                           hooks=job.params["hooks"])
+        task = PlannedTask(key=job.key, spec=spec, experiments=["point"],
+                           refs=1, hooks=job.hooks)
 
         def on_done(outcome: TaskOutcome) -> None:  # pool thread
             try:
@@ -532,23 +420,22 @@ class ServeDaemon:
             except RuntimeError:
                 pass  # loop already closed (daemon stopping)
 
-        job.submission = self.pool.submit(task, on_done=on_done,
-                                          on_progress=job.emit)
+        job.submission = self.pool.submit(task, on_done=on_done)
 
     def _finish_point(self, job: Job, outcome: TaskOutcome) -> None:
-        spec = job.params["spec"]
+        spec = job.spec
         if outcome.status == "ok":
             if spec.key:
                 runcache.CACHE.seed(spec.key, outcome.result)
             if outcome.prefix is not None:
                 # every later steps variant of the point resumes here
                 runcache.CACHE.put_prefix(spec.prefix_key, outcome.prefix)
-            job._finish_on_loop("done", self._point_payload(
-                outcome.result, outcome.cache_hit, outcome.attempts), None)
+            job.finish("done", self._point_payload(
+                outcome.result, outcome.cache_hit, outcome.attempts))
         elif outcome.status == "cancelled":
-            job._finish_on_loop("cancelled", None, "cancelled")
+            job.finish("cancelled", error="cancelled")
         else:
-            job._finish_on_loop("failed", None, outcome.error or "quarantined")
+            job.finish("failed", error=outcome.error or "quarantined")
 
     def _hit_payload(self, key: str, result) -> Dict[str, Any]:
         """A cache hit's payload, built once per cached result.
@@ -579,66 +466,6 @@ class ServeDaemon:
             ),
         )
 
-    # -- figure / chaos jobs (replay thread) ---------------------------
-
-    def _run_replay_job(self, job: Job) -> None:
-        with self._claim:
-            if job.state != "queued":
-                return  # cancelled while it waited for this thread
-            job.state = "running"
-        if job.cancel_requested or self._stopping:
-            job.finish("cancelled", None, "cancelled before start")
-            return
-        try:
-            from ..core.export import to_csv, to_json
-            from ..exec import execute_parallel
-
-            if job.kind == "figure":
-                from ..core.study import Study
-
-                study = Study(full=job.params["full"])
-                experiments = study.experiments()
-                ident = job.params["figure"]
-                if ident not in experiments:
-                    raise ValueError(
-                        f"unknown experiment id {ident!r} "
-                        f"(see 'python -m repro list')"
-                    )
-                selected = {ident: experiments[ident]}
-            else:  # chaos
-                from ..chaos.campaign import (
-                    chaos_blast,
-                    chaos_matrix,
-                    chaos_matrix_ext,
-                )
-
-                seed = job.params["seed"]
-                selected = {
-                    "chaos_matrix": lambda: chaos_matrix(seed),
-                    "chaos_blast": lambda: chaos_blast(seed),
-                    "chaos_matrix_ext": lambda: chaos_matrix_ext(seed),
-                }
-            report = execute_parallel(
-                selected,
-                jobs=self.pool.jobs,
-                runner=self.pool,
-                progress=job.emit,
-            )
-            if self._stopping or job.cancel_requested:
-                job.finish("cancelled", None, "daemon stopping")
-                return
-            # Serial replay in canonical order against the warmed
-            # cache: the exported bytes equal the serial goldens.
-            tables = {
-                ident: {"csv": to_csv(t), "json": to_json(t)}
-                for ident, t in ((i, runner()) for i, runner in selected.items())
-            }
-            job.finish(
-                "done", dict(tables=tables, report=report.to_dict())
-            )
-        except Exception:
-            job.finish("failed", None, traceback.format_exc())
-
     # -- stats ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -663,6 +490,6 @@ class ServeDaemon:
             cache=runcache.CACHE.stats(),
             #: resident prefix-snapshot observability: prefix entries
             #: stay hot in this process's run cache across jobs, so
-            #: replays keep serving steps variants without re-simulating
+            #: steps variants keep resuming without re-simulating
             forkpoint=forkpoint.STATS.stats(),
         )

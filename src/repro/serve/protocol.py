@@ -1,20 +1,14 @@
 """The serve wire format: newline-delimited JSON, one message per line.
 
 Every request is one JSON object with an ``op`` field; every reply is
-one JSON object with ``ok`` (and ``error`` when ``ok`` is false).  The
-``stream`` op is the one exception to request/reply pairing: after the
-acknowledgement the server keeps writing ``{"event": ...}`` lines and
-finishes with a ``{"done": true, ...}`` line.
+one JSON object with ``ok`` (and ``error`` when ``ok`` is false).
 
 Requests::
 
     {"op": "ping"}
-    {"op": "submit", "kind": "figure", "figure": "fig2a", "full": false}
-    {"op": "submit", "kind": "chaos", "seed": 7}
     {"op": "submit", "kind": "point", "spec_b64": ...}
     {"op": "status", "job": "j1"}
     {"op": "wait",   "job": "j1"}
-    {"op": "stream", "job": "j1"}
     {"op": "cancel", "job": "j1"}
     {"op": "stats"}
     {"op": "shutdown"}
@@ -27,8 +21,7 @@ envelope (``spec_b64`` / ``result_b64``).  That is the same trust
 domain as the on-disk run cache (pickled by design) and the spawn-pool
 pipes: the daemon listens on a ``0600`` unix socket by default, and
 the optional TCP listener is for trusted networks only — never expose
-it publicly.  Figure/chaos submissions and their table results are
-pure JSON end to end.
+it publicly.
 """
 
 from __future__ import annotations
@@ -39,12 +32,14 @@ import pickle
 import re
 from typing import Any, Dict, Optional
 
-#: one message may not exceed this many bytes on the wire (a whole
-#: figure export is ~100 kB; this bounds a hostile or corrupt line)
+#: one message may not exceed this many bytes on the wire (a point's
+#: result, the largest message, packs to under 9 kB across the study
+#: and full-range Figure 2; this bounds a hostile or corrupt line)
 MAX_LINE = 64 * (1 << 20)
 
-#: protocol revision, echoed by ``ping`` so clients can refuse skew
-PROTOCOL_VERSION = 1
+#: protocol revision, echoed by ``ping`` so clients can refuse skew;
+#: 2: points are the only submission kind, and ``stream`` is gone
+PROTOCOL_VERSION = 2
 
 
 def encode(message: Dict[str, Any]) -> bytes:
@@ -84,7 +79,7 @@ def normalize_figure(ident: str) -> str:
 
     Full experiment ids (``fig2a``, ``table4``, ``conclusions``) pass
     through untouched; a bare number-letter token gets the ``fig``
-    prefix.  Validity against the study catalog is the daemon's call.
+    prefix.  Validity against the study catalog is the caller's call.
     """
     token = ident.strip().lower()
     if _FIG_SHORT.match(token):

@@ -248,8 +248,10 @@ class Environment:
 
         Identical semantics and tick arithmetic to
         :class:`~repro.sim.events.Timeout` — same quantization, same
-        same-tick FIFO position — but the event comes from (and returns
-        to) the environment's free list, so the hot fixed-latency sleeps
+        same-tick FIFO position at a zero delay (a positive delay under
+        half a tick opens a fresh bucket behind the one being drained,
+        where a timeout joins it) — but the event comes from (and
+        returns to) the environment's free list, so the hot fixed-latency sleeps
         (compute phases, RPC latencies, serialize costs) stop paying an
         allocation each.  Only for yield-and-drop uses: callers must not
         store the event or read it after it fires.
@@ -300,19 +302,6 @@ class Environment:
     def event(self) -> Event:
         """A fresh, untriggered event."""
         return Event(self)
-
-    def at(self, when: float, fn) -> Event:
-        """Run ``fn()`` when the clock reaches the absolute time ``when``.
-
-        The fault-injection hook: ``fn`` runs as an event callback, so
-        an exception it raises propagates out of :meth:`step` /
-        :meth:`run` like any unhandled event failure.  The time is
-        quantized onto the tick grid like every other deadline.  Returns
-        the underlying event (useful for cancellation via ``callbacks``).
-        """
-        event = self.timeout_at(max(when, self._now))
-        event.callbacks.append(lambda _ev: fn())
-        return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, list(events))

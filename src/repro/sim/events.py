@@ -10,7 +10,6 @@ process).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 from ._grid import Infinity, _TICK_SCALE
@@ -140,43 +139,14 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__ *and* Environment.schedule: a timeout
-        # is the single hottest event kind (one per modeled latency), so
-        # it pays to skip both calls and write the slots / calendar
-        # bucket directly.  Mirrors schedule()'s tick arithmetic.
-        self.env = env
-        self.callbacks = []
+        super().__init__(env)
+        self._ok = True  # born triggered
         self._value = value
-        self._ok = True
-        self._defused = False
         self._delay = delay
-        if delay == 0.0:
-            cur = env._current
-            if cur is not None:
-                cur.append(self)
-                return
-            tick = env._now_tick
-        elif delay == Infinity:
+        if delay == Infinity:
             env._never.append(self)
-            return
         else:
-            tick = env._now_tick + round(delay * _TICK_SCALE)
-        buckets = env._buckets
-        got = buckets.get(tick)
-        if got is None:
-            buckets[tick] = self
-            heappush(env._ticks, tick)
-        elif type(got) is list:
-            got.append(self)
-        else:
-            bfree = env._bfree
-            if bfree:
-                bucket = bfree.pop()
-                bucket.append(got)
-                bucket.append(self)
-            else:
-                bucket = [got, self]
-            buckets[tick] = bucket
+            env._insert(env._now_tick + round(delay * _TICK_SCALE), self)
 
     @property
     def triggered(self) -> bool:

@@ -169,6 +169,13 @@ class StagingConfig:
     #: through the tier's slow channel per put)
     pmem_checkpoint: bool = False
 
+    def __post_init__(self) -> None:
+        if self.lock_type != 2:
+            raise ValueError(
+                f"lock_type must be 2, the version-window locking a "
+                f"DataSpaces run models (Table I), got {self.lock_type!r}"
+            )
+
 
 @dataclass
 class StagingStats:

@@ -15,7 +15,8 @@ with named reader/writer locks; Table I's runtime configuration pins
 
 :class:`LockService` implements type 1 (a real FIFO reader/writer lock
 usable by clients) and dispatches type 2 to the version gate; type 3 is
-the no-wait mode.  The ablation benchmark compares them.
+the no-wait mode.  A DataSpaces run models type 2 only:
+:class:`~repro.staging.base.StagingConfig` refuses the others.
 """
 
 from __future__ import annotations

@@ -323,3 +323,17 @@ class TestExecuteParallel:
         assert report.executed > 0
         # the caller's pool stays started for its next campaign
         assert pool.stats()["workers_alive"] == pool.effective
+
+    def test_a_shut_down_runner_stops_after_the_cancelled_round(
+            self, make_pool):
+        # a shut-down pool resolves every task cancelled; re-planning
+        # would only hand the same tasks back for two more rounds
+        pool = make_pool(jobs=1)
+        pool.shutdown()
+        report = execute_parallel(
+            {"fig6": Study().experiments()["fig6"]}, jobs=1, runner=pool
+        )
+        assert len(report.rounds) == 1
+        assert report.tasks
+        assert {t["status"] for t in report.tasks} == {"cancelled"}
+        assert pool.stats()["workers_spawned"] == 0

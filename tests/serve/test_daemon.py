@@ -3,11 +3,15 @@
 The daemon runs on a background thread inside the test process (its
 warm workers are real spawn processes), so the serial golden for fig6
 is rendered *first*, against a clean cache, before the daemon exists.
+The daemon serves points only; ``repro submit --fig`` clients run in
+subprocesses, each planning and replaying its figure itself.
 """
 
 import asyncio
 import copy
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -18,6 +22,7 @@ import pytest
 from repro.core import runcache
 from repro.core.export import to_csv, to_json
 from repro.core.study import Study
+from repro.__main__ import main as cli_main
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import Job, ServeDaemon
@@ -27,6 +32,8 @@ from ..workflows.test_fidelity import assert_same_physics
 from ..workflows.test_perf_modes import exact_run
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 def _free_port() -> int:
@@ -82,16 +89,58 @@ def point_spec(**extra):
     return spec
 
 
+def submit_cli(served, *args) -> subprocess.Popen:
+    """``python -m repro submit`` against the daemon, in a subprocess."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "submit", "--socket", served.sock,
+         *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+
+
+def finish(proc: subprocess.Popen) -> str:
+    """Wait for a CLI client; returns its stderr."""
+    try:
+        _out, err = proc.communicate(timeout=300)
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    return err
+
+
+def pool_submissions(served, monkeypatch) -> list:
+    """The task keys the daemon hands its pool from now on."""
+    keys = []
+    submit = served.daemon.pool.submit
+
+    def recording(task, *args, **kwargs):
+        keys.append(task.key)
+        return submit(task, *args, **kwargs)
+
+    monkeypatch.setattr(served.daemon.pool, "submit", recording)
+    return keys
+
+
+def assert_golden_export(served, directory) -> None:
+    assert (directory / "fig6.csv").read_bytes() \
+        == served.golden["csv"].encode("utf-8")
+    assert (directory / "fig6.json").read_bytes() \
+        == served.golden["json"].encode("utf-8")
+
+
 class TestBasics:
     def test_ping(self, served):
         with client(served) as c:
             reply = c.ping()
-        assert reply["pong"] == 1
+        assert reply["pong"] == 2
         assert reply["uptime_seconds"] >= 0
 
     def test_tcp_listener(self, served):
         with ServeClient(host="127.0.0.1", port=served.port).connect() as c:
-            assert c.ping()["pong"] == 1
+            assert c.ping()["pong"] == 2
 
     def test_socket_is_private(self, served):
         assert oct(os.stat(served.sock).st_mode & 0o777) == "0o600"
@@ -103,82 +152,59 @@ class TestBasics:
             with pytest.raises(ServeError, match="unknown job"):
                 c.status("j999999")
 
-    def test_bad_figure_id_fails_the_job(self, served):
+    def test_points_are_the_only_submission_kind(self, served):
         with client(served) as c:
-            reply = c.submit_figure("fig99")
-            final = c.wait(reply["job"])
-        assert final["state"] == "failed"
-        assert "unknown experiment id" in final["error"]
+            for request in (dict(kind="figure", figure="fig6", full=False),
+                            dict(kind="chaos", seed=7)):
+                with pytest.raises(ServeError, match="unknown submission "
+                                   f"kind '{request['kind']}'"):
+                    c._request(dict(op="submit", **request))
+            with pytest.raises(ServeError, match="unknown op 'stream'"):
+                c._request({"op": "stream", "job": "j1"})
 
 
 class TestFigureServing:
-    def test_concurrent_duplicates_share_one_run_byte_identical(self, served):
-        before = served.daemon.jobs_coalesced
-        with client(served) as first, client(served) as second:
-            submitted = first.submit_figure("6")
-            duplicate = second.submit_figure("fig6")  # while in flight
-            assert duplicate["job"] == submitted["job"]
-            assert duplicate["coalesced"] is True
-            assert submitted["coalesced"] is False
-            events = []
-            final_first = first.stream(submitted["job"], events.append)
-            final_second = second.wait(duplicate["job"])
-        assert final_first["state"] == "done"
-        assert final_second["state"] == "done"
-        assert events, "stream delivered no progress events"
-        for final in (final_first, final_second):
-            tables = final["result"]["tables"]
-            assert tables["fig6"]["csv"] == served.golden["csv"]
-            assert tables["fig6"]["json"] == served.golden["json"]
-        assert served.daemon.jobs_coalesced == before + 1
-        with client(served) as c:
-            stats = c.stats()
-        assert stats["jobs"]["coalesced"] >= 1
-        assert 0 <= stats["pool"]["workers_ready"] \
-            <= stats["pool"]["workers_alive"]
+    """``repro submit --fig`` plans and replays in its client; the
+    daemon runs the figure's points."""
 
-    def test_resubmission_is_a_new_job_served_from_cache(self, served):
-        with client(served) as c:
-            first = c.submit_figure("6")
-            final1 = c.wait(first["job"])
-            again = c.submit_figure("6")
-            assert again["coalesced"] is False
-            assert again["job"] != first["job"]
-            final2 = c.wait(again["job"])
-        assert final2["result"]["tables"] == final1["result"]["tables"]
-        # every point of the rerun came from the shared store
-        assert final2["result"]["report"]["executed"] == 0
+    def test_concurrent_duplicates_share_one_run_byte_identical(
+            self, served, tmp_path, monkeypatch):
+        runcache.clear()  # the daemon's cache: fig6 must reach the pool
+        keys = pool_submissions(served, monkeypatch)
+        streamed = submit_cli(served, "--fig", "6", "--stream",
+                              "--export", str(tmp_path / "a"))
+        silent = submit_cli(served, "--fig", "fig6",
+                            "--export", str(tmp_path / "b"))
+        progress = finish(streamed)
+        assert finish(silent) == ""
+        assert_golden_export(served, tmp_path / "a")
+        assert_golden_export(served, tmp_path / "b")
+        # the two clients' points coalesced or hit the daemon's cache:
+        # the pool ran each fig6 point once
+        assert keys and len(keys) == len(set(keys))
+        # --stream prints the local executor's round and task lines
+        assert progress.startswith("round 1: ")
+        assert "  [1/" in progress
 
-    def test_cancel_while_waiting_for_the_replay_thread_counts_once(
-            self, served):
-        daemon = served.daemon
-        release = threading.Event()
-        blocker = daemon._replay.submit(release.wait)
-        cancelled = daemon.jobs_cancelled
-        try:
-            with client(served) as c:
-                job = c.submit_figure("6")["job"]
-                assert c.cancel(job)["state"] == "cancelled"
-        finally:
-            release.set()
-        blocker.result(timeout=10)
-        # the cancelled job's turn on the replay thread has come and gone
-        daemon._replay.submit(lambda: None).result(timeout=60)
-        with client(served) as c:
-            final = c.wait(job)
-        assert final["state"] == "cancelled"
-        assert final["error"] == "cancelled by client"
-        assert daemon.jobs_cancelled == cancelled + 1
-        assert list(daemon._finished).count(daemon.jobs[job]) == 1
+    def test_resubmission_is_a_new_job_served_from_cache(
+            self, served, tmp_path, monkeypatch):
+        finish(submit_cli(served, "--fig", "6"))
+        submitted = served.daemon.jobs_submitted
+        keys = pool_submissions(served, monkeypatch)
+        finish(submit_cli(served, "--fig", "6", "--export", str(tmp_path)))
+        assert_golden_export(served, tmp_path)
+        # the rerun submitted its points anew, and the daemon answered
+        # every one from its run cache
+        assert served.daemon.jobs_submitted > submitted
+        assert keys == []
 
-    def test_stream_after_completion_replays_the_backlog(self, served):
-        with client(served) as c:
-            job = c.submit_figure("6")["job"]
-            c.wait(job)
-            events = []
-            final = c.stream(job, events.append)
-        assert final["state"] == "done"
-        assert events, "finished job should replay its event backlog"
+    def test_submit_unknown_figure_exits_2_with_the_list_hint(
+            self, served, capsys):
+        code = cli_main(["submit", "--socket", served.sock, "--fig", "fig99"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "unknown experiment ids: fig99" in out
+        assert "python -m repro list" in out
 
 
 class TestPointServing:
@@ -397,24 +423,14 @@ class TestJobAccounting:
                 time.sleep(0.05)
             c.cancel(pinned["job"])
             assert c.wait(pinned["job"])["state"] == "cancelled"
-            release = threading.Event()
-            blocker = daemon._replay.submit(release.wait)
-            try:
-                figure = c.submit_figure("6")["job"]
-                assert c.cancel(figure)["state"] == "cancelled"
-            finally:
-                release.set()
-            blocker.result(timeout=10)
-            daemon._replay.submit(lambda: None).result(timeout=60)
             jobs = c.stats()["jobs"]
-        states = jobs["states"]
-        live = states.get("queued", 0) + states.get("running", 0)
         assert jobs["submitted"] == (jobs["completed"] + jobs["failed"]
-                                     + jobs["cancelled"] + live)
-        # seven jobs: four done, one failed, two cancelled
+                                     + jobs["cancelled"]
+                                     + jobs["states"].get("running", 0))
+        # six jobs: four done, one failed, one cancelled
         assert [jobs[k] - before[k] for k in
                 ("submitted", "completed", "failed", "cancelled",
-                 "coalesced")] == [7, 4, 1, 2, 1]
+                 "coalesced")] == [6, 4, 1, 1, 1]
 
 
 class TestStudyOverService:
@@ -439,19 +455,17 @@ class TestJobEviction:
             socket_path=str(tmp_path / "evict.sock"), **kwargs
         )
 
-    def _add(self, daemon, loop, ident, state="done", finished_ago=0.0):
-        """Register a job as ``_submit`` does; a terminal state goes
-        through the job's own finish hook, so the daemon decides what
-        eviction may read (add them oldest-finished first)."""
-        job = Job(ident=ident, kind="figure", key=f"figure:{ident}",
-                  params={}, loop=loop, on_finish=daemon._retire)
+    def _add(self, daemon, ident, state="done", finished_ago=0.0):
+        """Register a point job as ``_submit`` does; a terminal state
+        goes through the job's own finish hook, so the daemon decides
+        what eviction may read (add them oldest-finished first)."""
+        job = Job(ident=ident, key=f"key-{ident}",
+                  spec=RunSpec.of(**point_spec()), on_finish=daemon._retire)
         daemon.jobs[ident] = job
         daemon._live[job.key] = job
-        if state in ("done", "failed", "cancelled"):
-            job._finish_on_loop(state, None, None)
+        if state != "running":
+            job.finish(state)
             job.finished = time.monotonic() - finished_ago
-        else:
-            job.state = state
         return job
 
     @pytest.fixture()
@@ -460,63 +474,73 @@ class TestJobEviction:
         yield loop
         loop.close()
 
-    def test_cap_evicts_oldest_finished_first(self, tmp_path, loop):
+    def test_cap_evicts_oldest_finished_first(self, tmp_path):
         daemon = self._daemon(tmp_path)
         # j0 finished longest ago; cap=3 keeps the 3 newest.
         for i in range(5):
-            self._add(daemon, loop, f"j{i}", finished_ago=50.0 - 10 * i)
+            self._add(daemon, f"j{i}", finished_ago=50.0 - 10 * i)
         daemon._evict_finished()
         assert sorted(daemon.jobs) == ["j2", "j3", "j4"]
         assert daemon.jobs_evicted == 2
 
-    def test_ttl_evicts_even_under_the_cap(self, tmp_path, loop):
+    def test_ttl_evicts_even_under_the_cap(self, tmp_path):
         daemon = self._daemon(tmp_path, job_ttl_seconds=30.0)
-        self._add(daemon, loop, "old", finished_ago=31.0)
-        self._add(daemon, loop, "new", finished_ago=1.0)
+        self._add(daemon, "old", finished_ago=31.0)
+        self._add(daemon, "new", finished_ago=1.0)
         daemon._evict_finished()
         assert sorted(daemon.jobs) == ["new"]
         assert daemon.jobs_evicted == 1
 
-    def test_live_jobs_are_never_evicted(self, tmp_path, loop):
+    def test_live_jobs_are_never_evicted(self, tmp_path):
         daemon = self._daemon(tmp_path, job_cap=1)
-        self._add(daemon, loop, "run", state="running")
-        self._add(daemon, loop, "que", state="queued")
-        self._add(daemon, loop, "fin", finished_ago=1.0)
+        self._add(daemon, "run", state="running")
+        self._add(daemon, "run2", state="running")
+        self._add(daemon, "fin", finished_ago=1.0)
         daemon._evict_finished()
         # Over the cap, but only the finished job is eligible.
-        assert sorted(daemon.jobs) == ["que", "run"]
+        assert sorted(daemon.jobs) == ["run", "run2"]
         assert daemon.jobs_evicted == 1
 
-    def test_evicted_counter_reaches_the_stats_payload(self, tmp_path, loop):
+    def test_evicted_counter_reaches_the_stats_payload(self, tmp_path):
         daemon = self._daemon(tmp_path, job_ttl_seconds=0.0)
-        self._add(daemon, loop, "gone", finished_ago=1.0)
+        self._add(daemon, "gone", finished_ago=1.0)
         daemon._evict_finished()
         assert daemon.stats()["jobs"]["evicted"] == 1
 
     def test_cancelling_a_queued_job_leaves_the_index(self, tmp_path, loop):
-        daemon = self._daemon(tmp_path)
+        daemon = self._daemon(tmp_path, jobs=1)
         daemon._loop = loop
-        figure = dict(op="submit", kind="figure", figure="fig6")
-        point = dict(op="submit", kind="point",
-                     spec_b64=protocol.pack_pickle(point_spec()))
-        run_coupled(**point_spec())  # cached: the point job is born done
-        # figure jobs stay queued behind this until it is released
-        release = threading.Event()
-        blocker = daemon._replay.submit(release.wait)
+        run_coupled(**point_spec())  # cached: its job is born done
+        hit_request = dict(op="submit", kind="point",
+                           spec_b64=protocol.pack_pickle(point_spec()))
+        sleeper = dict(op="submit", kind="point", spec_b64=protocol.pack_pickle(
+            point_spec(nsim=30, nana=15, __sleep__=30)))
+
+        def cancelled(reply):
+            job = daemon.jobs[reply["job"]]
+            daemon._cancel(job)
+            loop.run_until_complete(
+                asyncio.wait_for(job.done_event.wait(), 60))
+            return job
+
+        daemon.pool.start()
         try:
-            first = daemon.jobs[daemon._submit(figure)["job"]]
+            hit = daemon.jobs[daemon._submit(hit_request)["job"]]
+            first_reply = daemon._submit(sleeper)
+            deadline = time.monotonic() + 60
+            while not daemon.pool.stats()["inflight"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert daemon.pool.stats()["inflight"], "point never started"
             live = (dict(daemon._live), list(daemon._finished))
-            hit = daemon.jobs[daemon._submit(point)["job"]]
-            daemon._cancel(first)
-            again = daemon._submit(figure)
-            hit_again = daemon._submit(point)
-            daemon._cancel(daemon.jobs[again["job"]])
+            first = cancelled(first_reply)
+            again = daemon._submit(sleeper)
+            hit_again = daemon._submit(hit_request)
+            cancelled(again)
         finally:
-            release.set()
-            blocker.result(timeout=10)
-            daemon._replay.shutdown(wait=True)
-        # submitted: indexed for single-flight, not in the finish order
-        assert live == ({first.key: first}, [])
+            daemon.pool.shutdown()
+        # the miss is indexed for single-flight; the hit was born done
+        assert live == ({first.key: first}, [hit])
         assert (hit.state, first.state) == ("done", "cancelled")
         # nothing coalesces onto a finished job
         for reply, earlier in ((again, first), (hit_again, hit)):
@@ -532,12 +556,11 @@ class TestJobEviction:
                 daemon.jobs_cancelled) == (4, 2, 2)
 
 
-class TestStopDuringFigureJob:
+class TestStopDuringPointJob:
     def test_stop_never_revives_the_pool(self):
-        """The daemon stops while a figure job's round is in flight: the
-        shut-down pool must not spawn workers for a re-planning round,
-        and no worker outlives the daemon."""
-        runcache.clear()  # the figure's points must really simulate
+        """The daemon stops while a point runs on a worker: the drain
+        cancels it, its end is counted once, the shut-down pool spawns
+        nothing more, and no worker outlives the daemon."""
         sock = os.path.join(tempfile.mkdtemp(prefix="repro-stop-"), "d.sock")
         daemon = ServeDaemon(socket_path=sock, jobs=2, drain_seconds=0.0)
         thread = threading.Thread(target=daemon.run, daemon=True)
@@ -547,21 +570,22 @@ class TestStopDuringFigureJob:
             with ServeClient(socket_path=sock, timeout=120.0).connect(
                 retry_seconds=5
             ) as c:
-                c.submit_figure("2a", full=True)
+                job = c.submit_point(
+                    point_spec(nsim=32, nana=16, __sleep__=30))["job"]
             deadline = time.monotonic() + 60
             while not daemon.pool.stats()["inflight"] \
                     and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert daemon.pool.stats()["inflight"], "figure never started"
+            assert daemon.pool.stats()["inflight"], "point never started"
             spawned = daemon.pool.stats()["workers_spawned"]
             procs = [w.proc for w in daemon.pool._workers]
         finally:
             daemon.request_shutdown()
             thread.join(60)
-            runcache.clear()
         assert not thread.is_alive(), "daemon did not stop"
         stats = daemon.pool.stats()
         assert stats["workers_spawned"] == spawned
         assert stats["workers_alive"] == 0
         assert not any(proc.is_alive() for proc in procs)
+        assert daemon.jobs[job].state == "cancelled"
         assert daemon.jobs_cancelled == 1

@@ -7,7 +7,7 @@ from repro.serve import protocol
 
 class TestFraming:
     def test_encode_decode_round_trip(self):
-        message = {"op": "submit", "kind": "figure", "full": False}
+        message = {"op": "submit", "kind": "point", "spec_b64": "", "n": 2}
         line = protocol.encode(message)
         assert line.endswith(b"\n")
         assert line.count(b"\n") == 1

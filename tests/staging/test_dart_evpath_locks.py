@@ -217,6 +217,14 @@ class TestLockService:
         with pytest.raises(ValueError):
             LockService(env, lock_type=2, gate=None)
 
+    @pytest.mark.parametrize("lock_type", [1, 3])
+    def test_a_run_config_refuses_the_unmodelled_lock_types(self, lock_type):
+        # a DataSpaces run models version-window locking only; types 1
+        # and 3 used to reach the library and crash every run with a
+        # "not fully staged" KeyError, which the pool retried
+        with pytest.raises(ValueError, match="lock_type must be 2"):
+            StagingConfig(lock_type=lock_type)
+
     def test_type2_delegates_to_version_gate(self):
         env = Environment()
         gate = VersionGate(env, num_writers=1, num_readers=1, window=1)

@@ -415,6 +415,7 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
       point from its run cache, so planning, the point round trips and
       the replay remain.
     """
+    import shutil
     import subprocess
     import tempfile
 
@@ -454,6 +455,7 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
         if daemon.poll() is None:
             daemon.kill()
             daemon.wait()
+        shutil.rmtree(tmp, ignore_errors=True)
     first, warm = timings
     print(f"serve/{figure}: cold study {cold:6.2f} s   first submission "
           f"{first:6.2f} s   warm submission {warm:6.2f} s   "

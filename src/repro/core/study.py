@@ -2,7 +2,7 @@
 
 :class:`Study` reruns every figure and table and renders a report —
 the reproduction's equivalent of the paper's Sections III and IV.
-``python -m repro.core.study`` prints the fast variant.
+``python -m repro study`` runs it from the command line.
 
 With ``jobs > 1`` the simulation points are first planned, deduplicated
 and executed on the :mod:`repro.exec` worker pool; the figures then
@@ -12,7 +12,6 @@ are byte-identical to a serial run at any job count.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Dict, List, Optional, TextIO
 
 from . import figures, runcache
@@ -126,23 +125,3 @@ class Study:
         """Render every collected result."""
         blocks = [result.render() for result in self.results.values()]
         return "\n\n".join(blocks)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    full = "--full" in argv
-    verify = "--verify-findings" in argv
-    jobs = 1
-    for arg in argv:
-        if arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-    only = [a for a in argv if not a.startswith("--")] or None
-    study = Study(full=full, verify_findings=verify, jobs=jobs,
-                  progress_stream=sys.stderr if jobs > 1 else None)
-    study.run(only=only)
-    print(study.report())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

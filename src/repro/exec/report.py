@@ -70,8 +70,9 @@ class RunReport:
     """The campaign's execution record, JSON-serializable."""
 
     jobs: int
-    #: workers actually spawned after the cpu-count clamp (defaults to
-    #: the requested count for callers that don't pass it)
+    #: workers that ran the points: the local pool's after the
+    #: cpu-count clamp, or a daemon's own (defaults to the requested
+    #: count for callers that don't pass it)
     effective_jobs: Optional[int] = None
     rounds: List[Dict[str, Any]] = field(default_factory=list)
     tasks: List[Dict[str, Any]] = field(default_factory=list)
@@ -146,7 +147,7 @@ class RunReport:
         total_refs = self.rounds[0]["total_refs"] if self.rounds else 0
         workers = f"{self.effective_jobs} workers"
         if self.effective_jobs != self.jobs:
-            workers += f" ({self.jobs} requested, clamped to cpu count)"
+            workers += f" ({self.jobs} requested)"
         line = (
             f"parallel executor: {self.executed}/{len(self.tasks)} points "
             f"simulated with {workers} in {self.wall_seconds:.1f}s "

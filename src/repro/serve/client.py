@@ -17,6 +17,7 @@ the byte-identical serial replay, which runs in the client.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import socket
 import time
 from typing import Any, Callable, Dict, Optional, Sequence
@@ -157,7 +158,13 @@ class ServiceRunner:
     def __init__(self, address: str, timeout: float = 3600.0) -> None:
         self.address = address
         self.timeout = timeout
-        self.effective: Optional[int] = None
+
+    @functools.cached_property
+    def effective(self) -> int:
+        """The daemon's worker count, asked once, so the first round
+        already reports it (the local pool's ``effective``)."""
+        with ServeClient(address=self.address, timeout=self.timeout) as client:
+            return client.stats()["pool"]["effective_jobs"]
 
     def run(
         self,
@@ -166,7 +173,6 @@ class ServiceRunner:
     ) -> Dict[str, TaskOutcome]:
         outcomes: Dict[str, TaskOutcome] = {}
         with ServeClient(address=self.address, timeout=self.timeout) as client:
-            self.effective = client.stats()["pool"]["effective_jobs"]
             submitted = []
             for task in tasks:
                 point = {f.name: getattr(task.spec, f.name)

@@ -107,8 +107,8 @@ class Environment:
         #: free list of drained bucket lists, recycled on collision
         self._bfree: list = []
         #: the steady controller's interaction log: while a list, every
-        #: contention decision (chain claim, FIFO grant, gate or lock
-        #: wake-up) appends its site, arrival tick and ready tick as
+        #: contention decision (chain claim, FIFO grant, gate wake-up)
+        #: appends its site, arrival tick and ready tick as
         #: three flat items; None (every run without a controller)
         #: records nothing
         self._steady_log: Optional[list] = None

@@ -23,7 +23,6 @@ from .dimes import Dimes
 from .evpath import EvpathError, EvpathManager, Stone
 from .factory import METHODS, make_library, method_names
 from .flexpath import Flexpath
-from .locks import LockError, LockService, RwLock
 from .mpiio import MpiIo
 from .ndarray import Region, Variable, longest_dimension
 from .sfc import SfcIndex, hilbert_coords, hilbert_index, index_memory_bytes
@@ -36,9 +35,6 @@ __all__ = [
     "DataSpaces",
     "EvpathError",
     "EvpathManager",
-    "LockError",
-    "LockService",
-    "RwLock",
     "Stone",
     "Decaf",
     "DecafEdge",

@@ -6,9 +6,6 @@ II-A; DART is Docan et al., HPDC'08).  DART provides:
 
 * a **server directory** — staging servers register at bootstrap and
   clients discover them before any data movement;
-* **client registration** — every client performs a handshake with its
-  assigned server (the connection state whose descriptors/credentials
-  the resource models account for);
 * **RPC** — small control messages with a round trip;
 * **bulk transfers** — one-sided put/get over the configured transport.
 
@@ -18,39 +15,36 @@ DataSpaces and DIMES drive all their communication through a
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Tuple
+from typing import Dict, Generator
 
 from ..sim import Environment
 from ..transport import Endpoint, Transport
-from . import calibration as cal
 
 
 class DartError(Exception):
-    """Raised on protocol misuse (unregistered peers, bad server ids)."""
+    """Raised on protocol misuse (duplicate or unknown server ids)."""
 
 
 class DartServerEntry:
     """One server's directory record."""
 
-    __slots__ = ("server_id", "endpoint", "registered_clients")
+    __slots__ = ("server_id", "endpoint")
 
     def __init__(self, server_id: int, endpoint: Endpoint) -> None:
         self.server_id = server_id
         self.endpoint = endpoint
-        self.registered_clients = 0
 
 
 class DartInstance:
     """A bootstrapped DART layer: directory + RPC + bulk movement."""
 
-    #: bytes of a control message (registration, lock, metadata update)
+    #: bytes of a control message (lock, metadata update)
     CONTROL_BYTES = 256
 
     def __init__(self, env: Environment, transport: Transport) -> None:
         self.env = env
         self.transport = transport
         self._directory: Dict[int, DartServerEntry] = {}
-        self._registered: Dict[Tuple[int, str], int] = {}
         self.rpcs = 0
         self.bulk_ops = 0
         self.bulk_bytes = 0.0
@@ -72,19 +66,6 @@ class DartInstance:
     @property
     def num_servers(self) -> int:
         return len(self._directory)
-
-    # ------------------------------------------------------ registration
-
-    def register_client(self, client: Endpoint, server_id: int) -> Generator:
-        """Process: the client/server handshake (rpc round trip)."""
-        entry = self.server(server_id)
-        yield from self.rpc(client, entry.endpoint)
-        entry.registered_clients += 1
-        key = (client.node.node_id, client.owner)
-        self._registered[key] = server_id
-
-    def is_registered(self, client: Endpoint) -> bool:
-        return (client.node.node_id, client.owner) in self._registered
 
     # -------------------------------------------------------------- RPC
 

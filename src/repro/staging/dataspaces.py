@@ -45,7 +45,6 @@ from .decomposition import (
     application_decomposition,
     staging_partition,
 )
-from .locks import LockService
 from .ndarray import Region
 from .sfc import index_memory_bytes
 from .store import FragmentStore
@@ -70,7 +69,6 @@ class DataSpaces(StagingLibrary):
         self._partition: List[Region] = []
         self._server_cpu: List = []  # per-server-actor request serializers
         self.dart: Optional[DartInstance] = None
-        self.locks: Optional[LockService] = None
 
     # ---------------------------------------------------------- lifecycle
 
@@ -85,13 +83,10 @@ class DataSpaces(StagingLibrary):
             Resource(self.env, capacity=1) for _ in self.servers
         ]
         self._real_chunks = self._real_chunks_per_put()
-        # Bring up the DART layer: server directory + lock service.
+        # Bring up the DART layer's server directory.
         self.dart = DartInstance(self.env, self.transport)
         for server in self.servers:
             self.dart.add_server(server.index, server.endpoint)
-        self.locks = LockService(
-            self.env, lock_type=self.config.lock_type, gate=self.gate
-        )
         # Build the spatial index; the per-server footprint uses the
         # *real* server count.  hash_version selects the structure
         # (Table I pins hash_version=2):
@@ -213,7 +208,7 @@ class DataSpaces(StagingLibrary):
 
         The put of version ``v`` evicts ``v - max_versions`` from the
         same (layout-determined) servers, the DHT index insert pattern
-        is identical every step, and the lock service holds only
+        is identical every step, and locking is the version gate's
         window-relative state — so after the window fills (plus the
         first-touch RDMA/DRC warm-up of step 0) every step repeats the
         previous one shifted by one version.
@@ -221,12 +216,8 @@ class DataSpaces(StagingLibrary):
         return SteadyPlan(warmup=max(1, self.config.max_versions) + 1)
 
     def steady_state(self, step):
-        lock_state = ()
-        if self.locks is not None:
-            lock_state = self.locks.steady_state()
         return super().steady_state(step) + (
             tuple(cpu.steady_state() for cpu in self._server_cpu),
-            lock_state,
         )
 
     def _server_work(self, server_index: int, scale: float, actor_chunks: int):
@@ -273,13 +264,14 @@ class DataSpaces(StagingLibrary):
         if serialize > 0:
             yield self.env.pause(serialize)
 
-        # ds_lock_on_write: the lock service dispatches on lock_type
-        # (type 2 = the max_versions window, per Table I).
-        yield from self.locks.lock_on_write(var.name, version)
+        # The write lock: its RPC, then lock_type=2's max_versions
+        # window (Table I).
+        env = self.env
+        yield env.timeout_at_tick(env._now_tick + cal.RPC_LATENCY_TICKS)
+        yield from self.gate.writer_acquire(version)
         if not self.config.use_adios:
             # The native API issues explicit lock RPCs (Table III shows
             # the extra lock/unlock calls).
-            env = self.env
             yield env.timeout_at_tick(
                 env._now_tick + cal.RPC_LATENCY_2_TICKS
             )
@@ -317,7 +309,7 @@ class DataSpaces(StagingLibrary):
 
         self.global_store.put(var, version, region, data)
         self._evict_old(version)
-        self.locks.unlock_on_write(var.name, version)
+        self.gate.publish(version)  # the write unlock
         self._record_put(total, self.env.now - start)
 
     def _stage_on_server(self, server, sub: Region, version: int, nbytes: float) -> None:
@@ -412,10 +404,13 @@ class DataSpaces(StagingLibrary):
     ) -> Generator:
         var = self.variable
         start = self.env.now
-        yield from self.locks.lock_on_read(var.name, version)
+        # The read lock: its RPC, then wait until every writer
+        # published the version.
+        env = self.env
+        yield env.timeout_at_tick(env._now_tick + cal.RPC_LATENCY_TICKS)
+        yield from self.gate.reader_wait(version)
 
         # DHT + SFC metadata lookup to locate the target sub-regions.
-        env = self.env
         yield env.timeout_at_tick(env._now_tick + cal.RPC_LATENCY_2_TICKS)
 
         client = self.ana_endpoint(ana_actor)
@@ -435,6 +430,6 @@ class DataSpaces(StagingLibrary):
 
         total = var.region_bytes(region)
         data = self.global_store.assemble(var, version, region)
-        self.locks.unlock_on_read(var.name, version)
+        self.gate.reader_done(version)  # the read unlock
         self._record_get(total, self.env.now - start)
         return total, data

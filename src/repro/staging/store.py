@@ -7,11 +7,11 @@ end-to-end while at-scale benchmarks pass ``data=None`` and only sizes
 flow.
 
 :class:`VersionGate` implements the version-window coordination all of
-the studied libraries share in some form: DataSpaces' lock service with
-``max_versions=1``, Flexpath's ``queue_size=1`` publisher queue, and
-Decaf's pipelined dataflow.  A writer may run at most ``window``
-versions ahead of the slowest reader, which is what couples simulation
-and analytics progress.
+the studied libraries share in some form: DataSpaces' ``lock_type=2``
+locks with ``max_versions=1``, Flexpath's ``queue_size=1`` publisher
+queue, and Decaf's pipelined dataflow.  A writer may run at most
+``window`` versions ahead of the slowest reader, which is what couples
+simulation and analytics progress.
 """
 
 from __future__ import annotations

@@ -122,7 +122,7 @@ class _SteadyController:
     writer its own put time) the actors' phases must repeat over two
     consecutive pairs, and a horizon bound over every contention
     decision the simulator took between them — chain claims, FIFO
-    grants, gate and lock wake-ups, logged in
+    grants and gate wake-ups, logged in
     ``Environment._steady_log`` — plus the order of consecutive
     records and samples proves no outcome changes before the run's last
     step.  Boundary closes and phase ends are integer ticks, so every

@@ -9,7 +9,9 @@ subprocesses, each planning and replaying its figure itself.
 
 import asyncio
 import copy
+import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,8 +25,9 @@ from repro.core import runcache
 from repro.core.export import to_csv, to_json
 from repro.core.study import Study
 from repro.__main__ import main as cli_main
+from repro.exec import execute_parallel
 from repro.serve import protocol
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient, ServeError, ServiceRunner
 from repro.serve.daemon import Job, ServeDaemon
 from repro.workflows import RunSpec, run_coupled
 
@@ -58,21 +61,27 @@ def golden():
 
 @pytest.fixture(scope="module")
 def served(golden):
+    # a short /tmp path: AF_UNIX socket paths are capped near 107 bytes
     tmp = tempfile.mkdtemp(prefix="repro-serve-")
-    sock = os.path.join(tmp, "d.sock")
-    port = _free_port()
-    daemon = ServeDaemon(
-        socket_path=sock, host="127.0.0.1", port=port, jobs=2,
-        drain_seconds=15.0,
-    )
-    thread = threading.Thread(target=daemon.run, daemon=True)
-    thread.start()
-    assert daemon.ready.wait(60), "daemon never came up"
-    yield SimpleNamespace(daemon=daemon, sock=sock, port=port, golden=golden)
-    daemon.request_shutdown()
-    thread.join(60)
-    assert not thread.is_alive(), "daemon did not stop on request_shutdown"
-    assert not os.path.exists(sock), "socket not unlinked on shutdown"
+    try:
+        sock = os.path.join(tmp, "d.sock")
+        port = _free_port()
+        daemon = ServeDaemon(
+            socket_path=sock, host="127.0.0.1", port=port, jobs=2,
+            drain_seconds=15.0,
+        )
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        assert daemon.ready.wait(60), "daemon never came up"
+        yield SimpleNamespace(daemon=daemon, sock=sock, port=port,
+                              golden=golden)
+        daemon.request_shutdown()
+        thread.join(60)
+        assert not thread.is_alive(), \
+            "daemon did not stop on request_shutdown"
+        assert not os.path.exists(sock), "socket not unlinked on shutdown"
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def client(served, **kwargs) -> ServeClient:
@@ -444,6 +453,23 @@ class TestStudyOverService:
         assert report.quarantined == []
         assert report.runcache is not None
 
+    def test_the_first_round_reports_the_daemon_workers(self, served):
+        workers = served.daemon.pool.effective
+        runner = ServiceRunner(served.sock, timeout=120.0)
+        assert runner.effective == workers  # known before any round runs
+        runcache.clear()  # the daemon's cache too: the point is planned
+        progress = io.StringIO()
+        report = execute_parallel(
+            {"point": lambda: run_coupled(**point_spec())}, jobs=1,
+            runner=runner, progress_stream=progress,
+        )
+        round_line = progress.getvalue().splitlines()[0]
+        assert round_line.startswith("round 1: 1 points to simulate")
+        assert round_line.endswith(f"on {workers} workers")
+        assert report.effective_jobs == workers
+        # the client's jobs=1 is no request the daemon clamped
+        assert "clamped" not in report.summary()
+
 
 class TestJobEviction:
     """Finished-job retention: TTL + cap, applied at submission time."""
@@ -561,7 +587,8 @@ class TestStopDuringPointJob:
         """The daemon stops while a point runs on a worker: the drain
         cancels it, its end is counted once, the shut-down pool spawns
         nothing more, and no worker outlives the daemon."""
-        sock = os.path.join(tempfile.mkdtemp(prefix="repro-stop-"), "d.sock")
+        tmp = tempfile.mkdtemp(prefix="repro-stop-")
+        sock = os.path.join(tmp, "d.sock")
         daemon = ServeDaemon(socket_path=sock, jobs=2, drain_seconds=0.0)
         thread = threading.Thread(target=daemon.run, daemon=True)
         thread.start()
@@ -582,6 +609,7 @@ class TestStopDuringPointJob:
         finally:
             daemon.request_shutdown()
             thread.join(60)
+            shutil.rmtree(tmp, ignore_errors=True)
         assert not thread.is_alive(), "daemon did not stop"
         stats = daemon.pool.stats()
         assert stats["workers_spawned"] == spawned

@@ -1,4 +1,10 @@
-"""Unit tests for the DART substrate, EVPath stones and the lock service."""
+"""Unit tests for the DART substrate, EVPath stones and DataSpaces locking.
+
+DataSpaces locking (``lock_type=2``) is the version gate's window:
+the library's lock/unlock calls are the gate's own.  The gate's tests
+live in ``test_store.py``; a whole DataSpaces run under it is tested in
+``test_libraries.py``.
+"""
 
 import pytest
 
@@ -7,7 +13,6 @@ from repro.sim import Environment
 from repro.staging import StagingConfig, VersionGate
 from repro.staging.dart import DartError, DartInstance
 from repro.staging.evpath import EvpathError, EvpathManager
-from repro.staging.locks import LockError, LockService, RwLock
 from repro.transport import Endpoint, RdmaTransport, ShmTransport
 
 
@@ -31,20 +36,30 @@ class TestDart:
         with pytest.raises(DartError):
             dart.server(99)
 
-    def test_client_registration_handshake(self):
+    def test_rpc_round_trip(self):
         env, cluster, transport = setup()
         dart = DartInstance(env, transport)
-        dart.add_server(0, Endpoint(cluster.node(0), "srv0"))
+        server = Endpoint(cluster.node(0), "srv0")
         client = Endpoint(cluster.node(1), "client")
+        moves = []
+        move = transport.move
+
+        def recording(src, dst, nbytes, **kwargs):
+            moves.append((src.owner, dst.owner, nbytes))
+            return move(src, dst, nbytes, **kwargs)
+
+        transport.move = recording
 
         def proc(env):
-            yield from dart.register_client(client, 0)
+            yield from dart.rpc(client, server)
 
         env.process(proc(env))
         env.run()
-        assert dart.is_registered(client)
-        assert dart.server(0).registered_clients == 1
+        # the request, then the reply: one control message each way
+        assert moves == [("client", "srv0", DartInstance.CONTROL_BYTES),
+                         ("srv0", "client", DartInstance.CONTROL_BYTES)]
         assert dart.rpcs == 1
+        assert dart.bulk_ops == 0
         assert env.now > 0
 
     def test_bulk_put_get_accounting(self):
@@ -141,148 +156,28 @@ class TestEvpath:
         assert sink.events_in == 1
 
 
-class TestRwLock:
-    def test_writer_exclusive(self):
-        env = Environment()
-        lock = RwLock(env)
-        order = []
-
-        def writer(env, name, hold):
-            yield from lock.acquire(is_writer=True)
-            order.append((name, env.now))
-            yield env.timeout(hold)
-            lock.release(is_writer=True)
-
-        env.process(writer(env, "w1", 5))
-        env.process(writer(env, "w2", 5))
-        env.run()
-        assert order == [("w1", 0), ("w2", 5)]
-
-    def test_readers_share(self):
-        env = Environment()
-        lock = RwLock(env)
-        times = []
-
-        def reader(env):
-            yield from lock.acquire(is_writer=False)
-            times.append(env.now)
-            yield env.timeout(3)
-            lock.release(is_writer=False)
-
-        env.process(reader(env))
-        env.process(reader(env))
-        env.run()
-        assert times == [0, 0]
-
-    def test_fifo_prevents_writer_starvation(self):
-        env = Environment()
-        lock = RwLock(env)
-        order = []
-
-        def reader(env, name, start):
-            yield env.timeout(start)
-            yield from lock.acquire(is_writer=False)
-            order.append((name, env.now))
-            yield env.timeout(4)
-            lock.release(is_writer=False)
-
-        def writer(env, start):
-            yield env.timeout(start)
-            yield from lock.acquire(is_writer=True)
-            order.append(("w", env.now))
-            yield env.timeout(2)
-            lock.release(is_writer=True)
-
-        env.process(reader(env, "r1", 0))
-        env.process(writer(env, 1))
-        env.process(reader(env, "r2", 2))  # arrives after the writer
-        env.run()
-        # r2 must NOT jump ahead of the queued writer.
-        assert order == [("r1", 0), ("w", 4), ("r2", 6)]
-
-    def test_release_unheld_rejected(self):
-        env = Environment()
-        lock = RwLock(env)
-        with pytest.raises(LockError):
-            lock.release(is_writer=True)
-        with pytest.raises(LockError):
-            lock.release(is_writer=False)
-
-
 class TestLockService:
-    def test_invalid_lock_type(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            LockService(env, lock_type=4)
-        with pytest.raises(ValueError):
-            LockService(env, lock_type=2, gate=None)
-
-    @pytest.mark.parametrize("lock_type", [1, 3])
-    def test_a_run_config_refuses_the_unmodelled_lock_types(self, lock_type):
-        # a DataSpaces run models version-window locking only; types 1
-        # and 3 used to reach the library and crash every run with a
-        # "not fully staged" KeyError, which the pool retried
-        with pytest.raises(ValueError, match="lock_type must be 2"):
-            StagingConfig(lock_type=lock_type)
-
     def test_type2_delegates_to_version_gate(self):
+        # the lock type a run config accepts is the version window
+        assert StagingConfig().lock_type == 2
         env = Environment()
         gate = VersionGate(env, num_writers=1, num_readers=1, window=1)
-        service = LockService(env, lock_type=2, gate=gate)
         trace = []
 
         def writer(env):
             for v in range(2):
-                yield from service.lock_on_write("x", v)
+                yield from gate.writer_acquire(v)  # the write lock
                 trace.append(("w", v, env.now))
-                service.unlock_on_write("x", v)
+                gate.publish(v)  # the write unlock
 
         def reader(env):
             for v in range(2):
-                yield from service.lock_on_read("x", v)
+                yield from gate.reader_wait(v)  # the read lock
                 yield env.timeout(10)
-                service.unlock_on_read("x", v)
+                gate.reader_done(v)  # the read unlock
 
         env.process(writer(env))
         env.process(reader(env))
         env.run()
         # The second write waited for version 0's consumption.
         assert trace[1][2] >= 10
-
-    def test_type3_never_blocks_writers(self):
-        env = Environment()
-        service = LockService(env, lock_type=3)
-        done = []
-
-        def writer(env):
-            for v in range(5):
-                yield from service.lock_on_write("x", v)
-                service.unlock_on_write("x", v)
-            done.append(env.now)
-
-        env.process(writer(env))
-        env.run()
-        assert done and done[0] < 0.01  # only lock RPC latency
-
-    def test_type1_generic_rwlock(self):
-        env = Environment()
-        service = LockService(env, lock_type=1)
-        order = []
-
-        def writer(env):
-            yield from service.lock_on_write("x", 0)
-            order.append(("w", env.now))
-            yield env.timeout(2)
-            service.unlock_on_write("x", 0)
-
-        def reader(env):
-            yield env.timeout(0.001)
-            yield from service.lock_on_read("x", 0)
-            order.append(("r", env.now))
-            service.unlock_on_read("x", 0)
-
-        env.process(writer(env))
-        env.process(reader(env))
-        env.run()
-        assert order[0][0] == "w"
-        assert order[1][1] >= 2

@@ -63,6 +63,14 @@ class TestFactory:
         lib = make("dataspaces", config=config, transport="tcp")
         assert lib.transport.name == "tcp"
 
+    @pytest.mark.parametrize("lock_type", [1, 3])
+    def test_a_run_config_refuses_the_unmodelled_lock_types(self, lock_type):
+        # a DataSpaces run models version-window locking only; types 1
+        # and 3 used to reach the library and crash every run with a
+        # "not fully staged" KeyError, which the pool retried
+        with pytest.raises(ValueError, match="lock_type must be 2"):
+            StagingConfig(lock_type=lock_type)
+
     def test_display_names(self):
         assert METHODS["flexpath"].display == "Flexpath (ADIOS)"
 

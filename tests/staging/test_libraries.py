@@ -104,9 +104,46 @@ class TestDataRoundTrip:
 class TestVersionCoupling:
     def test_writer_cannot_run_ahead(self):
         """max_versions=1: version v+1 waits for v's consumption."""
-        env, lib, _ = run_workflow("dataspaces", steps=3)
-        # All steps completed despite the window — coupling, not deadlock.
-        assert lib.stats.puts == lib.topology.sim_actors * 3
+        env = Environment()
+        var = Variable("field", (4, 8, 100))
+        lib = make_library("dataspaces", Cluster(env, TITAN), nsim=8, nana=4,
+                           variable=var, steps=3,
+                           topology_overrides=dict(SMALL_ACTORS))
+        topo = lib.topology
+        write_regions = application_decomposition(var, topo.sim_actors, 1)
+        read_regions = application_decomposition(var, topo.ana_actors, 1)
+        slow = 1.0  # reader think time, far above a put's cost
+        put_end, get_end = {}, {}
+
+        def writer(actor):
+            for v in range(3):
+                yield env.process(lib.put(actor, write_regions[actor], v))
+                put_end[actor, v] = env.now
+
+        def reader(actor):
+            for v in range(3):
+                yield env.timeout(slow)
+                yield env.process(lib.get(actor, read_regions[actor], v))
+                get_end[actor, v] = env.now
+
+        def main(env):
+            yield env.process(lib.bootstrap())
+            yield env.all_of(
+                [env.process(writer(i)) for i in range(topo.sim_actors)]
+                + [env.process(reader(j)) for j in range(topo.ana_actors)]
+            )
+
+        env.process(main(env))
+        env.run()
+        assert len(put_end) == topo.sim_actors * 3
+        assert len(get_end) == topo.ana_actors * 3
+        # version 0 stages at once; every later put waited for the
+        # slowest reader to consume the version before it
+        assert max(t for (_, v), t in put_end.items() if v == 0) < slow
+        for v in (1, 2):
+            consumed = max(t for (_, u), t in get_end.items() if u == v - 1)
+            assert consumed >= v * slow
+            assert min(t for (_, u), t in put_end.items() if u == v) >= consumed
 
     def test_flexpath_queue_size_two_runs(self):
         config = StagingConfig(transport="nnti", use_adios=True, queue_size=2)

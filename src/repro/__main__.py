@@ -2,28 +2,26 @@
 
 Subcommands:
 
-* ``study [ids...] [--only FIG[,FIG...]] [--list] [--full]
-  [--verify-findings] [--export DIR] [--cache DIR] [--jobs N]
-  [--report PATH]`` — rerun the paper's evaluation (default: every
-  figure and table); ``--jobs N`` simulates the deduplicated work-plan
-  on N worker processes (tables stay byte-identical to a serial run);
+* ``study [ids...] [--full] [--verify-findings] [--export DIR]
+  [--cache DIR] [--jobs N] [--service ADDR] [--report PATH]`` — rerun
+  the paper's evaluation (default: every figure and table); ``--jobs N``
+  simulates the deduplicated work-plan on N worker processes,
+  ``--service`` on a running daemon (tables stay byte-identical to a
+  serial run);
 * ``list`` — list available experiment ids;
 * ``findings`` — verify the eight findings (plus the chaos-campaign
   robustness findings) and print the outcome;
-* ``chaos [--seed S] [--jobs N] [--export DIR] [--report PATH]`` —
-  run the fault-injection campaign and export ``chaos_matrix``,
-  ``chaos_blast`` and ``chaos_matrix_ext`` (byte-identical at any
-  seed-fixed job count; every faulted cell simulates cold);
+* ``chaos [--seed S] [--service ADDR] [--export DIR] [--report PATH]``
+  — run the fault-injection campaign and export ``chaos_matrix``,
+  ``chaos_blast`` and ``chaos_matrix_ext`` (byte-identical whether its
+  points run here or on a daemon; every faulted cell simulates cold);
 * ``serve [--socket PATH] [--tcp HOST:PORT] [--jobs N] [--cache DIR]``
   — start the long-running simulation service: a warm spawn-worker
   pool plus a shared run cache behind a newline-JSON
   protocol (see :mod:`repro.serve`); stop with SIGINT/SIGTERM or
   ``repro submit --shutdown``;
-* ``submit (--fig ID | --chaos-seed S | --ping | --stats |
-  --shutdown) [--stream] [--export DIR]`` — talk to a running daemon:
-  run a figure or the chaos campaign with its points on the daemon
-  (planned and replayed here, like ``study --service``), print live
-  progress, export the tables (byte-identical to ``repro study``'s).
+* ``submit (--ping | --stats [--stats-out PATH] | --shutdown)`` —
+  administer a running daemon.
 """
 
 from __future__ import annotations
@@ -92,19 +90,21 @@ def _cmd_study(
 
 
 def _cmd_chaos(
-    seed: int, jobs: int, export: Optional[str],
+    seed: int, service: Optional[str], export: Optional[str],
     report_path: Optional[str] = None,
 ) -> int:
-    from .chaos import run_campaign
+    from .chaos.campaign import campaign_experiments
+    from .exec import build_tables
 
-    if report_path is None and jobs > 1 and export:
+    if export:
+        os.makedirs(export, exist_ok=True)
+    if report_path is None and service and export:
         report_path = os.path.join(export, "chaos_run_report.json")
-    results = run_campaign(
-        seed=seed, jobs=jobs, export_dir=export, report_path=report_path,
-        progress_stream=sys.stderr if jobs > 1 else None,
+    tables, run_report = build_tables(
+        campaign_experiments(seed), service=service, report_path=report_path,
+        progress_stream=sys.stderr if service else None,
     )
-    run_report = results.pop("__report__", None)
-    for table in results.values():
+    for table in tables.values():
         print(table.render())
         print()
     if run_report is not None:
@@ -112,7 +112,9 @@ def _cmd_chaos(
         if report_path:
             print(f"run report written to {report_path}")
     if export:
-        print(f"exported {len(results)} tables to {export}/")
+        for ident, table in tables.items():
+            write_files(table, os.path.join(export, ident))
+        print(f"exported {len(tables)} tables to {export}/")
     return 0
 
 
@@ -153,32 +155,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from .core.export import to_csv
-    from .exec import execute_parallel
-    from .serve.client import ServeClient, ServeError, ServiceRunner
-    from .serve.protocol import normalize_figure, parse_address
+    from .serve.client import ServeClient, ServeError
+    from .serve.protocol import parse_address
 
     if args.tcp and "host" not in parse_address(args.tcp):
         print(f"error: --tcp wants HOST:PORT, got {args.tcp!r}")
         return 2
-    address = args.tcp or args.socket
-    experiments = None
-    if args.fig:
-        try:
-            experiments = Study(full=args.full).select(
-                [normalize_figure(args.fig)]
-            )
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-    elif args.chaos_seed is not None:
-        from .chaos.campaign import campaign_experiments
-
-        experiments = campaign_experiments(args.chaos_seed)
     try:
-        with ServeClient(address=address, timeout=args.timeout).connect(
-            retry_seconds=args.connect_retry
-        ) as client:
+        with ServeClient(
+            address=args.tcp or args.socket, timeout=args.timeout
+        ).connect(retry_seconds=args.connect_retry) as client:
             if args.ping:
                 reply = client.ping()
                 print(f"pong (protocol {reply['pong']}, "
@@ -188,48 +174,30 @@ def _cmd_submit(args) -> int:
                 client.shutdown()
                 print("daemon stopping")
                 return 0
-            if experiments is not None:
-                # the points run on the daemon; plan and replay run here
-                execute_parallel(
-                    experiments, jobs=1,
-                    runner=ServiceRunner(address, timeout=args.timeout),
-                    progress_stream=sys.stderr if args.stream else None,
-                )
-                tables = {ident: runner()
-                          for ident, runner in experiments.items()}
-                if args.export:
-                    os.makedirs(args.export, exist_ok=True)
-                    for ident, table in tables.items():
-                        write_files(table, os.path.join(args.export, ident))
-                    print(f"exported {len(tables)} tables to {args.export}/")
-                else:
-                    for table in tables.values():
-                        print(to_csv(table))
-            if args.stats_out or args.stats:
-                stats = client.stats()
-                if args.stats_out:
-                    import json as _json
-
-                    with open(args.stats_out, "w", encoding="utf-8") as fh:
-                        _json.dump(stats, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
-                    print(f"daemon stats written to {args.stats_out}")
-                else:
-                    cache, jobs_s = stats["cache"], stats["jobs"]
-                    print(
-                        f"daemon up {stats['uptime_seconds']:.1f}s: "
-                        f"{jobs_s['completed']}/{jobs_s['submitted']} jobs "
-                        f"done ({jobs_s['coalesced']} coalesced), cache "
-                        f"{cache['hits']} hits / {cache['misses']} misses / "
-                        f"{cache['stores']} stores, pool "
-                        f"{stats['pool']['events_total']:,} events at "
-                        f"{stats['pool']['events_per_second_resident']:,.0f}"
-                        f" ev/s resident"
-                    )
-            return 0
+            stats = client.stats()
     except (ServeError, OSError) as exc:
         print(f"error: {exc}")
         return 1
+    if args.stats_out:
+        import json
+
+        with open(args.stats_out, "w", encoding="utf-8") as fh:
+            json.dump(stats, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"daemon stats written to {args.stats_out}")
+    else:
+        cache, jobs = stats["cache"], stats["jobs"]
+        print(
+            f"daemon up {stats['uptime_seconds']:.1f}s: "
+            f"{jobs['completed']}/{jobs['submitted']} jobs "
+            f"done ({jobs['coalesced']} coalesced), cache "
+            f"{cache['hits']} hits / {cache['misses']} misses / "
+            f"{cache['stores']} stores, pool "
+            f"{stats['pool']['events_total']:,} events at "
+            f"{stats['pool']['events_per_second_resident']:,.0f}"
+            f" ev/s resident"
+        )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -241,13 +209,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command")
 
     study_p = sub.add_parser("study", help="run figures/tables")
-    study_p.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    study_p.add_argument("--only", metavar="FIG[,FIG...]", action="append",
-                         default=[],
-                         help="run only these experiments (comma-separated; "
-                              "repeatable; combines with positional ids)")
-    study_p.add_argument("--list", action="store_true", dest="list_ids",
-                         help="list experiment ids and exit")
+    study_p.add_argument("ids", nargs="*",
+                         help="experiment ids (default: all; see "
+                              "'repro list')")
     study_p.add_argument("--full", action="store_true",
                          help="the paper's full processor range")
     study_p.add_argument("--verify-findings", action="store_true",
@@ -279,17 +243,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos_p.add_argument("--seed", type=int, default=7, metavar="S",
                          help="campaign seed: fixes every fault plan "
                               "(default: 7, the committed goldens)")
-    chaos_p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                         help="simulate the campaign's points on N worker "
-                              "processes, clamped to the host's cpu count "
-                              "(tables stay byte-identical)")
+    chaos_p.add_argument("--service", metavar="ADDR",
+                         help="run the campaign's points on a running "
+                              "'repro serve' daemon (unix socket path or "
+                              "HOST:PORT); tables stay byte-identical")
     chaos_p.add_argument("--export", metavar="DIR", default="results",
                          help="write chaos_matrix, chaos_blast and "
                               "chaos_matrix_ext as CSV+JSON into DIR "
                               "(default: results)")
     chaos_p.add_argument("--report", metavar="PATH", dest="report_path",
                          help="write the JSON run report here (default "
-                              "with --jobs: DIR/chaos_run_report.json)")
+                              "with --service: DIR/chaos_run_report.json)")
 
     serve_p = sub.add_parser(
         "serve", help="start the long-running simulation service"
@@ -316,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "(default: 256)")
 
     submit_p = sub.add_parser(
-        "submit", help="talk to a running 'repro serve' daemon"
+        "submit", help="administer a running 'repro serve' daemon"
     )
     submit_p.add_argument("--socket", metavar="PATH",
                           default="repro-serve.sock",
@@ -325,30 +289,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit_p.add_argument("--tcp", metavar="HOST:PORT",
                           help="connect over TCP instead of the socket")
     what = submit_p.add_mutually_exclusive_group(required=True)
-    what.add_argument("--fig", metavar="ID",
-                      help="run a figure/table on the daemon (e.g. 2a, "
-                           "fig6, table5)")
-    what.add_argument("--chaos-seed", type=int, metavar="S",
-                      help="run the fault-injection campaign at seed S "
-                           "on the daemon")
     what.add_argument("--ping", action="store_true",
                       help="check the daemon is alive")
     what.add_argument("--stats", action="store_true",
                       help="print the daemon's cache/pool/job counters")
     what.add_argument("--shutdown", action="store_true",
                       help="ask the daemon to drain and stop")
-    submit_p.add_argument("--full", action="store_true",
-                          help="the paper's full processor range "
-                               "(with --fig)")
-    submit_p.add_argument("--stream", action="store_true",
-                          help="print live progress to stderr instead of "
-                               "running silently")
-    submit_p.add_argument("--export", metavar="DIR",
-                          help="write the tables as CSV+JSON into DIR "
-                               "(default: print CSV)")
     submit_p.add_argument("--stats-out", metavar="PATH",
-                          help="also write the daemon's stats as JSON "
-                               "to PATH")
+                          help="with --stats: write the daemon's stats "
+                               "as JSON to PATH instead")
     submit_p.add_argument("--timeout", type=float, default=600.0,
                           metavar="S",
                           help="socket timeout in seconds (default: 600)")
@@ -367,14 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "findings":
         return _cmd_findings()
     if args.command == "chaos":
-        return _cmd_chaos(args.seed, args.jobs, args.export, args.report_path)
+        return _cmd_chaos(args.seed, args.service, args.export,
+                          args.report_path)
     if args.command == "study":
-        if args.list_ids:
-            return _cmd_list()
-        ids = list(args.ids)
-        for chunk in args.only:
-            ids.extend(i for i in chunk.split(",") if i)
-        return _cmd_study(ids, args.full, args.verify_findings,
+        return _cmd_study(args.ids, args.full, args.verify_findings,
                           args.export, args.cache, args.jobs,
                           args.report_path, args.service)
     parser.print_help()

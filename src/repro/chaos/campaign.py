@@ -5,8 +5,7 @@ DataSpaces has no failure detection, Flexpath degrades gracefully,
 Decaf terminates cleanly, only MPI-IO can actually recover.  A chaos
 campaign makes those claims *quantitative*: :func:`build_campaign`
 derives a deterministic sweep of typed faults from one seed,
-:func:`run_campaign` executes it (optionally on the :mod:`repro.exec`
-worker pool) and emits two machine-checked tables:
+:func:`run_campaign` executes it and emits three machine-checked tables:
 
 * ``chaos_matrix`` — one row per (fault, library) cell: outcome
   (``completed`` / ``degraded`` / ``aborted`` / ``hung-then-aborted``),
@@ -14,17 +13,19 @@ worker pool) and emits two machine-checked tables:
   recovery actions taken;
 * ``chaos_blast`` — the blast radius per fault kind across all five
   libraries, keyed to the Table IV row (or Section VI prose) it
-  quantifies.
+  quantifies;
+* ``chaos_matrix_ext`` — the persistent-memory tier sweep.
 
-Both are exported byte-identically at any ``--jobs`` count: the worker
-pool only warms the run cache, and the tables are always built by the
-same serial replay (the pattern of :class:`repro.core.study.Study`).
+The tables are always built by the serial replay of
+:func:`repro.exec.build_tables`, so ``repro chaos --service ADDR``,
+whose points run on a daemon, exports the serial run's bytes.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.results import TableResult
 from ..staging.base import StagingConfig
@@ -417,7 +418,7 @@ def campaign_outcomes(seed: int = 7) -> Dict[Tuple[str, str], Dict[str, Any]]:
 
 def campaign_experiments(seed: int) -> Dict[str, Callable[[], TableResult]]:
     """The campaign's tables by experiment id, in export order: what
-    ``repro chaos`` and ``repro submit --chaos-seed`` plan and replay."""
+    ``repro chaos`` builds, serially or with ``--service``."""
     return {
         "chaos_matrix": lambda: chaos_matrix(seed),
         "chaos_blast": lambda: chaos_blast(seed),
@@ -427,45 +428,22 @@ def campaign_experiments(seed: int) -> Dict[str, Callable[[], TableResult]]:
 
 def run_campaign(
     seed: int = 7,
-    jobs: int = 1,
     export_dir: Optional[str] = None,
-    report_path: Optional[str] = None,
-    progress_stream: Optional[TextIO] = None,
     fork: bool = True,
 ) -> Dict[str, TableResult]:
-    """Run the campaign and (optionally) export its tables.
+    """Run the campaign serially and (optionally) export its tables.
 
-    With ``jobs > 1`` the deduplicated points execute on the worker
-    pool; the tables are then rebuilt serially from the warmed cache,
-    so the exported bytes match a cold serial run exactly.  Every
-    faulted cell simulates cold either way.  ``fork`` is accepted and
+    Every faulted cell simulates cold.  ``fork`` is accepted and
     ignored: the end-to-end benchmark's chaos child
     (``benchmarks/e2e/child.py``) still passes it; delete it once that
     call stops.
     """
-    experiments = campaign_experiments(seed)
-    if export_dir is not None:
-        import os
+    from ..core.export import write_files
+    from ..exec import build_tables
 
+    results, _ = build_tables(campaign_experiments(seed))
+    if export_dir is not None:
         os.makedirs(export_dir, exist_ok=True)
-    run_report = None
-    if jobs > 1:
-        from ..exec import execute_parallel
-
-        run_report = execute_parallel(
-            experiments,
-            jobs=jobs,
-            report_path=report_path,
-            progress_stream=progress_stream,
-        )
-    results = {ident: runner() for ident, runner in experiments.items()}
-    if export_dir is not None:
-        import os
-
-        from ..core.export import write_files
-
         for ident, table in results.items():
             write_files(table, os.path.join(export_dir, ident))
-    if run_report is not None:
-        results["__report__"] = run_report
     return results

@@ -4,10 +4,10 @@
 the reproduction's equivalent of the paper's Sections III and IV.
 ``python -m repro study`` runs it from the command line.
 
-With ``jobs > 1`` the simulation points are first planned, deduplicated
-and executed on the :mod:`repro.exec` worker pool; the figures then
-replay serially against the warmed run cache, so the rendered tables
-are byte-identical to a serial run at any job count.
+With ``jobs > 1`` (or a ``service`` daemon) the simulation points are
+first planned, deduplicated and executed by :func:`repro.exec.build_tables`;
+the figures then replay serially against the warmed run cache, so the
+rendered tables are byte-identical to a serial run at any job count.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class Study:
             "conclusions": conclusions,
         }
 
-    def select(
-        self, only: Optional[List[str]] = None
-    ) -> Dict[str, Callable[[], TableResult]]:
-        """The experiments ``only`` names (all when None), in paper
-        order; an unknown id is a ``ValueError``."""
+    def run(self, only: Optional[List[str]] = None) -> Dict[str, TableResult]:
+        """Run all (or the ``only``) experiments in paper order; returns
+        id -> result.  An unknown id is a ``ValueError``."""
+        from ..exec import build_tables
+
         experiments = self.experiments()
         if only is not None:
             unknown = [ident for ident in only if ident not in experiments]
@@ -94,31 +94,14 @@ class Study:
                     f"unknown experiment ids: {', '.join(unknown)} "
                     f"(see 'python -m repro list')"
                 )
-        return {
-            ident: runner
-            for ident, runner in experiments.items()
-            if only is None or ident in only
-        }
-
-    def run(self, only: Optional[List[str]] = None) -> Dict[str, TableResult]:
-        """Run all (or the selected) experiments; returns id -> result."""
-        selected = self.select(only)
-        if (self.jobs > 1 or self.service) and selected:
-            from ..exec import execute_parallel
-
-            self.run_report = execute_parallel(
-                selected,
-                jobs=self.jobs,
-                cache_dir=self.cache_dir,
-                report_path=self.report_path,
-                progress_stream=self.progress_stream,
-                service=self.service,
-            )
-        # Serial replay in canonical (paper) order: with jobs > 1 every
-        # point is a cache hit, and the merge order — hence every
-        # rendered byte — is the same as a serial run.
-        for ident, runner in selected.items():
-            self.results[ident] = runner()
+            experiments = {ident: runner for ident, runner
+                           in experiments.items() if ident in only}
+        tables, self.run_report = build_tables(
+            experiments, jobs=self.jobs, service=self.service,
+            cache_dir=self.cache_dir, report_path=self.report_path,
+            progress_stream=self.progress_stream,
+        )
+        self.results.update(tables)
         return self.results
 
     def report(self) -> str:

@@ -10,15 +10,16 @@ Three modules:
   sharing the on-disk run cache;
 * :mod:`.report` — live progress/ETA plus the JSON run report.
 
-:func:`execute_parallel` ties them together.  It never *produces* the
-tables itself: worker results are seeded into the in-process run
-cache, and the caller replays the experiments serially in canonical
-order — every point a cache hit — so ``results/*`` are byte-identical
-at any job count.  Planning runs repeat (bounded) because some points
-hide behind data-dependent branches: round 1 captures the
-unconditional sweep, round 2 re-plans against real results and
-captures e.g. the Figure 3 remediation reruns that only happen after a
-real failure.
+:func:`build_tables` builds a campaign's tables (``Study.run``,
+``repro chaos``, ``run_campaign``).  With ``jobs > 1`` or a daemon it
+first has :func:`execute_parallel` seed the in-process run cache with
+the points' results; it then replays every experiment serially in
+catalog order, every point a cache hit, so ``results/*`` are
+byte-identical at any job count.  Planning runs repeat (bounded)
+because some points hide behind data-dependent branches: round 1
+captures the unconditional sweep, round 2 re-plans against real results
+and captures e.g. the Figure 3 remediation reruns that only happen
+after a real failure.
 
 The execution backend is pluggable.  By default every call starts one
 :class:`WorkerPool`, runs all its planning rounds on it and shuts it
@@ -33,27 +34,53 @@ cross-process cache while planning and replay stay in the caller.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Mapping, Optional, TextIO
+from typing import Any, Callable, Dict, Mapping, Optional, TextIO, Tuple
 
 from .plan import PlannedTask, WorkPlan, build_plan
-from .pool import PoolInterrupted, TaskOutcome, WorkerPool, effective_jobs
 from .report import ProgressPrinter, RunReport
 
+# :mod:`.pool` (multiprocessing and its kin) is imported only by a run
+# whose points go to a pool or a daemon: a serial build_tables, which
+# every serial study and chaos campaign takes, never pays for it.
 __all__ = [
     "PlannedTask",
     "WorkPlan",
     "build_plan",
-    "PoolInterrupted",
-    "TaskOutcome",
-    "WorkerPool",
-    "effective_jobs",
     "ProgressPrinter",
     "RunReport",
+    "build_tables",
     "execute_parallel",
 ]
 
 #: planning rounds are cheap; two normally suffice (sweep + remediation)
 MAX_ROUNDS = 3
+
+
+def build_tables(
+    experiments: Mapping[str, Callable[[], Any]],
+    jobs: int = 1,
+    service: Optional[str] = None,
+    cache_dir: Optional[str] = None,
+    report_path: Optional[str] = None,
+    progress_stream: Optional[TextIO] = None,
+) -> Tuple[Dict[str, Any], Optional[RunReport]]:
+    """Build every experiment's table; returns ``(tables, run report)``.
+
+    With ``jobs > 1`` or a ``service`` address the points are planned
+    and executed first (:func:`execute_parallel`, which gets the other
+    arguments); the report is None for a serial run.  Either way the
+    tables come from one serial replay in catalog order, so the merge
+    order, and every rendered byte, is the serial run's.
+    """
+    report = None
+    if (jobs > 1 or service) and experiments:
+        report = execute_parallel(
+            experiments, jobs=jobs, cache_dir=cache_dir,
+            report_path=report_path, progress_stream=progress_stream,
+            service=service,
+        )
+    tables = {ident: runner() for ident, runner in experiments.items()}
+    return tables, report
 
 
 def execute_parallel(
@@ -67,9 +94,8 @@ def execute_parallel(
 ) -> RunReport:
     """Plan, execute and cache-seed the experiments' simulation points.
 
-    Returns the :class:`RunReport`; the caller still runs every
-    experiment afterwards (now against a warm cache) to build the
-    actual tables.
+    Returns the :class:`RunReport`; :func:`build_tables` then runs every
+    experiment (now against a warm cache) to build the actual tables.
 
     ``runner`` swaps the per-call :class:`WorkerPool` for a caller-owned
     backend (``run(tasks, progress=None) -> {key: TaskOutcome}``);
@@ -83,6 +109,8 @@ def execute_parallel(
         runner = ServiceRunner(service)
     pool = None
     if runner is None:
+        from .pool import WorkerPool
+
         runner = pool = WorkerPool(jobs=jobs, cache_dir=cache_dir)
     try:
         report = _run_rounds(experiments, jobs, runner, progress_stream)
@@ -96,6 +124,7 @@ def execute_parallel(
 
 def _run_rounds(experiments, jobs, runner, progress_stream) -> RunReport:
     from ..core import forkpoint, runcache
+    from .pool import effective_jobs
 
     start = time.monotonic()
     workers = getattr(runner, "effective", None) or effective_jobs(jobs)

@@ -11,7 +11,7 @@ A figure or the chaos campaign is planned and replayed in its client,
 which sends the daemon only its points.
 
 * :mod:`.protocol` — the newline-delimited JSON wire format (framing,
-  figure-id normalization, the pickle side-channel for rich payloads);
+  the pickle side-channel for rich payloads, address parsing);
 * :mod:`.daemon`   — :class:`ServeDaemon`, the asyncio server (unix
   socket and/or TCP) exposing submit / status / wait / cancel /
   stats / shutdown;
@@ -20,8 +20,8 @@ which sends the daemon only its points.
   use, plus :class:`ServiceRunner`, the :func:`repro.exec.execute_parallel`
   backend that routes a whole campaign through a daemon.
 
-``python -m repro serve`` starts a daemon; ``python -m repro submit``
-talks to one.
+``python -m repro serve`` starts a daemon; ``study``/``chaos --service``
+run their points on it, and ``submit`` pings, queries or stops it.
 """
 
 from .client import ServeClient, ServiceRunner

@@ -5,8 +5,8 @@ daemon: one socket, one request per line, replies parsed back into
 dicts.  The CLI (``python -m repro submit``), the tests and the bench
 all drive it; :class:`ServiceRunner` adapts it to the
 ``runner.run(tasks, progress)`` contract of
-:func:`repro.exec.execute_parallel`, which is how ``Study(service=...)``
-and ``repro submit --fig``/``--chaos-seed`` ride a daemon's warm pool
+:func:`repro.exec.execute_parallel`, which is how ``repro study
+--service`` and ``repro chaos --service`` ride a daemon's warm pool
 instead of spawning their own: every planned point becomes a point
 submission (its spec's fields, which the daemon resolves and keys
 itself), duplicate keys coalesce daemon-side (across *all* connected
@@ -24,6 +24,11 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..exec.pool import TaskOutcome
 from . import protocol
+
+
+#: socket timeout of a campaign's connections: a ``wait`` blocks until
+#: its point is done, so this bounds one point's run on the daemon
+TIMEOUT = 3600.0
 
 
 class ServeError(RuntimeError):
@@ -155,15 +160,14 @@ class ServiceRunner:
     in-process — a dead daemon mid-campaign degrades, never corrupts.
     """
 
-    def __init__(self, address: str, timeout: float = 3600.0) -> None:
+    def __init__(self, address: str) -> None:
         self.address = address
-        self.timeout = timeout
 
     @functools.cached_property
     def effective(self) -> int:
         """The daemon's worker count, asked once, so the first round
         already reports it (the local pool's ``effective``)."""
-        with ServeClient(address=self.address, timeout=self.timeout) as client:
+        with ServeClient(address=self.address, timeout=TIMEOUT) as client:
             return client.stats()["pool"]["effective_jobs"]
 
     def run(
@@ -172,7 +176,7 @@ class ServiceRunner:
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, TaskOutcome]:
         outcomes: Dict[str, TaskOutcome] = {}
-        with ServeClient(address=self.address, timeout=self.timeout) as client:
+        with ServeClient(address=self.address, timeout=TIMEOUT) as client:
             submitted = []
             for task in tasks:
                 point = {f.name: getattr(task.spec, f.name)

@@ -8,7 +8,7 @@ submission is one ``run_coupled`` configuration.  A figure, a table or
 the chaos campaign reaches the daemon only as its points: the client
 plans it, sends the points through
 :class:`~repro.serve.client.ServiceRunner` and replays it serially
-against the results (``repro submit --fig``, ``repro study
+against the results (``repro study --service``, ``repro chaos
 --service``), so no plan or replay runs here.
 
 Execution model

@@ -29,7 +29,6 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-import re
 from typing import Any, Dict, Optional
 
 #: one message may not exceed this many bytes on the wire (a point's
@@ -69,22 +68,6 @@ def pack_pickle(obj: Any) -> str:
 
 def unpack_pickle(payload: str) -> Any:
     return pickle.loads(base64.b64decode(payload.encode("ascii")))
-
-
-_FIG_SHORT = re.compile(r"^(\d+[a-z]?)$")
-
-
-def normalize_figure(ident: str) -> str:
-    """Accept the CLI's short spellings: ``2a`` -> ``fig2a``.
-
-    Full experiment ids (``fig2a``, ``table4``, ``conclusions``) pass
-    through untouched; a bare number-letter token gets the ``fig``
-    prefix.  Validity against the study catalog is the caller's call.
-    """
-    token = ident.strip().lower()
-    if _FIG_SHORT.match(token):
-        return f"fig{token}"
-    return token
 
 
 def parse_address(address: str) -> Dict[str, Optional[str]]:

@@ -126,29 +126,3 @@ class TestChaosFindings:
         assert len(FINDINGS) == 8
         assert len(table5_findings().rows) == 8
 
-
-class TestDeterminismAcrossJobs:
-    def test_serial_and_parallel_exports_are_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        # A smaller cell keeps the worker-pool round affordable; the
-        # determinism claim is scale-independent.
-        monkeypatch.setattr(
-            campaign, "CELL",
-            dict(
-                workflow="lammps", nsim=4, nana=2, steps=3,
-                topology_overrides=dict(
-                    sim_ranks_per_node=1, ana_ranks_per_node=1
-                ),
-            ),
-        )
-        # the benchmark harness's recheck passes fork=False: the
-        # ignored keyword must keep being accepted
-        campaign.run_campaign(seed=11, jobs=1, fork=False,
-                              export_dir=str(tmp_path / "serial"))
-        runcache.clear()
-        campaign.run_campaign(seed=11, jobs=2, export_dir=str(tmp_path / "pool"))
-        for name in EXPORTS:
-            serial = (tmp_path / "serial" / name).read_bytes()
-            pool = (tmp_path / "pool" / name).read_bytes()
-            assert serial == pool, f"{name} differs between job counts"

@@ -63,3 +63,20 @@ class TestCli:
     def test_no_command_prints_help(self, capsys):
         assert cli_main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--fig", "2a"],
+        ["submit", "--chaos-seed", "7"],
+        ["chaos", "--jobs", "2"],
+        ["study", "--only", "fig4"],
+        ["study", "--list"],
+    ], ids=["submit-fig", "submit-chaos-seed", "chaos-jobs", "study-only",
+            "study-list"])
+    def test_one_front_end_per_campaign(self, argv, tmp_path, capsys):
+        # a figure is served by `study IDS --service`, the chaos campaign
+        # by `chaos --service`, and `list` lists; the --export keeps a
+        # run that parses anyway out of results/
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv + ["--export", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -93,20 +93,20 @@ class TestParallelStudy:
 
 
 class TestCliFlags:
-    def test_study_list_flag(self, capsys):
-        assert cli_main(["study", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig2a" in out and "conclusions" in out
+    def test_list_names_every_experiment(self, capsys):
+        assert cli_main(["list"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [f"  {ident}" for ident in Study().experiments()]
 
-    def test_only_flag_comma_separated(self, capsys):
-        assert cli_main(["study", "--only", "fig4,fig8"]) == 0
+    def test_positional_ids_select_experiments(self, capsys):
+        assert cli_main(["study", "fig4", "fig8"]) == 0
         out = capsys.readouterr().out
         assert "Figure 4" in out and "Figure 8" in out
         assert "Figure 6" not in out
 
-    def test_only_flag_unknown_id_fails(self, capsys):
-        assert cli_main(["study", "--only", "fig99"]) == 2
-        assert "unknown experiment ids" in capsys.readouterr().out
+    def test_unknown_positional_id_fails(self, capsys):
+        assert cli_main(["study", "fig4", "fig99"]) == 2
+        assert "unknown experiment ids: fig99" in capsys.readouterr().out
 
     def test_jobs_flag_with_export_writes_report(self, tmp_path, capsys):
         export = str(tmp_path / "out")

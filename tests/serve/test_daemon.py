@@ -3,13 +3,14 @@
 The daemon runs on a background thread inside the test process (its
 warm workers are real spawn processes), so the serial golden for fig6
 is rendered *first*, against a clean cache, before the daemon exists.
-The daemon serves points only; ``repro submit --fig`` clients run in
+The daemon serves points only; ``repro study --service`` clients run in
 subprocesses, each planning and replaying its figure itself.
 """
 
 import asyncio
 import copy
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -21,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos import campaign
 from repro.core import runcache
 from repro.core.export import to_csv, to_json
 from repro.core.study import Study
@@ -98,10 +100,11 @@ def point_spec(**extra):
     return spec
 
 
-def submit_cli(served, *args) -> subprocess.Popen:
-    """``python -m repro submit`` against the daemon, in a subprocess."""
+def study_cli(served, *args) -> subprocess.Popen:
+    """``python -m repro study ... --service`` on the daemon, in a
+    subprocess."""
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "submit", "--socket", served.sock,
+        [sys.executable, "-m", "repro", "study", "--service", served.sock,
          *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -173,43 +176,42 @@ class TestBasics:
 
 
 class TestFigureServing:
-    """``repro submit --fig`` plans and replays in its client; the
+    """``repro study --service`` plans and replays in its client; the
     daemon runs the figure's points."""
 
     def test_concurrent_duplicates_share_one_run_byte_identical(
             self, served, tmp_path, monkeypatch):
         runcache.clear()  # the daemon's cache: fig6 must reach the pool
         keys = pool_submissions(served, monkeypatch)
-        streamed = submit_cli(served, "--fig", "6", "--stream",
-                              "--export", str(tmp_path / "a"))
-        silent = submit_cli(served, "--fig", "fig6",
-                            "--export", str(tmp_path / "b"))
-        progress = finish(streamed)
-        assert finish(silent) == ""
+        first = study_cli(served, "fig6", "--export", str(tmp_path / "a"))
+        second = study_cli(served, "fig6", "--export", str(tmp_path / "b"))
+        progress = finish(first)
+        finish(second)
         assert_golden_export(served, tmp_path / "a")
         assert_golden_export(served, tmp_path / "b")
         # the two clients' points coalesced or hit the daemon's cache:
         # the pool ran each fig6 point once
         assert keys and len(keys) == len(set(keys))
-        # --stream prints the local executor's round and task lines
+        # the client prints the local executor's round and task lines
         assert progress.startswith("round 1: ")
         assert "  [1/" in progress
 
     def test_resubmission_is_a_new_job_served_from_cache(
             self, served, tmp_path, monkeypatch):
-        finish(submit_cli(served, "--fig", "6"))
+        finish(study_cli(served, "fig6"))
         submitted = served.daemon.jobs_submitted
         keys = pool_submissions(served, monkeypatch)
-        finish(submit_cli(served, "--fig", "6", "--export", str(tmp_path)))
+        finish(study_cli(served, "fig6", "--export", str(tmp_path)))
         assert_golden_export(served, tmp_path)
         # the rerun submitted its points anew, and the daemon answered
         # every one from its run cache
         assert served.daemon.jobs_submitted > submitted
         assert keys == []
 
-    def test_submit_unknown_figure_exits_2_with_the_list_hint(
-            self, served, capsys):
-        code = cli_main(["submit", "--socket", served.sock, "--fig", "fig99"])
+    def test_unknown_figure_exits_2_before_connecting(self, tmp_path, capsys):
+        # no daemon listens there: a client that connected would fail
+        code = cli_main(["study", "fig99", "--service",
+                         str(tmp_path / "none.sock")])
         assert code == 2
         out = capsys.readouterr().out
         assert "unknown experiment ids: fig99" in out
@@ -455,7 +457,7 @@ class TestStudyOverService:
 
     def test_the_first_round_reports_the_daemon_workers(self, served):
         workers = served.daemon.pool.effective
-        runner = ServiceRunner(served.sock, timeout=120.0)
+        runner = ServiceRunner(served.sock)
         assert runner.effective == workers  # known before any round runs
         runcache.clear()  # the daemon's cache too: the point is planned
         progress = io.StringIO()
@@ -469,6 +471,41 @@ class TestStudyOverService:
         assert report.effective_jobs == workers
         # the client's jobs=1 is no request the daemon clamped
         assert "clamped" not in report.summary()
+
+
+class TestChaosOverService:
+    def test_serial_and_served_exports_are_byte_identical(
+            self, served, tmp_path, monkeypatch):
+        # A smaller cell keeps the served round affordable; the
+        # determinism claim is scale-independent.
+        monkeypatch.setattr(
+            campaign, "CELL",
+            dict(
+                workflow="lammps", nsim=4, nana=2, steps=3,
+                topology_overrides=dict(
+                    sim_ranks_per_node=1, ana_ranks_per_node=1
+                ),
+            ),
+        )
+        runcache.clear()
+        # the benchmark harness's recheck passes fork=False: the
+        # ignored keyword must keep being accepted
+        campaign.run_campaign(seed=11, fork=False,
+                              export_dir=str(tmp_path / "serial"))
+        runcache.clear()  # the daemon's cache too: the points reach the pool
+        keys = pool_submissions(served, monkeypatch)
+        served_dir = tmp_path / "served"
+        assert cli_main(["chaos", "--seed", "11", "--service", served.sock,
+                         "--export", str(served_dir)]) == 0
+        # faulted specs crossed the protocol and ran on spawn workers
+        assert keys
+        report = json.loads((served_dir / "chaos_run_report.json").read_text())
+        assert (report["retries"], report["quarantined"]) == (0, 0)
+        for table in ("chaos_matrix", "chaos_blast", "chaos_matrix_ext"):
+            for ext in ("csv", "json"):
+                name = f"{table}.{ext}"
+                assert (tmp_path / "serial" / name).read_bytes() \
+                    == (served_dir / name).read_bytes(), f"{name} differs"
 
 
 class TestJobEviction:

@@ -1,4 +1,4 @@
-"""Wire format: framing, figure-id spelling, address parsing."""
+"""Wire format: framing, the pickle side-channel, address parsing."""
 
 import pytest
 
@@ -35,23 +35,6 @@ class TestFraming:
         packed = protocol.pack_pickle(spec)
         assert isinstance(packed, str)
         assert protocol.unpack_pickle(packed) == spec
-
-
-class TestNormalizeFigure:
-    @pytest.mark.parametrize("short,full", [
-        ("2a", "fig2a"), ("6", "fig6"), ("13", "fig13"), ("2B", "fig2b"),
-    ])
-    def test_short_spellings_gain_prefix(self, short, full):
-        assert protocol.normalize_figure(short) == full
-
-    @pytest.mark.parametrize("ident", [
-        "fig2a", "fig6", "table5", "portability", "conclusions",
-    ])
-    def test_full_ids_pass_through(self, ident):
-        assert protocol.normalize_figure(ident) == ident
-
-    def test_whitespace_and_case(self):
-        assert protocol.normalize_figure("  Fig6 ") == "fig6"
 
 
 class TestParseAddress:

@@ -11,7 +11,9 @@ point fails when any physics field of the two results differs (floats
 by identity, time series sample by sample), or when its decision record
 breaks the rule that an exact run carries exactly one ``steady:`` entry
 and an engaged one none.  Exits 1 on any failure; the summary counts
-the exact points per ``steady:`` reason.
+the exact points per ``steady:`` reason, and the engaged points per
+orbit lag (steps to a tile), read from the prefix snapshot each
+point's orbit published.
 
 Usage, from the repository root::
 
@@ -29,7 +31,7 @@ from typing import List
 
 from repro.core import runcache
 from repro.sim.monitor import TimeSeries
-from repro.workflows import run_coupled
+from repro.workflows import RunSpec, run_coupled
 from repro.workflows.trace import ActivityTrace
 
 from .e2e.stream import make_stream
@@ -77,7 +79,7 @@ def main(argv=None) -> int:
             points.append(request.spec)
 
     runcache.clear()
-    how, reasons = Counter(), Counter()
+    how, reasons, lags = Counter(), Counter(), Counter()
     failures = 0
     for spec in points:
         chosen = run_coupled(**spec)
@@ -85,6 +87,9 @@ def main(argv=None) -> int:
         how["prefix resume" if chosen.forked else chosen.fidelity] += 1
         reasons.update(e for e in chosen.fidelity_log
                        if e.startswith("steady: "))
+        if chosen.fidelity == "steady":
+            snap = runcache.CACHE.get_prefix(RunSpec.of(**spec).prefix_key)
+            lags[snap.lag] += 1
         diff = differences(chosen, exact)
         if diff or not log_is_consistent(chosen):
             failures += 1
@@ -95,6 +100,8 @@ def main(argv=None) -> int:
           f"{failures} mismatched the traced exact run")
     for reason, n in reasons.most_common():
         print(f"  {n:4d}x {reason}")
+    print("engaged per lag: " + ", ".join(
+        f"{n} at lag {lag}" for lag, n in sorted(lags.items())))
     return 1 if failures else 0
 
 

@@ -5,14 +5,15 @@ prefix before its step counts diverge.  When the driver certifies a
 steady orbit (see ``_SteadyController``) it stops the actors at a
 cutoff, and the whole remaining effect of the run on its
 :class:`~repro.workflows.driver.RunResult` is closed-form: the boundary
-pair's record streams tile, every memory-series sample translates by
-exact multiples of the period of the actor that produced it, and each
-actor's finish time is one integer shift of its own period.
-:func:`capture` verifies the stopped run against the certified orbit
-and serializes exactly that — the staging statistics, the put/get
-record windows, the memory-series windows with their per-sample
-shifts, the per-actor periods and boundary ticks, and the horizon the
-cross-rate bound proves — into a :class:`SimSnapshot`.
+pair's record streams tile, ``lag`` steps to a tile, every
+memory-series sample translates by exact multiples of the period of
+the actor that produced it, and each actor's finish time is one
+integer shift of its own period.  :func:`capture` verifies the stopped
+run against the certified orbit and serializes exactly that — the
+staging statistics, the put/get record windows, the memory-series
+windows with their per-sample shifts and step offsets, the per-actor
+periods and last phase ends, and the horizon the cross-rate bound
+proves — into a :class:`SimSnapshot`.
 :meth:`SimSnapshot.resume` is the only code that turns an orbit into a
 result: the cold run returns its own snapshot's ``resume(spec)``, and
 publishes the snapshot in the run cache as a *prefix entry* under the
@@ -102,10 +103,13 @@ class SimSnapshot:
     server_memory_breakdown: Dict[str, int]
     # -- steady-boundary replay data ------------------------------------
     cutoff: int
-    #: actor name -> its period Δᵢ, in integer ticks
+    #: steps to a tile: the orbit repeats every ``lag`` steps
+    lag: int
+    #: actor name -> its period Δᵢ over one tile, in integer ticks
     periods: Dict[str, int]
-    #: actor name -> last phase-end tick at the cutoff boundary
-    actors: Dict[str, int]
+    #: actor name -> its last phase-end ticks of the ``lag`` steps
+    #: through the cutoff
+    actors: Dict[str, List[int]]
     confirm_close_tick: int
     #: the longest steps count the cross-rate bound proves (None: any)
     horizon: Optional[int]
@@ -113,13 +117,13 @@ class SimSnapshot:
     bytes_staged: float
     put_time: float
     get_time: float
-    #: the tiled window's records as ``(nbytes, elapsed, present)``:
-    #: ``present`` is 1 when the stopped run already holds the next
-    #: repeat (its step did not run past the cutoff)
+    #: the tiled window's records as ``(nbytes, elapsed, offset)``:
+    #: ``offset`` is the record's step less the tile's first step
+    #: (``cutoff - lag``)
     puts: List[Tuple[float, float, int]]
     gets: List[Tuple[float, float, int]]
     #: per tracked series: name, samples through the tiled window's
-    #: close, and the window as ``(time, value, shift, present)``
+    #: close, and the window as ``(time, value, shift, offset)``
     series: List[Dict[str, Any]]
 
     def serves(self, steps: int) -> bool:
@@ -144,8 +148,8 @@ class SimSnapshot:
                 f"prefix: steps pass the cross-rate horizon "
                 f"({steps} steps, horizon {self.horizon})"
             )
-        if (self.confirm_close_tick
-                + (steps - self.cutoff) * max(self.periods.values())
+        tiles = -(-(steps - self.cutoff) // self.lag)
+        if (self.confirm_close_tick + tiles * max(self.periods.values())
                 >= EXACT_TICK_LIMIT):
             return (
                 "prefix: fast-forward horizon exceeds the "
@@ -159,28 +163,32 @@ class SimSnapshot:
         The one orbit replay: the cold run that captured the snapshot
         ends with it, and so does every prefix hit.  From the tiled
         window's close, each stream repeats the window tile by tile —
-        entry by entry for as long as its own actor's steps last — which
-        inside the certified horizon is the exact run's addition/sample
-        order fold for fold.  Every entry moves by integer multiples of
-        its own shift, and only the final values are projected to
-        seconds, one exact multiply each.  Only an engaged steady run
-        with an empty decision record captures a snapshot, so the
-        result is labelled ``"steady"`` with an empty ``fidelity_log``.
+        entry by entry for as long as its own step exists, so a steps
+        count that ends inside a tile replays that tile's first steps
+        only — which inside the certified horizon is the exact run's
+        addition/sample order fold for fold.  Every entry moves by
+        integer multiples of its own shift, and only the final values
+        are projected to seconds, one exact multiply each.  Only an
+        engaged steady run with an empty decision record captures a
+        snapshot, so the result is labelled ``"steady"`` with an empty
+        ``fidelity_log``.
         """
         steps = spec.steps
         if self.decline_reason(steps) is not None:
             return None
         skipped = steps - 1 - self.cutoff
+        # the last offset a j-th repeat may have is last - j * lag
+        last = skipped + self.lag
 
         # Statistics: put and get records feed disjoint accumulators,
         # so each kind's tiled stream folds on its own, one addition per
         # record in the order StagingLibrary._record_put/_get adds them.
         bytes_staged = self.bytes_staged
         put_time, get_time = self.put_time, self.get_time
-        for _, (nbytes, elapsed, _) in _tile(self.puts, skipped):
+        for _, (nbytes, elapsed, _) in _tile(self.puts, self.lag, last):
             bytes_staged += nbytes
             put_time += elapsed
-        for _, (_, elapsed, _) in _tile(self.gets, skipped):
+        for _, (_, elapsed, _) in _tile(self.gets, self.lag, last):
             get_time += elapsed
 
         # Memory series: the prefix verbatim, then the window tiled with
@@ -190,15 +198,18 @@ class SimSnapshot:
             obj = TimeSeries(sdata["name"])
             obj._times = list(sdata["times"])
             obj._values = list(sdata["values"])
-            for k, (t, v, shift, _) in _tile(sdata["window"], skipped):
-                obj.record(t + (k * shift) * _TICK, v)
+            for j, (t, v, shift, _) in _tile(sdata["window"], self.lag,
+                                             last):
+                obj.record(t + (j * shift) * _TICK, v)
             rebuilt.append(obj)
 
-        # Per-actor completion: one integer shift per actor, projected
-        # to seconds with a single exact multiply.
+        # Per-actor completion: the last step's phase end in the tile,
+        # moved by whole periods, projected to seconds with a single
+        # exact multiply.
         finish = {"sim": 0.0, "ana": 0.0}
-        for actor, last_tick in self.actors.items():
-            t = (last_tick + skipped * self.periods[actor]) * _TICK
+        tiles, at = divmod(skipped + self.lag - 1, self.lag)
+        for actor, ends in self.actors.items():
+            t = (ends[at] + tiles * self.periods[actor]) * _TICK
             key = "sim" if actor.startswith("sim") else "ana"
             finish[key] = max(finish[key], t)
 
@@ -219,35 +230,42 @@ class SimSnapshot:
         )
 
 
-def _tile(window: list, skipped: int):
-    """``(k, entry)`` for the window's ``k``-th repeats, tile by tile.
+def _tile(window: list, lag: int, last: int):
+    """``(j, entry)`` for the window's ``j``-th repeats, tile by tile.
 
-    From the tiled window's close an entry repeats ``present +
-    skipped`` times (``present`` is its last field): the stopped run
-    ran every actor through the cutoff step, so an entry whose first
-    repeat it holds comes from one step earlier than one whose first
-    repeat it lacks."""
-    for k in range(1, skipped + 2):
+    An entry's last field is its step offset in the tile; its ``j``-th
+    repeat comes ``j * lag`` steps later and exists while that step
+    does, ``offset + j * lag <= last``."""
+    for j in range(1, last // lag + 1):
         for entry in window:
-            if k <= entry[-1] + skipped:
-                yield k, entry
+            if entry[-1] + j * lag <= last:
+                yield j, entry
 
 
-def _present(window: list, shifts: list, part: list) -> Optional[list]:
-    """Which window entries' next repeats the stopped window holds.
+def _offsets(window: list, shifts: list, part: list, lag: int,
+             first: int) -> Optional[list]:
+    """Each window entry's step offset in its tile (step less ``first``).
 
-    ``part`` (the cutoff window of the stopped run) must be those
-    repeats, in window order; it lacks exactly the repeats of steps the
-    stopped actors never began.  None when it is not.
+    ``part`` (the cutoff window of the stopped run, which ran every
+    actor through step ``first + lag``) must hold the next repeats of
+    exactly the entries of step ``first``, in window order: it lacks
+    the repeats of steps the stopped actors never began.  The entries
+    of a series several actors share carry no step; there (a one-step
+    tile alone) the repeats ``part`` holds mark offset 0 and the rest 1.
+    None when ``part`` is not those repeats.
     """
-    flags, j = [], 0
-    for (tick, payload), shift in zip(window, shifts):
-        if j < len(part) and part[j] == (tick + shift, payload):
-            flags.append(1)
-            j += 1
+    offsets, j = [], 0
+    for (tick, payload, step), shift in zip(window, shifts):
+        nxt = (tick + shift, payload, None if step is None else step + lag)
+        held = j < len(part) and part[j] == nxt
+        j += held
+        if step is None:
+            offsets.append(0 if held else 1)
+        elif held != (step == first):
+            return None
         else:
-            flags.append(0)
-    return flags if j == len(part) else None
+            offsets.append(step - first)
+    return offsets if j == len(part) else None
 
 
 def capture(steady, result) -> SimSnapshot:
@@ -258,8 +276,9 @@ def capture(steady, result) -> SimSnapshot:
     is an exact run of ``cutoff + 1`` steps: its last window lacks
     exactly the repeats of the steps it never began, the same truncation
     an exact run's *final* window has.  So every boundary pair up to
-    ``cutoff - 1`` must still repeat the confirmed orbit with full
-    windows, the cutoff boundary must move every actor by its period,
+    ``cutoff - 1`` must still repeat the confirmed orbit at its lag with
+    full windows (each window with the shifts of the one a tile
+    earlier), the cutoff boundary must move every actor by its period,
     and every record stream and memory series must end on repeats of
     its periodic window, in order — the shape
     :meth:`SimSnapshot.resume` completes.  Any failed check raises
@@ -269,37 +288,43 @@ def capture(steady, result) -> SimSnapshot:
     from ..workflows.driver import _SteadyDiverged
 
     cutoff, confirm, orbit = steady.cutoff, steady.confirm, steady.orbit
-    tiled = orbit
+    lag = orbit.lag
+    tiled, seen = orbit, {confirm: orbit}
     for b in range(confirm + 1, cutoff):
-        tiled = steady._match(b, strict=False)
-        if tiled is None or not orbit.same_shape(tiled):
+        tiled = steady._match(b, lag, strict=False)
+        earlier = seen.get(b - lag)
+        if tiled is None or tiled.periods != orbit.periods or (
+                earlier is not None and not earlier.same_shape(tiled)):
             raise _SteadyDiverged(
                 f"boundary {b} diverged from the orbit confirmed at "
                 f"step {confirm}"
             )
-    if steady._periods(cutoff - 1, cutoff) != orbit.periods:
+        seen[b] = tiled
+    if steady._periods(cutoff - lag, cutoff) != orbit.periods:
         raise _SteadyDiverged(
             f"cutoff boundary {cutoff} left the orbit confirmed at step "
             f"{confirm}"
         )
     fp1, fp2 = steady.boundaries[cutoff - 1], steady.boundaries[cutoff]
+    first = cutoff - lag
     records: Dict[str, list] = {}
     for kind in ("put", "get"):
         window, shifts = tiled.records[kind]
-        flags = _present(window, shifts, steady.records(kind, fp1["tap"]))
-        if flags is None or len(steady.library._steady_tap) != fp2["tap"]:
+        offsets = _offsets(window, shifts, steady.records(kind, fp1["tap"]),
+                           lag, first)
+        if offsets is None or len(steady.library._steady_tap) != fp2["tap"]:
             raise _SteadyDiverged(
                 f"{kind}-record stream at the cutoff does not repeat the "
                 f"periodic window"
             )
-        records[f"{kind}s"] = [(*payload, flag) for (_, payload), flag
-                               in zip(window, flags)]
+        records[f"{kind}s"] = [(*payload, d) for (_, payload, _), d
+                               in zip(window, offsets)]
     series: List[Dict[str, Any]] = []
     for k, s_obj in enumerate(steady.series):
         window, shifts = tiled.series[k]
         i1 = fp1["series"][k]
-        flags = _present(window, shifts, steady.samples(k, i1))
-        if flags is None or len(s_obj) != fp2["series"][k]:
+        offsets = _offsets(window, shifts, steady.samples(k, i1), lag, first)
+        if offsets is None or len(s_obj) != fp2["series"][k]:
             raise _SteadyDiverged(
                 f"series {k} cutoff window does not repeat the periodic "
                 f"window"
@@ -307,8 +332,8 @@ def capture(steady, result) -> SimSnapshot:
         series.append(dict(
             name=s_obj.name, times=s_obj._times[:i1],
             values=s_obj._values[:i1],
-            window=[(tick * _TICK, v, shift, flag) for (tick, v), shift, flag
-                    in zip(window, shifts, flags)],
+            window=[(tick * _TICK, v, shift, d) for (tick, v, _), shift, d
+                    in zip(window, shifts, offsets)],
         ))
     bytes_staged, put_time, get_time = fp1["stats"]
     return SimSnapshot(
@@ -316,8 +341,10 @@ def capture(steady, result) -> SimSnapshot:
         server_memory_peaks=result.server_memory_peaks,
         server_memory_breakdown=result.server_memory_breakdown,
         cutoff=cutoff,
+        lag=lag,
         periods=dict(orbit.periods),
-        actors={a: plist[cutoff][-1] for a, plist in steady.phases.items()},
+        actors={a: [p[-1] for p in plist[first + 1:cutoff + 1]]
+                for a, plist in steady.phases.items()},
         confirm_close_tick=steady.boundaries[confirm]["close"],
         horizon=orbit.horizon,
         bytes_staged=bytes_staged,

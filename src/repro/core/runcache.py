@@ -83,8 +83,12 @@ from typing import Any, Dict, Optional
 #: the inputs a resume now echoes from the spec.
 #: 13 -> 14: per-actor orbits — prefix snapshots carry each actor's
 #: period, per-entry window shifts and the cross-rate horizon in place
-#: of one global Δ, and Titan points that ran exact now engage)
-SCHEMA_VERSION = 14
+#: of one global Δ, and Titan points that ran exact now engage.
+#: 14 -> 15: period-k orbits — prefix snapshots carry their lag, each
+#: actor's last k phase ends and every window entry's step offset in
+#: place of its ``present`` flag, and MPI-IO and DIMES points that ran
+#: exact now engage)
+SCHEMA_VERSION = 15
 
 
 class RunCache:

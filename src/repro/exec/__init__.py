@@ -127,8 +127,12 @@ def _run_rounds(experiments, jobs, runner, progress_stream) -> RunReport:
     from .pool import effective_jobs
 
     start = time.monotonic()
-    workers = getattr(runner, "effective", None) or effective_jobs(jobs)
-    report = RunReport(jobs=jobs, effective_jobs=workers)
+    reported = getattr(runner, "effective", None)
+    workers = reported or effective_jobs(jobs)
+    # a pool keeps the count it was asked for; a runner that reports
+    # only its own workers (a daemon's) was asked for none
+    report = RunReport(jobs=getattr(runner, "jobs", reported or jobs),
+                       effective_jobs=workers)
     for round_no in range(1, MAX_ROUNDS + 1):
         plan = build_plan(experiments)
         tasks = [t for t in plan.tasks if t.key not in report.quarantined_keys]

@@ -238,9 +238,10 @@ class StagingLibrary:
         self.servers: List[ServerState] = []
         self.gate: Optional[VersionGate] = None
         #: steady-state fast-forward tap: when a list, every
-        #: ``_record_put``/``_record_get`` call appends its kind, raw
-        #: arguments and tick here so the driver can replay the exact
-        #: addition sequence for skipped steps (None = zero-cost off)
+        #: ``_record_put``/``_record_get`` call appends its kind, bytes,
+        #: elapsed time, tick and step here so the driver can replay the
+        #: exact addition sequence for skipped steps (None = zero-cost
+        #: off)
         self._steady_tap: Optional[list] = None
         self._sim_endpoints: Dict[int, Endpoint] = {}
         self._ana_endpoints: Dict[int, Endpoint] = {}
@@ -493,10 +494,10 @@ class StagingLibrary:
             return (actor_bytes / self.topology.sim_scale) / cal.SERIALIZE_BW
         return 0.0
 
-    def _record_put(self, nbytes: float, elapsed: float) -> None:
+    def _record_put(self, nbytes: float, elapsed: float, step: int) -> None:
         if self._steady_tap is not None:
             self._steady_tap.append(("put", nbytes, elapsed,
-                                     self.env._now_tick))
+                                     self.env._now_tick, step))
         self.stats.bytes_staged += nbytes
         self.stats.put_time += elapsed
         self.stats.puts += 1
@@ -504,10 +505,10 @@ class StagingLibrary:
             for watcher in list(self._put_watchers):
                 watcher(self.stats.puts)
 
-    def _record_get(self, nbytes: float, elapsed: float) -> None:
+    def _record_get(self, nbytes: float, elapsed: float, step: int) -> None:
         if self._steady_tap is not None:
             self._steady_tap.append(("get", nbytes, elapsed,
-                                     self.env._now_tick))
+                                     self.env._now_tick, step))
         self.stats.bytes_retrieved += nbytes
         self.stats.get_time += elapsed
         self.stats.gets += 1

@@ -23,6 +23,7 @@ Faithful to the design the paper describes (Sections II-A, III-B):
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Generator, List, Optional
 
 import numpy as np
@@ -40,11 +41,7 @@ from ..transport import RdmaTransport, TcpTransport
 from . import calibration as cal
 from .base import StagingLibrary, SteadyPlan
 from .dart import DartInstance
-from .decomposition import (
-    access_plan,
-    application_decomposition,
-    staging_partition,
-)
+from .decomposition import access_plan, first_slab_chunks, staging_partition
 from .ndarray import Region
 from .sfc import index_memory_bytes
 from .store import FragmentStore
@@ -82,7 +79,6 @@ class DataSpaces(StagingLibrary):
         self._server_cpu = [
             Resource(self.env, capacity=1) for _ in self.servers
         ]
-        self._real_chunks = self._real_chunks_per_put()
         # Bring up the DART layer's server directory.
         self.dart = DartInstance(self.env, self.transport)
         for server in self.servers:
@@ -115,17 +111,12 @@ class DataSpaces(StagingLibrary):
         """Granularity of the shared virtual space's real partition."""
         return max(1, self.topology.nservers)
 
-    def _real_chunks_per_put(self) -> int:
+    @cached_property
+    def _real_chunks(self) -> int:
         """Partition sub-regions one real processor's put touches."""
-        nservers = self._virtual_space_servers()
-        real_partition = staging_partition(self.variable, nservers)
-        # Clamp for degenerate test geometries where the decomposition
-        # axis is shorter than the processor count.
-        nprocs = min(self.topology.nsim, self.variable.dims[self.app_axis])
-        proc_region = application_decomposition(
-            self.variable, nprocs, self.app_axis
-        )[0]
-        return len(access_plan(proc_region, real_partition, nservers))
+        return first_slab_chunks(self.variable, self.topology.nsim,
+                                 self.app_axis,
+                                 self._virtual_space_servers())
 
     def validate_at_scale(self) -> None:
         topo = self.topology
@@ -162,7 +153,7 @@ class DataSpaces(StagingLibrary):
             if node_spec.rdma_max_handlers is not None:
                 handlers_per_node = (
                     topo.sim_ranks_per_node
-                    * self._real_chunks_per_put()
+                    * self._real_chunks
                     * max(1, self.config.max_versions)
                 )
                 if handlers_per_node > node_spec.rdma_max_handlers:
@@ -310,7 +301,7 @@ class DataSpaces(StagingLibrary):
         self.global_store.put(var, version, region, data)
         self._evict_old(version)
         self.gate.publish(version)  # the write unlock
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     def _stage_on_server(self, server, sub: Region, version: int, nbytes: float) -> None:
         """Account one staged fragment in the server's memory."""
@@ -431,5 +422,5 @@ class DataSpaces(StagingLibrary):
         total = var.region_bytes(region)
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)  # the read unlock
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

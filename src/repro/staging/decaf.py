@@ -297,7 +297,7 @@ class Decaf(StagingLibrary):
         self.global_store.put(var, version, region, data)
         self._evict_old(version)
         self.gate.publish(version)
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     def _stage_rich(self, server_index: int, version: int, nbytes: float) -> float:
         """Account one share's server-side rich (Bredala) objects.
@@ -354,5 +354,5 @@ class Decaf(StagingLibrary):
 
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

@@ -90,6 +90,28 @@ def staging_partition(var: Variable, num_servers: int) -> List[Region]:
     return split_along(var.dims, axis, num_regions)
 
 
+def first_slab_chunks(var: Variable, nprocs: int, axis: int,
+                      num_servers: int) -> int:
+    """Staging-partition sub-regions processor 0's slab overlaps.
+
+    ``len(access_plan(application_decomposition(var, n, axis)[0],
+    staging_partition(var, num_servers), num_servers))``, with ``n`` =
+    ``nprocs`` clamped to the axis extent, read off the two slabs'
+    bounds instead of building both decompositions (``n`` regions at
+    the paper's scale).
+    """
+    dims = var.dims
+    num_regions = 1 << max(0, math.ceil(math.log2(num_servers)))
+    part_axis = longest_dimension(dims)
+    parts = min(num_regions, dims[part_axis])
+    if part_axis != axis:
+        return parts  # the slab spans the partition axis
+    base, extra = divmod(dims[axis], min(nprocs, dims[axis]))
+    end = base + (1 if extra else 0)  # the slab is [0, end) on the axis
+    pbase, pextra = divmod(dims[axis], parts)
+    return sum(1 for i in range(parts) if i * pbase + min(i, pextra) < end)
+
+
 def region_to_server(region_index: int, num_regions: int, num_servers: int) -> int:
     """Sequential mapping of partition sub-regions onto servers.
 

@@ -22,6 +22,7 @@ Consequences reproduced here:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -38,11 +39,7 @@ from ..transport import RdmaTransport, TcpTransport
 from . import calibration as cal
 from .base import StagingLibrary, SteadyPlan
 from .dart import DartInstance
-from .decomposition import (
-    access_plan,
-    application_decomposition,
-    staging_partition,
-)
+from .decomposition import first_slab_chunks
 from .ndarray import Region
 from .store import FragmentStore
 
@@ -75,9 +72,9 @@ class Dimes(StagingLibrary):
             raise ValueError("DIMES requires the variable at bootstrap")
         # Metadata servers hold descriptors for every staged region of
         # the live versions: tiny compared to DataSpaces (Figure 6).
-        real_chunks = self._real_chunks_per_put()
         entries_per_server = (
-            self.topology.nsim * real_chunks * max(1, self.config.max_versions)
+            self.topology.nsim * self._real_chunks
+            * max(1, self.config.max_versions)
             / max(1, self.topology.nservers)
         )
         for server in self.servers:
@@ -100,14 +97,12 @@ class Dimes(StagingLibrary):
         """
         return max(1, self.topology.nana // 8, self.topology.nservers)
 
-    def _real_chunks_per_put(self) -> int:
-        nservers = self._virtual_space_servers()
-        real_partition = staging_partition(self.variable, nservers)
-        nprocs = min(self.topology.nsim, self.variable.dims[self.app_axis])
-        proc_region = application_decomposition(
-            self.variable, nprocs, self.app_axis
-        )[0]
-        return len(access_plan(proc_region, real_partition, nservers))
+    @cached_property
+    def _real_chunks(self) -> int:
+        """Partition sub-regions one real processor's put touches."""
+        return first_slab_chunks(self.variable, self.topology.nsim,
+                                 self.app_axis,
+                                 self._virtual_space_servers())
 
     # ------------------------------------------------- at-scale validation
 
@@ -142,7 +137,7 @@ class Dimes(StagingLibrary):
             if node_spec.rdma_max_handlers is not None:
                 handlers = (
                     topo.sim_ranks_per_node
-                    * self._real_chunks_per_put()
+                    * self._real_chunks
                     * versions_live
                 )
                 if handlers > node_spec.rdma_max_handlers:
@@ -163,31 +158,38 @@ class Dimes(StagingLibrary):
     # ----------------------------------------------- steady fast-forward
 
     def steady_plan(self):
-        """Eligible only when the metadata rotation is timing-inert.
+        """Eligible: the metadata rotation is declared state.
 
         :meth:`_meta_server_of` routes each version's descriptor RPCs to
-        server ``version % nservers`` — hidden state with period
-        ``nservers`` that a single fingerprint pair cannot see.  It is
-        certified harmless only when every client is equidistant from
-        every metadata server (the RPC then costs the same wherever it
-        lands); otherwise decline.  The warm-up must also cover one full
-        rotation so per-server first-touch costs (DRC credentials,
-        connection setup) are all paid before fingerprint pairs count.
+        server ``version % nservers``.  When some client is not
+        equidistant from every metadata server the RPC's cost depends on
+        where it lands, so :meth:`steady_state` carries the rotation
+        phase and only lags that are multiples of ``nservers`` match.
+        The warm-up covers one full rotation so per-server first-touch
+        costs (DRC credentials, connection setup) are all paid before
+        fingerprint pairs count.
         """
         nservers = max(1, self.topology.server_actors)
-        if nservers > 1:
-            server_nodes = self._placed_nodes("servers")
-            for component in ("simulation", "analytics"):
-                for node in self._placed_nodes(component):
-                    hops = {self._chain_hops(node, s) for s in server_nodes}
-                    if len(hops) > 1:
-                        return None
         warmup = max(nservers, max(1, self.config.max_versions)) + 1
         return SteadyPlan(warmup=warmup)
 
+    @cached_property
+    def _rotation_matters(self) -> bool:
+        """Whether some client's metadata RPC costs depend on the
+        server it lands on."""
+        server_nodes = self._placed_nodes("servers")
+        return any(
+            len({self._chain_hops(node, s) for s in server_nodes}) > 1
+            for component in ("simulation", "analytics")
+            for node in self._placed_nodes(component)
+        )
+
     def steady_state(self, step):
         meta = self._meta_cpu.steady_state() if self._meta_cpu is not None else ()
-        return super().steady_state(step) + (meta,)
+        state = super().steady_state(step) + (meta,)
+        if self._rotation_matters:
+            state += (step % max(1, len(self.servers)),)
+        return state
 
     # --------------------------------------------------------------- put
 
@@ -296,7 +298,7 @@ class Dimes(StagingLibrary):
             self._owners.pop(old_version, None)
             self.global_store.evict(var, old_version)
         self.gate.publish(version)
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     def _client_tracker(self, sim_actor: int):
         return self.client_tracker("sim", sim_actor)
@@ -351,5 +353,5 @@ class Dimes(StagingLibrary):
         total = var.region_bytes(region)
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

@@ -193,7 +193,7 @@ class Flexpath(StagingLibrary):
             {"var": var.name, "version": version}, nbytes=256
         )
         self.gate.publish(version)
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     # --------------------------------------------------------------- get
 
@@ -231,9 +231,9 @@ class Flexpath(StagingLibrary):
                 self.versions_lost += 1
                 self.recovery_events += 1
             self.gate.reader_done(version)
-            self._record_get(moved, self.env.now - start)
+            self._record_get(moved, self.env.now - start, version)
             return moved, None
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

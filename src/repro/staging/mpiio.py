@@ -190,7 +190,7 @@ class MpiIo(StagingLibrary):
 
         self.global_store.put(var, version, region, data)
         self.gate.publish(version)
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     # --------------------------------------------------------------- get
 
@@ -219,5 +219,5 @@ class MpiIo(StagingLibrary):
 
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

@@ -252,7 +252,7 @@ class Sst(StagingLibrary):
         env = self.env
         yield env.timeout_at_tick(env._now_tick + cal.RPC_LATENCY_TICKS)
         self.gate.publish(version)
-        self._record_put(total, self.env.now - start)
+        self._record_put(total, self.env.now - start, version)
 
     # --------------------------------------------------------------- get
 
@@ -270,7 +270,7 @@ class Sst(StagingLibrary):
             # The writer dropped this step before any reader opened it;
             # the reader observes the skip and moves to fresher data.
             self.gate.reader_done(version)
-            self._record_get(0.0, self.env.now - start)
+            self._record_get(0.0, self.env.now - start, version)
             return 0.0, None
 
         self._reading[version] = self._reading.get(version, 0) + 1
@@ -302,9 +302,9 @@ class Sst(StagingLibrary):
                 self.versions_lost += 1
                 self.recovery_events += 1
             self.gate.reader_done(version)
-            self._record_get(moved, self.env.now - start)
+            self._record_get(moved, self.env.now - start, version)
             return moved, None
         data = self.global_store.assemble(var, version, region)
         self.gate.reader_done(version)
-        self._record_get(total, self.env.now - start)
+        self._record_get(total, self.env.now - start, version)
         return total, data

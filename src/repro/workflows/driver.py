@@ -17,6 +17,7 @@ import hashlib
 import inspect
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -71,17 +72,20 @@ class _SteadyDiverged(Exception):
 
 
 #: the checks a boundary pair must pass, in the order they run; a run
-#: whose orbit never certifies names the one its last pair failed
+#: whose orbit never certifies names the furthest one its last pair
+#: failed at any lag
 MATCH_CHECKS = (
     "actor phases", "pending events", "library state", "client memory",
     "record window", "series window", "cross-rate slack",
 )
+#: the leading checks that compare the state itself
+_STATE_CHECKS = 4
 
 
 @dataclass(frozen=True)
 class Orbit:
-    """A certified boundary pair: each actor's period and each window
-    entry's shift, in integer ticks.
+    """A certified boundary pair ``(b - lag, b)``: each actor's period
+    over ``lag`` steps and each window entry's shift, in integer ticks.
 
     ``horizon`` is the longest steps count over which no interaction
     between actors of different periods changes its outcome (None when
@@ -90,11 +94,13 @@ class Orbit:
 
     periods: Dict[str, int]
     #: per staging-record kind ("put", "get"): the window's entries as
-    #: ``(tick, (nbytes, elapsed))``, and each entry's shift
+    #: ``(tick, (nbytes, elapsed), step)``, and each entry's shift
     records: Dict[str, Tuple[list, list]]
-    #: per tracked memory series: the window's ``(tick, value)`` entries
-    #: and their shifts
+    #: per tracked memory series: the window's ``(tick, value, step)``
+    #: entries (step None on the series several actors share) and
+    #: their shifts
     series: Tuple[Tuple[list, list], ...]
+    lag: int
     horizon: Optional[int] = None
 
     def same_shape(self, other: "Orbit") -> bool:
@@ -114,15 +120,20 @@ class _SteadyController:
     the pending-event queue, the library's normalized state (gate
     window, server memory, per-library resources), the put/get record
     stream and memory-series sample windows, and the client memory
-    totals.  Two consecutive boundaries match when every actor's phase
-    ends translate by that actor's own period Δᵢ and every other entry
-    moves by the shift measured for it — the period of whichever actor
-    produced it.  When every Δᵢ is equal this is one clock translation
-    of the whole state.  When they differ (a hop-scaled torus gives each
-    writer its own put time) the actors' phases must repeat over two
-    consecutive pairs, and a horizon bound over every contention
-    decision the simulator took between them — chain claims, FIFO
-    grants and gate wake-ups, logged in
+    totals.  Boundaries ``b - k`` and ``b`` match at lag ``k`` when
+    every actor's phase ends translate by that actor's own ``k``-step
+    period Δᵢ and every other entry of the window pair ``[b - 2k, b -
+    k]``, ``[b - k, b]`` moves by the shift measured for it — the
+    period of whichever actor produced it — from a step ``k`` earlier.
+    Lags are tried smallest first, so a one-step orbit is the case
+    ``k = 1``; a longer one repeats a ``k``-step tile (MPI-IO writers
+    that take turns at a shorter step, DIMES's metadata rotation).
+    When every Δᵢ is equal this is one clock translation of the whole
+    state.  When they differ (a hop-scaled torus gives each writer its
+    own put time) the actors' phases must repeat over the pairs ending
+    at ``b - 1`` and ``b``, and a horizon bound over every contention
+    decision the simulator took in the window pair — chain claims,
+    FIFO grants and gate wake-ups, logged in
     ``Environment._steady_log`` — plus the order of consecutive
     records and samples proves no outcome changes before the run's last
     step.  Boundary closes and phase ends are integer ticks, so every
@@ -146,13 +157,18 @@ class _SteadyController:
         #: lazily resolved: server series only exist after bootstrap
         self._series_fn = series_fn
         self.series = None
+        #: per tracked series, its length after each step of the one
+        #: actor that samples it (None: several do) — so every sample's
+        #: step is known
+        self._ends: List[Optional[list]] = []
+        self._owned: Dict[str, tuple] = {}    # actor -> (series, its ends)
         self.trackers = trackers
         self.phases: Dict[str, list] = {}     # actor -> phase tuple per step
         self.done: Dict[int, int] = {}        # step -> actors completed
         self.boundaries: Dict[int, dict] = {}
         self.cutoff: Optional[int] = None
         self.orbit: Optional[Orbit] = None
-        self.confirm: Optional[int] = None    # step s of the matched pair (s-1, s)
+        self.confirm: Optional[int] = None    # b of the matched (b-lag, b)
         self.fail: Optional[str] = None       # permanent decline reason
         self.miss: Optional[str] = None       # the last pair's failed check
         #: interactions are logged from the first boundary a several-
@@ -161,6 +177,9 @@ class _SteadyController:
         #: match reads
         self._log_from = max(warmup, 2) - 2
         self._log_base = 0                    # log index of _steady_log[0]
+        #: the lag the whole state last repeated at, which bounds the
+        #: log the next match reads
+        self._period: Optional[int] = None
 
     @property
     def engaged(self) -> bool:
@@ -181,14 +200,22 @@ class _SteadyController:
     def record(self, actor: str, step: int, phases: tuple) -> None:
         """An actor completed ``step``; its phase end times in order."""
         self.phases.setdefault(actor, []).append(phases)
+        if self.series is None:
+            tracked = self._series_fn()
+            self.series = [s_obj for s_obj, _ in tracked]
+            self._ends = [None if owner is None else []
+                          for _, owner in tracked]
+            self._owned = {owner: (s_obj, ends) for (s_obj, owner), ends
+                           in zip(tracked, self._ends) if owner is not None}
+        owned = self._owned.get(actor)
+        if owned is not None:
+            owned[1].append(len(owned[0]))
         n = self.done.get(step, 0) + 1
         self.done[step] = n
         if n == self.n_actors and self.fail is None:
             self._close(step)
 
     def _capture(self, step: int) -> dict:
-        if self.series is None:
-            self.series = self._series_fn()
         stats = self.library.stats
         return dict(
             close=self.env._now_tick,
@@ -213,8 +240,22 @@ class _SteadyController:
         # first step no actor has begun, so every live step closes.
         cutoff = max(self.done) + 1
         useful = self.miss
-        orbit = self._match(step)
+        orbit, misses = None, []
+        for lag in range(1, self._max_lag(step) + 1):
+            orbit = self._match(step, lag)
+            if orbit is not None:
+                break
+            misses.append(self.miss)
+            if MATCH_CHECKS.index(self.miss) >= _STATE_CHECKS:
+                # the state repeats at this lag, so it is the orbit's
+                # period: a multiple reads older windows and a shorter
+                # cross-rate reach, and can only fail where this failed
+                self._period = lag
+                break
+        else:
+            self._period = None
         if orbit is None:
+            self.miss = max(misses, key=MATCH_CHECKS.index)
             if cutoff > self.steps - 2 and useful is not None:
                 # a pair this late could not skip a step (and the run's
                 # ending perturbs it): the last one that could is named
@@ -223,8 +264,8 @@ class _SteadyController:
         if cutoff > self.steps - 2:
             self._give_up("steady: orbit confirmed too late to skip any step")
             return
-        if (self.env._now_tick
-                + (self.steps - cutoff) * max(orbit.periods.values())
+        tiles = -(-(self.steps - cutoff) // orbit.lag)
+        if (self.env._now_tick + tiles * max(orbit.periods.values())
                 >= EXACT_TICK_LIMIT):
             self._give_up("steady: fast-forward horizon exceeds the "
                           "exact-arithmetic window")
@@ -238,10 +279,23 @@ class _SteadyController:
         self.fail = reason
         self.env._steady_log = None
 
+    def _max_lag(self, b: int) -> int:
+        """The largest lag a match at boundary ``b`` tries: its window
+        pair must start past the warm-up (``b - 2k >= warmup - 2``, as
+        lag 1 does), and only lag 1 is tried once the cutoff could not
+        skip a step."""
+        if max(self.done) + 1 > self.steps - 2:
+            return 1
+        return max(1, (b - self.warmup + 2) // 2)
+
     def _trim_log(self, step: int) -> None:
         """Drop interactions no later match reads (before boundary
-        ``step - 2``)."""
-        log, prev = self.env._steady_log, self.boundaries.get(step - 2)
+        ``step - 2k`` for the largest lag ``k`` the next one tries, or
+        the period the state last repeated at)."""
+        log, keep = self.env._steady_log, self._max_lag(step + 1)
+        if self._period is not None:
+            keep = min(keep, self._period)
+        prev = self.boundaries.get(step - 2 * keep)
         if log is None or prev is None:
             return
         cut = prev["log"] - self._log_base
@@ -249,8 +303,9 @@ class _SteadyController:
             del log[:cut]
             self._log_base += cut
 
-    def _match(self, b: int, strict: bool = True) -> Optional[Orbit]:
-        """The orbit if boundary ``b`` repeats boundary ``b - 1``, else
+    def _match(self, b: int, lag: int,
+               strict: bool = True) -> Optional[Orbit]:
+        """The orbit if boundary ``b`` repeats boundary ``b - lag``, else
         None with :attr:`miss` naming the failed check.
 
         ``strict`` additionally compares the pending-event queue, the
@@ -262,12 +317,12 @@ class _SteadyController:
         periodic one (nothing the exact run would interleave there is
         missing), which is exactly what the replay tiles.
         """
-        a = b - 1
+        a = b - lag
         periods = self._periods(a, b)
         single = periods is not None and len(set(periods.values())) == 1
         # several periods: each actor must keep its own over two pairs
         if periods is None or not (single
-                                   or periods == self._periods(a - 1, a)):
+                                   or periods == self._periods(a - 1, b - 1)):
             return self._missed("actor phases")
         rates = set(periods.values())
         fpa, fpb = self.boundaries[a], self.boundaries[b]
@@ -280,13 +335,14 @@ class _SteadyController:
                 return self._missed("client memory")
         # The put/get record windows and the tracked memory-series
         # windows must repeat verbatim (values) and move each entry by
-        # a measured actor period (times).
-        before = self.boundaries.get(a - 1)
+        # a measured actor period (times) from ``lag`` steps earlier.
+        before = self.boundaries.get(a - lag)
         records = {}
         for kind in ("put", "get"):
             j0 = before["tap"] if before is not None else 0
             second = self.records(kind, fpa["tap"], fpb["tap"])
-            shifts = _shifts(self.records(kind, j0, fpa["tap"]), second, rates)
+            shifts = _shifts(self.records(kind, j0, fpa["tap"]), second,
+                             rates, lag)
             if shifts is None:
                 return self._missed("record window")
             records[kind] = (second, shifts)
@@ -295,33 +351,40 @@ class _SteadyController:
             i0 = before["series"][k] if before is not None else 0
             second = self.samples(k, fpa["series"][k], fpb["series"][k])
             shifts = _shifts(self.samples(k, i0, fpa["series"][k]), second,
-                             rates)
-            if shifts is None:
+                             rates, lag)
+            # a shared series' steps show only where the stopped run
+            # ends, which covers every step of a one-step tile alone
+            if shifts is None or (lag > 1 and second
+                                  and second[0][2] is None):
                 return self._missed("series window")
             series.append((second, shifts))
         horizon = None
         if strict and not single:
-            reach = min([self._interaction_reach(b, rates)]
+            reach = min([self._interaction_reach(b, lag, rates)]
                         + [_order_reach(*w) for w in records.values()]
                         + [_order_reach(*w) for w in series])
             if reach != math.inf:
-                horizon = b + reach
+                horizon = b + lag * reach
                 if self.steps > horizon:
                     return self._missed("cross-rate slack")
-        return Orbit(periods, records, tuple(series), horizon)
+        return Orbit(periods, records, tuple(series), lag, horizon)
 
     def records(self, kind: str, lo: int, hi: Optional[int] = None) -> list:
         """The ``kind`` ("put"/"get") staging records of tap slice
-        ``[lo:hi]`` as ``(tick, (nbytes, elapsed))`` window entries."""
-        return [(r[3], r[1:3]) for r in self.library._steady_tap[lo:hi]
+        ``[lo:hi]`` as ``(tick, (nbytes, elapsed), step)`` window
+        entries."""
+        return [(r[3], r[1:3], r[4]) for r in self.library._steady_tap[lo:hi]
                 if r[0] == kind]
 
     def samples(self, k: int, lo: int, hi: Optional[int] = None) -> list:
         """Samples ``[lo:hi]`` of tracked series ``k`` as ``(tick,
-        value)`` window entries (on-grid times scale to exact ticks)."""
-        s_obj = self.series[k]
-        return [(int(t * _TICK_SCALE), v)
-                for t, v in zip(s_obj._times[lo:hi], s_obj._values[lo:hi])]
+        value, step)`` window entries (on-grid times scale to exact
+        ticks; step None on a series no one actor owns)."""
+        s_obj, ends = self.series[k], self._ends[k]
+        return [(int(t * _TICK_SCALE), v,
+                 None if ends is None else bisect_right(ends, i))
+                for i, t, v in zip(range(lo, len(s_obj)),
+                                   s_obj._times[lo:hi], s_obj._values[lo:hi])]
 
     def _missed(self, check: str) -> None:
         self.miss = check
@@ -343,20 +406,24 @@ class _SteadyController:
             periods[actor] = delta
         return periods
 
-    def _interaction_reach(self, b: int, periods: set) -> float:
-        """Further steps over which every logged interaction of the
+    def _interaction_reach(self, b: int, lag: int, periods: set) -> float:
+        """Further tiles over which every logged interaction of the
         window pair ending at ``b`` keeps its outcome (0 when one does
-        not repeat).
+        not repeat, or the log no longer reaches back to ``b - 2 lag``).
 
         Interactions pair up per site (a pipe chain, a resource, a gate
         side) in occurrence order.  Each has an arrival and a ready tick,
         each moving by an actor's period, and waited iff ready > arrival;
         the gap between them moves by the difference of their shifts
-        every step, and must keep its sign for as long as the run lasts.
+        every tile, and must keep its sign for as long as the run lasts.
         """
+        start = self.boundaries.get(b - 2 * lag)
+        if (b - 2 * lag < self._log_from or start is None
+                or start["log"] < self._log_base):
+            return 0
         log = self.env._steady_log
         m0, m1, m2 = (self.boundaries[x]["log"] - self._log_base
-                      for x in (b - 2, b - 1, b))
+                      for x in (b - 2 * lag, b - lag, b))
         first, second = _by_site(log[m0:m1]), _by_site(log[m1:m2])
         if first.keys() != second.keys():
             return 0
@@ -386,34 +453,37 @@ def _pending_repeats(first: tuple, second: tuple, periods: set) -> bool:
     )
 
 
-def _shifts(first: list, second: list, periods: set) -> Optional[list]:
+def _shifts(first: list, second: list, periods: set,
+            lag: int) -> Optional[list]:
     """Per-entry tick shifts from window ``first`` to ``second``.
 
-    Entries are ``(tick, payload)``.  None unless both windows hold the
-    same payloads in the same order and every entry moves by one of the
-    actors' ``periods``.
+    Entries are ``(tick, payload, step)``.  None unless both windows
+    hold the same payloads in the same order and every entry moves by
+    one of the actors' ``periods`` and, where its step is known, by
+    ``lag`` steps.
     """
     if len(first) != len(second):
         return None
     shifts = []
-    for (t1, p1), (t2, p2) in zip(first, second):
+    for (t1, p1, s1), (t2, p2, s2) in zip(first, second):
         shift = t2 - t1
-        if p1 != p2 or shift not in periods:
+        if p1 != p2 or shift not in periods or (s1 is not None
+                                                and s2 - s1 != lag):
             return None
         shifts.append(shift)
     return shifts
 
 
 def _reach(gap: int, drift: int) -> float:
-    """Further steps over which ``gap`` (>= 0), moving by ``drift`` a
-    step, stays positive: unbounded unless it shrinks."""
+    """Further tiles over which ``gap`` (>= 0), moving by ``drift`` a
+    tile, stays positive: unbounded unless it shrinks."""
     if drift >= 0:
         return math.inf
     return max(0, (gap - 1) // -drift)
 
 
 def _order_reach(window: list, shifts: list) -> float:
-    """Further steps before two consecutive entries of a tiled window
+    """Further tiles before two consecutive entries of a tiled window
     could swap, the last entry and the next tile's first included."""
     reach = math.inf
     n = len(window)
@@ -955,9 +1025,11 @@ def _execute(env, cluster, library, result, spec: RunSpec,
     steady = None
     if decision.steady is not None:
         def _steady_series():
-            tracked = [sim_trackers[0].series, ana_trackers[0].series]
+            # each with the actor whose steps alone sample it
+            tracked = [(sim_trackers[0].series, "sim0"),
+                       (ana_trackers[0].series, "ana0")]
             if library.servers:
-                tracked.append(library.servers[0].memory.series)
+                tracked.append((library.servers[0].memory.series, None))
             return tracked
 
         steady = _SteadyController(

@@ -103,22 +103,25 @@ class TestPrefixRestore:
         assert_same_physics(result, exact_run(**kwargs))
 
     def test_uncertified_orbit_recorded_in_fidelity_log(self):
-        # titan/dimes never certifies steady at this scale: no snapshot
-        # publishes, and the library's own steady decline explains it
+        # titan/dimes repeats only over whole rotations of its 4
+        # metadata servers: 8 and 10 steps are too short for two past
+        # the warm-up, so no snapshot publishes and the one steady
+        # decline explains it
         runcache.clear()
         kwargs = dict(machine="titan", method="dimes", nsim=32, nana=16)
         run_coupled(steps=8, **kwargs)
-        result = run_coupled(steps=16, **kwargs)
+        result = run_coupled(steps=10, **kwargs)
         assert result.forked is None
         assert_steady_entry_only(result)
 
     def test_uncertified_boundary_attributed_in_fidelity_log(self):
         # titan/mpiio laplace attempts certification but no boundary pair
-        # matches (a shorter step rotates across the writers): the steady
+        # matches (a shorter step rotates across the writers, a 15-step
+        # orbit at this scale that needs about 32 steps): the steady
         # entry says so, and no prefix entry repeats it
         runcache.clear()
         kwargs = dict(machine="titan", method="mpiio", workflow="laplace",
-                      nsim=64, nana=32)
+                      nsim=256, nana=128)
         run_coupled(steps=8, **kwargs)
         result = run_coupled(steps=16, **kwargs)
         assert result.forked is None

@@ -55,6 +55,19 @@ class TestParallelStudy:
         with pytest.raises(ValueError, match="unknown experiment ids"):
             Study().run(only=["fig99"])
 
+    def test_a_clamped_pool_keeps_its_request(self):
+        class Clamped:
+            """A pool asked for 3 workers that runs 2."""
+            jobs, effective = 3, 2
+
+            def run(self, tasks, progress=None):
+                return {}
+
+        report = execute_parallel({"fig8": Study().experiments()["fig8"]},
+                                  jobs=3, runner=Clamped())
+        assert report.to_dict()["requested_jobs"] == 3
+        assert "with 2 workers (3 requested)" in report.summary()
+
     def test_report_written(self, tmp_path):
         path = str(tmp_path / "run_report.json")
         execute_parallel(

@@ -469,8 +469,11 @@ class TestStudyOverService:
         assert round_line.startswith("round 1: 1 points to simulate")
         assert round_line.endswith(f"on {workers} workers")
         assert report.effective_jobs == workers
-        # the client's jobs=1 is no request the daemon clamped
+        # the client's jobs=1 is no request the daemon clamped: a
+        # served run asks for the daemon's own workers
+        assert report.to_dict()["requested_jobs"] == report.effective_jobs
         assert "clamped" not in report.summary()
+        assert "requested" not in report.summary()
 
 
 class TestChaosOverService:

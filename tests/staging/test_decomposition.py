@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.staging.decomposition import (
     access_plan,
     application_decomposition,
+    first_slab_chunks,
     is_n_to_one,
     region_to_server,
     servers_touched,
@@ -124,3 +125,19 @@ class TestAccessPlan:
 
     def test_n_to_one_false_for_empty(self):
         assert not is_n_to_one([], 4)
+
+
+@given(
+    dims=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    nprocs=st.integers(1, 64),
+    num_servers=st.integers(1, 20),
+    data=st.data(),
+)
+def test_first_slab_chunks_counts_the_access_plan(dims, nprocs, num_servers,
+                                                  data):
+    # the count read off slab bounds equals building both decompositions
+    var = Variable("v", tuple(dims))
+    axis = data.draw(st.integers(0, len(dims) - 1))
+    slab = application_decomposition(var, min(nprocs, dims[axis]), axis)[0]
+    plan = access_plan(slab, staging_partition(var, num_servers), num_servers)
+    assert first_slab_chunks(var, nprocs, axis, num_servers) == len(plan)

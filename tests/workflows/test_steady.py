@@ -199,3 +199,86 @@ class TestSteadyFallbackReasons:
         assert rerun.fidelity == "exact"
         assert rerun.fidelity_log == ("steady: orbit broke",)
         assert_identical(exact_run(**kwargs), rerun)
+
+
+# ---------------------------------------------------- period-k orbits
+
+
+#: configurations whose orbit repeats only every ``lag`` steps, with
+#: how many distinct actor periods it has: Cori MPI-IO writers
+#: alternate a longer and a shorter step, a shorter Titan MPI-IO step
+#: moves from writer to writer, and Titan DIMES rotates its metadata
+#: RPCs over 4 servers at unequal hop counts
+PERIOD_K = [
+    (dict(machine="cori", method="mpiio", nsim=128, nana=64), 2, 1),
+    (dict(machine="titan", method="mpiio", workflow="laplace", nsim=64,
+          nana=32), 3, 1),
+    (dict(machine="titan", method="dimes", nsim=32, nana=16), 4, 4),
+]
+
+
+def published(**kwargs):
+    """A cold run and the prefix snapshot it publishes."""
+    result = fresh_run(**kwargs)
+    spec = driver.RunSpec.of(**kwargs)
+    return result, runcache.CACHE.get_prefix(spec.prefix_key)
+
+
+class TestPeriodKOrbits:
+    @pytest.mark.parametrize("kwargs, lag, rates", PERIOD_K)
+    def test_engages_at_its_lag(self, kwargs, lag, rates):
+        result, snap = published(steps=20, **kwargs)
+        assert result.fidelity == "steady" and result.fidelity_log == ()
+        assert snap.lag == lag
+        assert len(set(snap.periods.values())) == rates
+        assert_identical(exact_run(steps=20, **kwargs), result,
+                         ignore=("fidelity",))
+
+    @pytest.mark.parametrize("kwargs, lag, rates", PERIOD_K)
+    def test_every_partial_tile_remainder(self, kwargs, lag, rates):
+        # cold runs ending at every step of the orbit's last tile
+        for steps in range(20, 20 + lag):
+            result = fresh_run(steps=steps, **kwargs)
+            assert result.fidelity == "steady", (steps, result.fidelity_log)
+            assert_identical(exact_run(steps=steps, **kwargs), result,
+                             ignore=("fidelity",))
+
+    @pytest.mark.parametrize("kwargs, lag, rates", PERIOD_K)
+    def test_steps_variants_resume_from_one_snapshot(self, kwargs, lag,
+                                                     rates):
+        _, snap = published(steps=20, **kwargs)
+        for steps in range(10, 25):
+            variant = run_coupled(steps=steps, **kwargs)
+            resumed = snap.serves(steps) and steps != 20  # 20: the base
+            assert (variant.forked is not None) == resumed
+            assert_identical(exact_run(steps=steps, **kwargs), variant,
+                             ignore=("fidelity",))
+        assert snap.serves(24)
+
+    def test_equidistant_dimes_engages_at_lag_one(self):
+        # every Cori client is as far from every metadata server, so
+        # the rotation is no state and one step repeats the last
+        kwargs = dict(machine="cori", method="dimes", nsim=32, nana=16,
+                      steps=20)
+        result, snap = published(**kwargs)
+        assert result.fidelity == "steady" and snap.lag == 1
+        assert_identical(exact_run(**kwargs), result, ignore=("fidelity",))
+
+    def test_divergence_at_the_lag_reruns_exact(self, monkeypatch):
+        # the stopped run's cutoff step leaves the 3-step orbit: capture
+        # refuses the replay and the point reruns exact
+        kwargs = dict(PERIOD_K[1][0], steps=20)
+        capture = forkpoint.capture
+
+        def diverging(steady, result):
+            assert steady.orbit.lag == 3
+            phases = steady.phases["sim0"]
+            phases[steady.cutoff] = tuple(t + 1 for t in phases[steady.cutoff])
+            return capture(steady, result)
+
+        monkeypatch.setattr(forkpoint, "capture", diverging)
+        rerun = fresh_run(**kwargs)
+        assert rerun.fidelity == "exact"
+        assert len(rerun.fidelity_log) == 1
+        assert rerun.fidelity_log[0].startswith("steady: cutoff boundary")
+        assert_identical(exact_run(**kwargs), rerun)
